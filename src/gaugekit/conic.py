@@ -5,16 +5,21 @@ Programs are stored in the standard form
     minimize    c'x
     subject to  A x + s = b,   s in K,
 
-where K is a product of zero, nonnegative, second-order, and small PSD cones
-(in row order). The solver runs a homogeneous self-dual embedding with
-over-relaxed alternating projections; the single linear system per iteration
-is solved through one cached factorization. PSD blocks are vectorized with
-sqrt(2)-scaled off-diagonals so every cone is self-dual under the Euclidean
-inner product.
+where K is a product of zero, nonnegative, second-order, and PSD cones (in
+row order). The solver runs a homogeneous self-dual embedding with
+over-relaxed alternating projections (O'Donoghue, Chu, Parikh & Boyd, 2016).
+Everything an iteration needs is set up once per solve: the single linear
+system is solved through a cached dense inverse of its normal equations, and
+the cone projection follows a plan that groups the rows by cone kind, so zero
+and nonnegative rows are projected in one array operation each and all PSD
+blocks of one side through one batched eigendecomposition. PSD blocks are
+vectorized with sqrt(2)-scaled off-diagonals so every cone is self-dual under
+the Euclidean inner product.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass, field, replace
 
@@ -43,8 +48,6 @@ class Cone:
             raise ParameterError(f"unknown cone kind {self.kind!r}")
         if self.dim < 1:
             raise ParameterError(f"cone dimension must be positive, got {self.dim}")
-        if self.kind == PSD and self.dim > 10:
-            raise ParameterError(f"psd side limited to 10, got {self.dim}")
 
     @property
     def rows(self) -> int:
@@ -126,66 +129,40 @@ class Solution:
 # svec / cone projections
 
 
+@functools.lru_cache(maxsize=None)
+def _svec_pattern(side: int):
+    """svec order of a side x side matrix: row and column indices, and scales.
+
+    Entries are the upper triangle (i <= j) in row-major order; off-diagonal
+    ones carry a sqrt(2) scale. This is the one definition of svec order.
+    """
+    rows, cols = np.triu_indices(side)
+    scale = np.where(rows == cols, 1.0, _SQRT2)
+    for arr in (rows, cols, scale):
+        arr.setflags(write=False)
+    return rows, cols, scale
+
+
 def svec_indices(side: int):
     """Row-major upper-triangle (i <= j) index pairs for svec of a side x side matrix."""
-    return [(i, j) for i in range(side) for j in range(i, side)]
+    rows, cols, _ = _svec_pattern(side)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def svec(mat: np.ndarray) -> np.ndarray:
-    side = mat.shape[0]
-    out = np.empty(side * (side + 1) // 2)
-    k = 0
-    for i in range(side):
-        for j in range(i, side):
-            out[k] = mat[i, j] if i == j else _SQRT2 * mat[i, j]
-            k += 1
-    return out
+    """svec of a symmetric matrix, or of a stack of them along leading axes."""
+    rows, cols, scale = _svec_pattern(mat.shape[-1])
+    return mat[..., rows, cols] * scale
 
 
 def unsvec(vec: np.ndarray, side: int) -> np.ndarray:
-    mat = np.empty((side, side))
-    k = 0
-    for i in range(side):
-        for j in range(i, side):
-            if i == j:
-                mat[i, i] = vec[k]
-            else:
-                mat[i, j] = mat[j, i] = vec[k] / _SQRT2
-            k += 1
+    """Inverse of svec; leading axes of vec are kept as a stack of matrices."""
+    rows, cols, scale = _svec_pattern(side)
+    vals = vec / scale
+    mat = np.empty(vals.shape[:-1] + (side, side))
+    mat[..., rows, cols] = vals
+    mat[..., cols, rows] = vals
     return mat
-
-
-def jacobi_eigh(sym: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
-    """Cyclic Jacobi eigendecomposition of a small symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors) with columns as eigenvectors.
-    """
-    a = np.array(sym, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    scale = 1.0 + float(np.max(np.abs(a.diagonal()), initial=0.0))
-    for _ in range(max_sweeps):
-        off = np.sqrt(sum(a[p, q] ** 2 for p in range(n) for q in range(p + 1, n)))
-        if off <= tol * scale:
-            break
-        for p in range(n):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta)) if theta != 0 else 1.0
-                cth = 1.0 / np.hypot(1.0, t)
-                sth = t * cth
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = cth
-                rot[p, q] = sth
-                rot[q, p] = -sth
-                a = rot.T @ a @ rot
-                v = v @ rot
-    return a.diagonal().copy(), v
 
 
 def _project_soc(z: np.ndarray) -> np.ndarray:
@@ -203,33 +180,61 @@ def _project_soc(z: np.ndarray) -> np.ndarray:
 
 
 def _project_psd(z: np.ndarray, side: int) -> np.ndarray:
-    mat = unsvec(z, side)
-    vals, vecs = jacobi_eigh(mat)
-    pos = np.clip(vals, 0.0, None)
-    return svec((vecs * pos) @ vecs.T)
+    """Project a (blocks x rows) stack of svec'd PSD blocks with one batched eigh."""
+    vals, vecs = np.linalg.eigh(unsvec(z, side))
+    np.maximum(vals, 0.0, out=vals)
+    return svec((vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2))
+
+
+class _ConePlan:
+    """Row indices of a cone product, grouped so a projection is a few array ops.
+
+    Zero and nonnegative rows each get one index array; second-order blocks
+    keep their slices; PSD blocks of one side share a (blocks x rows) index
+    array and are projected together.
+    """
+
+    def __init__(self, cones):
+        zero, nonneg, psd = [], [], {}
+        self.soc = []
+        at = 0
+        for cone in cones:
+            rows = np.arange(at, at + cone.rows)
+            if cone.kind == ZERO:
+                zero.append(rows)
+            elif cone.kind == NONNEG:
+                nonneg.append(rows)
+            elif cone.kind == SOC:
+                self.soc.append(slice(at, at + cone.rows))
+            else:
+                psd.setdefault(cone.dim, []).append(rows)
+            at += cone.rows
+        self.zero = np.concatenate(zero) if zero else None
+        self.nonneg = np.concatenate(nonneg) if nonneg else None
+        self.psd = [(side, np.stack(blocks)) for side, blocks in psd.items()]
+
+    def project(self, z: np.ndarray, dual: bool) -> np.ndarray:
+        out = z.copy()
+        if self.zero is not None and not dual:
+            out[self.zero] = 0.0
+        if self.nonneg is not None:
+            out[self.nonneg] = np.maximum(z[self.nonneg], 0.0)
+        for blk in self.soc:
+            out[blk] = _project_soc(z[blk])
+        for side, idx in self.psd:
+            out[idx] = _project_psd(z[idx], side)
+        return out
 
 
 def project_cone(z: np.ndarray, cones, dual: bool) -> np.ndarray:
     """Project onto K (dual=False) or onto K* (dual=True), blockwise.
 
-    The dual of the zero cone is the free space; every other cone here is
-    self-dual, so only the zero block distinguishes the two cases.
+    cones is a sequence of Cone blocks or a plan built from one. The dual of
+    the zero cone is the free space; every other cone here is self-dual, so
+    only the zero block distinguishes the two cases.
     """
-    out = np.empty_like(z)
-    at = 0
-    for cone in cones:
-        r = cone.rows
-        blk = z[at:at + r]
-        if cone.kind == ZERO:
-            out[at:at + r] = blk if dual else 0.0
-        elif cone.kind == NONNEG:
-            out[at:at + r] = np.clip(blk, 0.0, None)
-        elif cone.kind == SOC:
-            out[at:at + r] = _project_soc(blk)
-        else:
-            out[at:at + r] = _project_psd(blk, cone.dim)
-        at += r
-    return out
+    plan = cones if isinstance(cones, _ConePlan) else _ConePlan(cones)
+    return plan.project(z, dual)
 
 
 # ---------------------------------------------------------------------------
@@ -284,28 +289,32 @@ def _ruiz_equilibrate(a: np.ndarray, cones, b=None, iters: int = 10):
 class _KktSolver:
     """Cached solve of M z = g with M = [[I, A'], [-A, I]].
 
-    Reduces to the normal-equation system on the smaller side, factorized once
-    with a dense Cholesky (the matrix is symmetric positive definite).
+    Eliminating one block leaves the normal equations on the smaller side,
+    I + A'A (n <= m) or I + AA' (n > m), which are symmetric positive
+    definite. That matrix is factored once with a dense Cholesky and inverted
+    from the factor; the inverse has the factor's size. With a contiguous A'
+    kept beside it, every solve is three matrix-vector products.
     """
 
     def __init__(self, a: np.ndarray):
         self.a = a
+        self.at = np.ascontiguousarray(a.T)
         m, n = a.shape
-        if n <= m:
-            self.side = "n"
-            self.factor = sla.cho_factor(np.eye(n) + a.T @ a, check_finite=False)
+        self.primal_side = n <= m
+        if self.primal_side:
+            gram = np.eye(n) + self.at @ a
         else:
-            self.side = "m"
-            self.factor = sla.cho_factor(np.eye(m) + a @ a.T, check_finite=False)
+            gram = np.eye(m) + a @ self.at
+        factor = sla.cho_factor(gram, check_finite=False)
+        self.inverse = sla.cho_solve(factor, np.eye(len(gram)), check_finite=False)
 
     def solve(self, gx: np.ndarray, gy: np.ndarray):
-        a = self.a
-        if self.side == "n":
-            zx = sla.cho_solve(self.factor, gx - a.T @ gy, check_finite=False)
-            zy = gy + a @ zx
+        if self.primal_side:
+            zx = self.inverse @ (gx - self.at @ gy)
+            zy = gy + self.a @ zx
         else:
-            zy = sla.cho_solve(self.factor, gy + a @ gx, check_finite=False)
-            zx = gx - a.T @ zy
+            zy = self.inverse @ (gy + self.a @ gx)
+            zx = gx - self.at @ zy
         return zx, zy
 
 
@@ -323,7 +332,7 @@ def residuals(program: ConicProgram, sol: Solution):
 
 def _polish_lp(program: ConicProgram, a: np.ndarray, x, y, s, tol):
     """Active-set least-squares refinement for zero/nonneg-cone programs."""
-    m, n = a.shape
+    m = a.shape[0]
     active = np.zeros(m, dtype=bool)
     at = 0
     for cone in program.cones:
@@ -338,19 +347,15 @@ def _polish_lp(program: ConicProgram, a: np.ndarray, x, y, s, tol):
             return None
         at += r
     aact = a[active]
-    k = aact.shape[0]
-    # unknowns: x (n) and active duals (k)
-    top = np.hstack([aact, np.zeros((k, k))])
-    bot = np.hstack([np.zeros((n, n)), aact.T])
-    lhs = np.vstack([top, bot])
-    rhs = np.concatenate([program.b[active], -program.c])
+    # x solves the active rows and the active duals solve dual feasibility;
+    # the two systems share no unknowns, so each is its own least squares
     try:
-        zz, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+        xp, *_ = np.linalg.lstsq(aact, program.b[active], rcond=None)
+        yact, *_ = np.linalg.lstsq(aact.T, -program.c, rcond=None)
     except np.linalg.LinAlgError:
         return None
-    xp = zz[:n]
     yp = np.zeros(m)
-    yp[active] = zz[n:]
+    yp[active] = yact
     sp = program.b - a @ xp
     # clean tiny negatives on inactive inequality slacks
     at = 0
@@ -399,8 +404,7 @@ def solve(program: ConicProgram, settings: SolveSettings | None = None) -> Solut
 
     kkt = _KktSolver(a)
     h = np.concatenate([c, b])
-    mh_x, mh_y = kkt.solve(h[:n], h[n:])
-    mh = np.concatenate([mh_x, mh_y])
+    mh = np.concatenate(kkt.solve(c, b))
     denom = 1.0 + float(h @ mh)
 
     u = np.zeros(n + m + 1)
@@ -421,30 +425,29 @@ def solve(program: ConicProgram, settings: SolveSettings | None = None) -> Solut
         s = s_scaled / (d * beta)
         return x, y, s
 
+    plan = _ConePlan(program.cones)
+    nm = n + m
+    ut = np.empty(nm + 1)
+    ut_xy = ut[:nm]
+    keep = 1.0 - alpha
+    check_every, last = st.check_every, st.max_iter - 1
     status = "max_iter"
     for k in range(st.max_iter):
         w = u + v
-        gx = w[:n] - w[-1] * c
-        gy = w[n:n + m] - w[-1] * b
-        px, py = kkt.solve(gx, gy)
-        p = np.concatenate([px, py])
-        p -= mh * ((h @ p) / denom)
-        ut_xy = p
-        ut_tau = w[-1] + float(h @ p)
+        w_tau = w[-1]
+        g = w[:nm] - w_tau * h
+        ut[:n], ut[n:nm] = kkt.solve(g[:n], g[n:])
+        ut_xy -= mh * ((h @ ut_xy) / denom)
+        ut[-1] = w_tau + h @ ut_xy
 
-        ox = np.empty_like(u)
-        ox[:n + m] = alpha * ut_xy + (1.0 - alpha) * u[:n + m]
-        ox[-1] = alpha * ut_tau + (1.0 - alpha) * u[-1]
-
+        ox = alpha * ut + keep * u
         z = ox - v
-        u_new = np.empty_like(u)
-        u_new[:n] = z[:n]
-        u_new[n:n + m] = project_cone(z[n:n + m], program.cones, dual=True)
-        u_new[-1] = max(z[-1], 0.0)
-        v += u_new - ox
-        u = u_new
+        z[n:nm] = project_cone(z[n:nm], plan, dual=True)
+        z[-1] = max(z[-1], 0.0)
+        v += z - ox
+        u = z
 
-        if (k + 1) % st.check_every == 0 or k == st.max_iter - 1:
+        if (k + 1) % check_every == 0 or k == last:
             tau = u[-1]
             unorm = np.linalg.norm(u[:n + m])
             if tau > 1e-11 * max(1.0, unorm):

@@ -11,7 +11,6 @@ from gaugekit.conic import (
     ProgramBuilder,
     SolveSettings,
     dump_program,
-    jacobi_eigh,
     project_cone,
     residuals,
     solve,
@@ -143,15 +142,88 @@ class TestSvec:
         assert svec(a) @ svec(b) == pytest.approx(np.sum(a * b), rel=1e-12)
 
 
-class TestJacobiEigh:
+class TestBatchedPsdProjection:
     def test_matches_numpy(self):
         rng = np.random.default_rng(4)
         for side in (2, 3, 6, 10):
-            m = rng.normal(size=(side, side))
-            m = 0.5 * (m + m.T)
-            lam, q = jacobi_eigh(m)
-            np.testing.assert_allclose(np.sort(lam), np.linalg.eigvalsh(m), atol=1e-8)
-            np.testing.assert_allclose(q @ np.diag(lam) @ q.T, m, atol=1e-8)
+            mats = rng.normal(size=(3, side, side))
+            mats = 0.5 * (mats + np.swapaxes(mats, 1, 2))
+            rows = side * (side + 1) // 2
+            proj = project_cone(np.concatenate([svec(m) for m in mats]),
+                                (Cone("psd", side),) * 3, dual=False)
+            for blk, m in enumerate(mats):
+                lam, q = np.linalg.eigh(m)
+                want = (q * np.maximum(lam, 0.0)) @ q.T
+                got = unsvec(proj[blk * rows:(blk + 1) * rows], side)
+                np.testing.assert_allclose(got, want, atol=1e-8)
+
+    def test_side_beyond_ten(self):
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(12, 12))
+        m = 0.5 * (m + m.T)
+        lam, q = np.linalg.eigh(m)
+        want = (q * np.maximum(lam, 0.0)) @ q.T
+        proj = project_cone(svec(m), (Cone("psd", 12),), dual=False)
+        np.testing.assert_allclose(unsvec(proj, 12), want, atol=1e-9)
+
+    def test_side_eleven_sdp_finds_the_largest_eigenvalue(self):
+        # min t st t I - S >> 0 -> t = lambda_max(S)
+        rng = np.random.default_rng(8)
+        side = 11
+        s = rng.normal(size=(side, side))
+        s = 0.5 * (s + s.T)
+        b = ProgramBuilder()
+        t = b.add_vars(1, name="t", obj=1.0)[0]
+        neg = svec(-s)
+        b.psd(side, [LinExpr.var(t) + neg[k] if i == j else LinExpr.of(neg[k])
+                     for k, (i, j) in enumerate(conic.svec_indices(side))])
+        sol = solve(b.build())
+        assert sol.status == "optimal"
+        assert sol.value == pytest.approx(np.linalg.eigvalsh(s)[-1], abs=1e-6)
+
+
+class TestConePlan:
+    CONES = (Cone("zero", 2), Cone("psd", 2), Cone("nonneg", 3), Cone("soc", 4),
+             Cone("psd", 3), Cone("zero", 1), Cone("psd", 2), Cone("soc", 3),
+             Cone("nonneg", 2), Cone("psd", 3), Cone("psd", 2))
+
+    @staticmethod
+    def reference(z, cones, dual):
+        out = []
+        at = 0
+        for cone in cones:
+            blk = z[at:at + cone.rows]
+            if cone.kind == "zero":
+                out.append(blk if dual else np.zeros_like(blk))
+            elif cone.kind == "nonneg":
+                out.append(np.maximum(blk, 0.0))
+            elif cone.kind == "soc":
+                out.append(conic._project_soc(blk))
+            else:
+                lam, q = np.linalg.eigh(unsvec(blk, cone.dim))
+                out.append(svec((q * np.maximum(lam, 0.0)) @ q.T))
+            at += cone.rows
+        return np.concatenate(out)
+
+    def test_interleaved_blocks_match_per_block_reference(self):
+        rng = np.random.default_rng(9)
+        rows = sum(cone.rows for cone in self.CONES)
+        for _ in range(20):
+            z = rng.normal(scale=2.0, size=rows)
+            for dual in (False, True):
+                np.testing.assert_allclose(project_cone(z, self.CONES, dual=dual),
+                                           self.reference(z, self.CONES, dual), atol=1e-12)
+
+
+class TestKktSolver:
+    def test_solves_the_kkt_system_on_both_sides(self):
+        rng = np.random.default_rng(10)
+        for m, n in ((9, 4), (6, 6), (3, 8)):
+            a = rng.normal(size=(m, n))
+            gx, gy = rng.normal(size=n), rng.normal(size=m)
+            zx, zy = conic._KktSolver(a).solve(gx, gy)
+            np.testing.assert_allclose(zx + a.T @ zy, gx, atol=1e-10)
+            np.testing.assert_allclose(-a @ zx + zy, gy, atol=1e-10)
 
 
 class TestLpReferenceAgreement:
