@@ -597,14 +597,10 @@ def cmd_duality_check(doc, settings, seed):
     return columns, rows, (0 if ok else 2)
 
 
-def _transport_metric(expr, field):
-    if isinstance(expr, W1Ball):
-        return expr.metric
-    if isinstance(expr, Polar) and isinstance(expr.child, Lipschitz):
-        return expr.child.metric
-    raise ConfigError(
-        f"{field}: gauge must be a transport ball "
-        "((w1 metric) or (polar (lipschitz metric)))")
+def _transport_metric(expr):
+    """The ground cost of a transport ball (its polar is a Lipschitz set), else None."""
+    dual = gauges.polar(expr)
+    return dual.metric if isinstance(dual, Lipschitz) else None
 
 
 def cmd_envelope_sweep(doc, settings, seed):
@@ -624,7 +620,10 @@ def cmd_envelope_sweep(doc, settings, seed):
 
     if "gauge" not in doc:
         raise ConfigError("gauge: required")
-    metric = _transport_metric(parse_gauge(doc["gauge"]), "envelope-sweep")
+    metric = _transport_metric(parse_gauge(doc["gauge"]))
+    if metric is None:
+        raise ConfigError("envelope-sweep: gauge must be a transport ball "
+                          "((w1 metric) or (polar (lipschitz metric)))")
     epsilon = _get_number(doc, "epsilon")
 
     block = doc.get("samples")
@@ -713,11 +712,7 @@ def cmd_verify(doc, settings, seed):
     if isinstance(expr, TotalVariation) and dual_value is not None:
         add("greedy-vs-dual", tv_greedy(space, cost, eps), dual_value, 1e-4)
 
-    metric = None
-    if isinstance(expr, W1Ball):
-        metric = expr.metric
-    elif isinstance(expr, Polar) and isinstance(expr.child, Lipschitz):
-        metric = expr.child.metric
+    metric = _transport_metric(expr)
     if metric is not None and dual_value is not None:
         add("transport-vs-dual", w1_transport(space, cost, eps, metric),
             dual_value, 1e-4)

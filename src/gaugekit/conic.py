@@ -108,7 +108,6 @@ class ConicProgram:
 class SolveSettings:
     tol: float = 1e-8
     max_iter: int = 100_000
-    seed: int = 0
     over_relax: float = 1.5
     infeas_tol: float = 1e-7
     check_every: int = 25
@@ -147,6 +146,11 @@ def svec_indices(side: int):
     """Row-major upper-triangle (i <= j) index pairs for svec of a side x side matrix."""
     rows, cols, _ = _svec_pattern(side)
     return list(zip(rows.tolist(), cols.tolist()))
+
+
+def svec_side(rows: int) -> int:
+    """Side of the symmetric matrix whose svec has the given number of rows."""
+    return int(round((np.sqrt(8 * rows + 1) - 1) / 2))
 
 
 def svec(mat: np.ndarray) -> np.ndarray:

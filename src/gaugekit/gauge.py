@@ -5,10 +5,23 @@ origin. The three views of such a set are its gauge (Minkowski functional),
 its support function, and its polar set; this module evaluates all three and
 can emit a conic epigraph of the gauge for embedding into larger programs.
 
-Atoms either carry a closed-form gauge or are evaluated through a small conic
-solve / scalar bisection. Combinators (scaling, intersection, convex union,
-Minkowski sum, polarity) are rewritten structurally where an exact rule
-exists and compiled into split programs otherwise.
+Every rule lives on the expression's own class. GaugeExpr declares five
+hooks, each with a default, and a class overrides only the ones it knows:
+
+- ``_polar()``: the exact polar as an expression, or None to stay symbolic;
+- ``_gauge(space, u)``: by default the least t that ``_encode`` admits,
+  found by a small conic solve;
+- ``_support(space, w)``: by default the gauge of the polar;
+- ``_member(space, u, t)``: by default the gauge compared with t;
+- ``_encode(b, space, u, t)``: by default no epigraph (EncodingError).
+
+A new atom overrides ``_polar`` and ``_encode`` where they exist and
+``_gauge`` where a closed form beats the default program. The functions
+polar, gauge_value, support_value, membership and encode_epigraph check
+their arguments once and hand over to the class. Combinators (scaling,
+intersection, convex union, Minkowski sum, polarity) are classes too: they
+rewrite structurally where an exact rule exists and split the argument
+across their children where it does not.
 """
 
 from __future__ import annotations
@@ -109,7 +122,7 @@ def hemimetric_check(metric: Hemimetric, points) -> list:
     """Report hemimetric violations on a point list (empty list = clean).
 
     Checks nonnegativity, a zero diagonal, and all triangle inequalities.
-    Limited to 64 points; the scan is cubic.
+    Limited to 64 points; the scan builds an (m, m, m) array.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if np.asarray(points).ndim == 1:
@@ -125,22 +138,16 @@ def hemimetric_check(metric: Hemimetric, points) -> list:
     bad_diag = np.where(np.abs(np.diag(c)) > 1e-12)[0]
     for i in bad_diag[:5]:
         findings.append(f"nonzero diagonal c({i},{i}) = {c[i, i]:.6g}")
-    worst = 0.0
-    arg = None
-    count = 0
-    for i in range(m):
-        for j in range(m):
-            via = c[i, :] + c[:, j].T
-            gap = c[i, j] - np.min(via)
-            if gap > 1e-12:
-                count += 1
-                if gap > worst:
-                    worst = gap
-                    arg = (i, int(np.argmin(via)), j)
+    via = c[:, :, None] + c[None, :, :]  # via[i, k, j] = c(i, k) + c(k, j)
+    gap = c - np.min(via, axis=1)
+    bad = gap > 1e-12
+    count = int(np.count_nonzero(bad))
     if count:
-        i, k, j = arg
+        # the first worst pair in row-major order, through its first best stop
+        i, j = np.unravel_index(int(np.argmax(np.where(bad, gap, -_INF))), gap.shape)
+        k = int(np.argmin(via[i, :, j]))
         findings.append(
-            f"{count} triangle violations; worst c({i},{j}) - c({i},{k}) - c({k},{j}) = {worst:.6g}"
+            f"{count} triangle violations; worst c({i},{j}) - c({i},{k}) - c({k},{j}) = {gap[i, j]:.6g}"
         )
     return findings
 
@@ -167,60 +174,290 @@ class AffineMap:
 
 
 # ---------------------------------------------------------------------------
+# shared pieces of the rules
+
+
+def _kernel_tol(u: np.ndarray) -> float:
+    return settings.kernel_tol * (1.0 + float(np.max(np.abs(u), initial=0.0)))
+
+
+def _balance_shortcut(space: DiscreteSpace, u: np.ndarray):
+    """inf for a deviation that moves mass, 0 for a negligible one, else None."""
+    if abs(float(space.weights @ u)) > _kernel_tol(u):
+        return _INF
+    if np.max(np.abs(u), initial=0.0) <= _kernel_tol(u):
+        return 0.0
+    return None
+
+
+def _solve_value(builder: ProgramBuilder) -> float:
+    prog = builder.build()
+    sol = conic.solve(prog, SolveSettings())
+    if sol.status == "infeasible":
+        return _INF
+    if sol.status == "unbounded":
+        return -_INF
+    return float(sol.value)
+
+
+def _flow_arcs(b: ProgramBuilder, space: DiscreteSpace, metric: Hemimetric, u, priced: bool):
+    """Nonnegative flows on the arcs between distinct points whose net outflow
+    at point k is p_k u_k; u holds affine expressions. Priced arcs carry their
+    ground cost as objective. Returns the arc columns and the cost matrix."""
+    n = space.size
+    c = metric.matrix(space.points, space.points)
+    arcs = {(i, j): b.add_vars(1, name=f"flow[{i},{j}]", obj=c[i, j] if priced else 0.0)[0]
+            for i in range(n) for j in range(n) if i != j}
+    for col in arcs.values():
+        b.nonneg_var(int(col))
+    for k in range(n):
+        expr = u[k] * (-space.weights[k])
+        for (i, j), col in arcs.items():
+            if i == k:
+                expr = expr + LinExpr.var(col)
+            elif j == k:
+                expr = expr - LinExpr.var(col)
+        b.eq(expr)
+    return arcs, c
+
+
+def _plan(b: ProgramBuilder, space: DiscreteSpace, obj: np.ndarray) -> np.ndarray:
+    """Nonnegative plan columns plan[i, j] (mass moved from old point j to new
+    point i) with objective obj[i, j] and old marginal equal to the weights."""
+    n = space.size
+    plan = np.array([[b.add_vars(1, name=f"plan[{i},{j}]", obj=obj[i, j])[0] for j in range(n)]
+                     for i in range(n)])
+    for col in plan.ravel():
+        b.nonneg_var(int(col))
+    for j in range(n):
+        b.eq(sum(LinExpr.var(int(plan[i, j])) for i in range(n)) - space.weights[j])
+    return plan
+
+
+def _min_over_epigraph(expr: "GaugeExpr", space: DiscreteSpace, w: np.ndarray, level: float) -> float:
+    """min -<w, u>_P over u with gauge(u) <= level, through the set's epigraph."""
+    b = ProgramBuilder()
+    uu = b.add_vars(space.size, name="u")
+    for k, col in enumerate(uu):
+        b.add_objective(int(col), -space.weights[k] * w[k])
+    expr._encode(b, space, [LinExpr.var(c) for c in uu], LinExpr.of(level))
+    return _solve_value(b)
+
+
+def _encode_l1(b: ProgramBuilder, space: DiscreteSpace, u, t):
+    """sum_i p_i |u_i| <= t through one magnitude variable per point."""
+    mag = b.add_vars(space.size, name="mag")
+    for i, ui in enumerate(u):
+        b.le(ui - LinExpr.var(mag[i]))
+        b.le(-ui - LinExpr.var(mag[i]))
+    b.le(sum(LinExpr.var(mag[i], space.weights[i]) for i in range(space.size)) - t)
+
+
+def _sum_rows(b: ProgramBuilder, space: DiscreteSpace, parts, u):
+    """Rows making the part columns sum to u; returns the parts as expressions."""
+    for k in range(space.size):
+        b.eq(sum(LinExpr.var(pt[k]) for pt in parts) - u[k])
+    return [[LinExpr.var(c) for c in pt] for pt in parts]
+
+
+def dual_norm_epigraph(b: ProgramBuilder, theta, level, euclidean: bool):
+    """Rows for ||theta||_* <= level, theta a list of affine expressions: the
+    euclidean norm, or else the nuclear norm (the dual of the spectral norm)
+    of the symmetric matrix T svec'd by theta, written as
+    (tr U + tr V) / 2 <= level over a PSD block [[U, T], [T, V]]."""
+    if euclidean:
+        b.soc([level] + list(theta))
+        return
+    side = conic.svec_side(len(theta))
+    uu = b.add_vars(len(theta), name="nucU")
+    vv = b.add_vars(len(theta), name="nucV")
+    pairs = conic.svec_indices(side)
+    loc = {pq: k for k, pq in enumerate(pairs)}
+
+    def small_entry(vecvars, a, c):
+        k = loc[(min(a, c), max(a, c))]
+        scale = 1.0 if a == c else 1.0 / np.sqrt(2.0)
+        return theta[k] * scale if vecvars is None else LinExpr.var(vecvars[k], scale)
+
+    exprs = []
+    for a in range(2 * side):
+        for c in range(a, 2 * side):
+            if a < side and c < side:
+                entry = small_entry(uu, a, c)
+            elif a >= side and c >= side:
+                entry = small_entry(vv, a - side, c - side)
+            else:
+                entry = small_entry(None, a, c - side)
+            exprs.append(entry * np.sqrt(2.0) if a != c else entry)
+    b.psd(2 * side, exprs)
+    diag = [pairs.index((i, i)) for i in range(side)]
+    b.le(sum(LinExpr.var(uu[d], 0.5) + LinExpr.var(vv[d], 0.5) for d in diag) - level)
+
+
+def _region_split(space: DiscreteSpace, region: Callable):
+    mask = np.asarray(region(space.points), dtype=bool).ravel()
+    if mask.shape[0] != space.size:
+        raise DimensionError("region predicate must return one flag per point")
+    sub = DiscreteSpace(space.points[mask], space.weights[mask]) if np.any(mask) else None
+    return mask, sub
+
+
+# ---------------------------------------------------------------------------
 # expressions
 
 
 class GaugeExpr:
-    """Marker base class for gauge-set expressions."""
+    """Base class of gauge-set expressions; the hooks below are the defaults
+    that each subclass overrides where it knows better."""
 
     __slots__ = ()
+
+    def _polar(self):
+        """The exact polar as an expression, or None to stay symbolic."""
+        return None
+
+    def _gauge(self, space: DiscreteSpace, u: np.ndarray) -> float:
+        """Gauge of a checked deviation: min t subject to the epigraph rows."""
+        b = ProgramBuilder()
+        t = b.add_vars(1, name="t", obj=1.0)[0]
+        self._encode(b, space, [LinExpr.of(x) for x in u], LinExpr.var(t))
+        return _solve_value(b)
+
+    def _support(self, space: DiscreteSpace, w: np.ndarray) -> float:
+        """Support function at a checked argument: the gauge of the polar."""
+        rewritten = self._polar()
+        if rewritten is None:
+            raise ParameterError(f"no support rule for {type(self).__name__}")
+        return rewritten._gauge(space, w)
+
+    def _member(self, space: DiscreteSpace, u: np.ndarray, t: float) -> bool:
+        """Closure-tolerant test u in t * set."""
+        return self._gauge(space, u) <= t * (1.0 + settings.closure_rel_tol)
+
+    def _encode(self, b: ProgramBuilder, space: DiscreteSpace, u: list, t: LinExpr):
+        """Append rows constraining gauge(u) <= t."""
+        raise EncodingError(f"no conic epigraph for {type(self).__name__}")
 
 
 @dataclass(frozen=True)
 class L2Ball(GaugeExpr):
     """Unit ball of the weighted L2 norm."""
 
+    def _polar(self):
+        return L2Ball()
+
+    def _gauge(self, space, u):
+        return float(np.sqrt(space.weights @ (u * u)))
+
+    def _encode(self, b, space, u, t):
+        b.soc([t] + [u[i] * np.sqrt(space.weights[i]) for i in range(space.size)])
+
 
 @dataclass(frozen=True)
-class CvarGauge(GaugeExpr):
+class _Cvar(GaugeExpr):
+    beta: float
+
+    def __post_init__(self):
+        if not (0.0 < self.beta < 1.0):
+            raise ParameterError(f"beta must lie in (0, 1), got {self.beta}")
+
+
+class CvarGauge(_Cvar):
     """Upper-slab set whose reweighting cap gives conditional tail averages."""
 
-    beta: float
+    def _polar(self):
+        return CvarPolar(self.beta)
 
-    def __post_init__(self):
-        if not (0.0 < self.beta < 1.0):
-            raise ParameterError(f"beta must lie in (0, 1), got {self.beta}")
+    def _gauge(self, space, u):
+        return max(0.0, float(np.max(u))) * (1.0 - self.beta) / self.beta
+
+    def _encode(self, b, space, u, t):
+        ratio = self.beta / (1.0 - self.beta)
+        for ui in u:
+            b.le(ui - t * ratio)
+        b.le(-t)
 
 
-@dataclass(frozen=True)
-class CvarPolar(GaugeExpr):
+class CvarPolar(_Cvar):
     """Polar of CvarGauge: nonnegative vectors with a scaled mean cap."""
 
-    beta: float
+    def _polar(self):
+        return CvarGauge(self.beta)
 
-    def __post_init__(self):
-        if not (0.0 < self.beta < 1.0):
-            raise ParameterError(f"beta must lie in (0, 1), got {self.beta}")
+    def _gauge(self, space, u):
+        if float(np.min(u)) < -_kernel_tol(u):
+            return _INF
+        return self.beta / (1.0 - self.beta) * float(space.weights @ np.clip(u, 0.0, None))
+
+    def _encode(self, b, space, u, t):
+        ratio = self.beta / (1.0 - self.beta)
+        for ui in u:
+            b.le(-ui)
+        b.le(sum(u[i] * (ratio * space.weights[i]) for i in range(space.size)) - t)
 
 
 @dataclass(frozen=True)
 class TotalVariation(GaugeExpr):
     """Balanced vectors with weighted L1 norm at most one."""
 
+    def _polar(self):
+        return Oscillation()
+
+    def _gauge(self, space, u):
+        if abs(float(space.weights @ u)) > _kernel_tol(u):
+            return _INF
+        return float(space.weights @ np.abs(u))
+
+    def _encode(self, b, space, u, t):
+        b.eq(sum(u[i] * space.weights[i] for i in range(space.size)))
+        _encode_l1(b, space, u, t)
+
 
 @dataclass(frozen=True)
 class Oscillation(GaugeExpr):
     """Vectors whose half-spread (max - min)/2 is at most one."""
+
+    def _polar(self):
+        return TotalVariation()
+
+    def _gauge(self, space, u):
+        return 0.5 * (float(np.max(u)) - float(np.min(u)))
+
+    def _encode(self, b, space, u, t):
+        low = LinExpr.var(b.add_vars(1, name="floor")[0])
+        for ui in u:
+            b.le(low - ui)
+            b.le(ui - low - t * 2.0)
 
 
 @dataclass(frozen=True)
 class L1Ball(GaugeExpr):
     """Unit ball of the weighted L1 norm (no balance constraint)."""
 
+    def _polar(self):
+        return LinfBall()
+
+    def _gauge(self, space, u):
+        return float(space.weights @ np.abs(u))
+
+    def _encode(self, b, space, u, t):
+        _encode_l1(b, space, u, t)
+
 
 @dataclass(frozen=True)
 class LinfBall(GaugeExpr):
     """Unit sup-norm box."""
+
+    def _polar(self):
+        return L1Ball()
+
+    def _gauge(self, space, u):
+        return float(np.max(np.abs(u), initial=0.0))
+
+    def _encode(self, b, space, u, t):
+        for ui in u:
+            b.le(ui - t)
+            b.le(-ui - t)
 
 
 @dataclass(frozen=True)
@@ -229,12 +466,53 @@ class Lipschitz(GaugeExpr):
 
     metric: Hemimetric
 
+    def _polar(self):
+        return W1Ball(self.metric)
+
+    def _gauge(self, space, u):
+        c = self.metric.matrix(space.points, space.points)
+        worst = 0.0
+        for i in range(space.size):
+            for j in range(space.size):
+                if i == j:
+                    continue
+                rise = u[i] - u[j]
+                if rise <= 0.0:
+                    continue
+                if c[i, j] <= 1e-300:
+                    return _INF
+                worst = max(worst, rise / c[i, j])
+        return worst
+
+    def _encode(self, b, space, u, t):
+        c = self.metric.matrix(space.points, space.points)
+        for i in range(space.size):
+            for j in range(space.size):
+                if i != j:
+                    b.le(u[i] - u[j] - t * c[i, j])
+        b.le(-t)
+
 
 @dataclass(frozen=True)
 class W1Ball(GaugeExpr):
     """Balanced vectors movable at transport cost at most one (polar of Lipschitz)."""
 
     metric: Hemimetric
+
+    def _polar(self):
+        return Lipschitz(self.metric)
+
+    def _gauge(self, space, u):
+        shortcut = _balance_shortcut(space, u)
+        if shortcut is not None:
+            return shortcut
+        b = ProgramBuilder()
+        _flow_arcs(b, space, self.metric, [LinExpr.of(x) for x in u], priced=True)
+        return _solve_value(b)
+
+    def _encode(self, b, space, u, t):
+        arcs, c = _flow_arcs(b, space, self.metric, u, priced=False)
+        b.le(sum(LinExpr.var(col, c[i, j]) for (i, j), col in arcs.items()) - t)
 
 
 @dataclass(frozen=True)
@@ -249,6 +527,87 @@ class PhiDivergence(GaugeExpr):
             raise ParameterError(f"unknown divergence kind {self.kind!r}")
         if not (self.budget > 0.0):
             raise ParameterError("divergence budget must be positive")
+
+    def _polar(self):
+        if self.kind == "chi2":
+            return Scale(1.0 / np.sqrt(self.budget), L2Ball())
+        if self.kind == "tv":
+            return Scale(1.0 / self.budget, LinfBall())
+        return None  # kl: no finite-dimensional rewrite
+
+    @staticmethod
+    def _kl(space: DiscreteSpace, x: np.ndarray) -> float:
+        """E[x log x - x + 1], inf where x leaves the domain."""
+        if float(np.min(x)) < 0.0:
+            return _INF
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = np.where(x > 0.0, x * np.log(np.maximum(x, 1e-300)), 0.0)
+        return float(space.weights @ (term - x + 1.0))
+
+    def _gauge(self, space, u):
+        p = space.weights
+        if np.max(np.abs(u), initial=0.0) == 0.0:
+            return 0.0
+        if self.kind == "chi2":
+            return float(np.sqrt(p @ (u * u) / self.budget))
+        if self.kind == "tv":
+            return float(p @ np.abs(u) / self.budget)
+        # kl: bisection on t; domain needs 1 + u/t >= 0
+        lo = max(float(np.max(-u)), 0.0)
+        hi = max(1.0, lo * 2.0, float(np.max(np.abs(u)))) * 2.0
+        for _ in range(200):
+            if self._kl(space, 1.0 + u / hi) <= self.budget:
+                break
+            hi *= 4.0
+            if hi > 1e12:
+                return _INF
+        lo_t = max(lo, 1e-300)
+        for _ in range(160):
+            mid = 0.5 * (lo_t + hi)
+            if self._kl(space, 1.0 + u / mid) <= self.budget:
+                hi = mid
+            else:
+                lo_t = mid
+        return float(hi)
+
+    def _support(self, space, w):
+        if self.kind != "kl":
+            return super()._support(space, w)
+        # sup <w, u> over the kl set, via its one-dimensional dual
+        p = space.weights
+        spread = float(np.max(w) - np.min(w)) if len(w) else 0.0
+        mean_w = float(p @ w)
+
+        def objective(log_g: float) -> float:
+            g = np.exp(log_g)
+            # g * sum p exp(w/g) computed in log space to dodge overflow
+            z = w / g + np.log(p)
+            zmax = float(np.max(z))
+            lse = zmax + np.log(np.sum(np.exp(z - zmax)))
+            if lse + np.log(g) > 700.0:
+                return 1e300
+            return g * self.budget - mean_w + np.exp(lse + np.log(g)) - g
+
+        lo = np.log(max(1e-9 * (1.0 + spread), 1e-12))
+        hi = np.log((10.0 + 10.0 * spread) * (1.0 + 1.0 / self.budget))
+        res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-12, "maxiter": 500})
+        return float(min(objective(lo), objective(hi), float(res.fun)))
+
+    def _member(self, space, u, t):
+        if self.kind != "kl":
+            return super()._member(space, u, t)
+        # one divergence evaluation at the requested level instead of the
+        # gauge bisection; the divergence shrinks as the level grows, so the
+        # two tests agree
+        return self._kl(space, 1.0 + u / (t * (1.0 + settings.closure_rel_tol))) <= self.budget
+
+    def _encode(self, b, space, u, t):
+        if self.kind == "kl":
+            raise EncodingError("kl sets have no conic epigraph; use divergence_dual_value")
+        scaled = Scale(np.sqrt(self.budget), L2Ball()) if self.kind == "chi2" \
+            else Scale(self.budget, L1Ball())
+        scaled._encode(b, space, u, t)
 
 
 @dataclass(frozen=True)
@@ -265,63 +624,186 @@ class WassersteinP(GaugeExpr):
         if not (self.radius > 0.0):
             raise ParameterError("transport radius must be positive")
 
+    def _admits(self, space: DiscreteSpace, nu: np.ndarray) -> bool:
+        """Is the reweighting nu within the transport radius of the base measure?"""
+        b = ProgramBuilder()
+        plan = _plan(b, space, self.metric.matrix(space.points, space.points) ** self.power)
+        for i in range(space.size):
+            b.eq(sum(LinExpr.var(int(plan[i, j])) for j in range(space.size))
+                 - space.weights[i] * nu[i])
+        budget = self.radius ** self.power
+        return _solve_value(b) <= budget + settings.closure_rel_tol * (1.0 + budget)
+
+    def _gauge(self, space, u):
+        shortcut = _balance_shortcut(space, u)
+        if shortcut is not None:
+            return shortcut
+        t_lo = max(float(np.max(-u)), 1e-12)
+        t_hi = max(t_lo * 2.0, 1.0)
+        for _ in range(200):
+            if self._admits(space, 1.0 + u / t_hi):
+                break
+            t_hi *= 4.0
+            if t_hi > 1e12:
+                return _INF
+        if self._admits(space, np.clip(1.0 + u / t_lo, 0.0, None)):
+            return t_lo
+        for _ in range(60):
+            mid = 0.5 * (t_lo + t_hi)
+            if self._admits(space, 1.0 + u / mid):
+                t_hi = mid
+            else:
+                t_lo = mid
+        return float(t_hi)
+
+    def _support(self, space, w):
+        # max sum_ij plan[i, j] w_i over plans within the transport budget
+        n = space.size
+        cost = self.metric.matrix(space.points, space.points) ** self.power
+        b = ProgramBuilder()
+        plan = _plan(b, space, np.repeat(-w[:, None], n, axis=1))
+        b.le(sum(cost[i, j] * LinExpr.var(int(plan[i, j])) for i in range(n) for j in range(n))
+             - self.radius ** self.power)
+        val = _solve_value(b)
+        if np.isinf(val):
+            return _INF
+        return float(-val - space.weights @ w)
+
+    def _encode(self, b, space, u, t):
+        raise EncodingError("transport balls have no conic epigraph; use wasserstein_p_dual_value")
+
 
 @dataclass(frozen=True)
-class MomentGauge(GaugeExpr):
+class _Moment(GaugeExpr):
+    order: int
+    map: Optional[AffineMap] = None
+    norm: str = "euclidean"
+
+    def __post_init__(self):
+        if self.order not in (1, 2):
+            raise ParameterError("moment order must be 1 or 2")
+        if self.norm not in ("euclidean", "spectral"):
+            raise ParameterError(f"unknown norm {self.norm!r}")
+        if self.order == 1 and self.norm == "spectral":
+            raise ParameterError("order-1 moments use the euclidean norm")
+
+    @property
+    def euclidean(self) -> bool:
+        return self.order == 1 or self.norm == "euclidean"
+
+    def _feature_map(self, space: DiscreteSpace) -> AffineMap:
+        if self.map is not None:
+            return self.map
+        mu = space.weights @ space.points
+        centered = space.points - mu[None, :]
+        cov = (space.weights[:, None] * centered).T @ centered
+        vals, vecs = np.linalg.eigh(cov)
+        if np.min(vals) <= 1e-12 * max(float(np.max(vals)), 1.0):
+            raise ParameterError("degenerate covariance; supply an explicit feature map")
+        w = (vecs / np.sqrt(vals)) @ vecs.T
+        if self.order == 1:
+            return AffineMap.of(w)
+        return AffineMap.of(w, -w @ mu)
+
+    def features(self, space: DiscreteSpace) -> np.ndarray:
+        """Per-point feature rows: z_i for order 1, svec(z_i z_i') for order 2."""
+        z = self._feature_map(space).apply(space.points)
+        return z if self.order == 1 else conic.svec(z[:, :, None] * z[:, None, :])
+
+
+class MomentGauge(_Moment):
     """Deviations with a bounded lifted moment: order 1 mean shift, order 2
     second-moment shift, measured after an affine feature map."""
 
-    order: int
-    map: Optional[AffineMap] = None
-    norm: str = "euclidean"
+    def _polar(self):
+        return MomentPolar(self.order, self.map, self.norm)
 
-    def __post_init__(self):
-        if self.order not in (1, 2):
-            raise ParameterError("moment order must be 1 or 2")
-        if self.norm not in ("euclidean", "spectral"):
-            raise ParameterError(f"unknown norm {self.norm!r}")
-        if self.order == 1 and self.norm == "spectral":
-            raise ParameterError("order-1 moments use the euclidean norm")
+    def _gauge(self, space, u):
+        vec = (space.weights * u) @ self.features(space)
+        if self.euclidean:
+            return float(np.linalg.norm(vec))
+        mat = conic.unsvec(vec, conic.svec_side(len(vec)))
+        return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
+
+    def _encode(self, b, space, u, t):
+        feats = self.features(space)
+        p = space.weights
+        lifted = [sum(u[i] * (p[i] * feats[i, k]) for i in range(space.size))
+                  for k in range(feats.shape[1])]
+        if self.euclidean:
+            b.soc([t] + lifted)
+            return
+        side = conic.svec_side(feats.shape[1])
+        pairs = conic.svec_indices(side)
+        for sign in (1.0, -1.0):
+            b.psd(side, [t - lifted[k] * sign if a == c else lifted[k] * sign * -1.0
+                         for k, (a, c) in enumerate(pairs)])
 
 
-@dataclass(frozen=True)
-class MomentPolar(GaugeExpr):
+class MomentPolar(_Moment):
     """Polar of MomentGauge: cheapest dual-norm certificate fitting w in the
     feature span."""
 
-    order: int
-    map: Optional[AffineMap] = None
-    norm: str = "euclidean"
+    def _polar(self):
+        return MomentGauge(self.order, self.map, self.norm)
 
-    def __post_init__(self):
-        if self.order not in (1, 2):
-            raise ParameterError("moment order must be 1 or 2")
-        if self.norm not in ("euclidean", "spectral"):
-            raise ParameterError(f"unknown norm {self.norm!r}")
-        if self.order == 1 and self.norm == "spectral":
-            raise ParameterError("order-1 moments use the euclidean norm")
+    def _gauge(self, space, w):
+        feats = self.features(space)
+        theta, *_ = np.linalg.lstsq(feats, w, rcond=None)
+        resid = float(np.linalg.norm(feats @ theta - w))
+        if resid > 1e-7 * (1.0 + float(np.linalg.norm(w))):
+            return _INF
+        if self.euclidean:
+            return float(np.linalg.norm(theta))
+        return super()._gauge(space, w)  # the nuclear norm needs a small SDP
+
+    def _encode(self, b, space, u, t):
+        feats = self.features(space)
+        th = b.add_vars(feats.shape[1], name="fit")
+        for i in range(space.size):
+            b.eq(sum(LinExpr.var(th[k], feats[i, k]) for k in range(len(th))) - u[i])
+        dual_norm_epigraph(b, [LinExpr.var(k) for k in th], t, self.euclidean)
 
 
 @dataclass(frozen=True)
-class RegionMask(GaugeExpr):
+class _Region(GaugeExpr):
+    inner: GaugeExpr
+    region: Callable
+
+    pinned = False  # do deviations off the region have to vanish?
+
+    def __hash__(self):
+        return hash((type(self), self.inner, id(self.region)))
+
+    def _gauge(self, space, u):
+        mask, sub = _region_split(space, self.region)
+        if self.pinned and np.max(np.abs(u[~mask]), initial=0.0) > _kernel_tol(u):
+            return _INF
+        return 0.0 if sub is None else self.inner._gauge(sub, u[mask])
+
+    def _encode(self, b, space, u, t):
+        mask, sub = _region_split(space, self.region)
+        if self.pinned:
+            for i in np.flatnonzero(~mask):
+                b.eq(u[i])
+        if sub is not None:
+            self.inner._encode(b, sub, [u[i] for i in np.flatnonzero(mask)], t)
+
+
+class RegionMask(_Region):
     """Inner set applied on a point region; deviations vanish off the region."""
 
-    inner: GaugeExpr
-    region: Callable
+    pinned = True
 
-    def __hash__(self):
-        return hash((type(self), self.inner, id(self.region)))
+    def _polar(self):
+        return Cylinder(polar(self.inner), self.region)
 
 
-@dataclass(frozen=True)
-class Cylinder(GaugeExpr):
+class Cylinder(_Region):
     """Inner set applied on a region; components off the region are free."""
 
-    inner: GaugeExpr
-    region: Callable
-
-    def __hash__(self):
-        return hash((type(self), self.inner, id(self.region)))
+    def _polar(self):
+        return RegionMask(polar(self.inner), self.region)
 
 
 @dataclass(frozen=True)
@@ -335,6 +817,28 @@ class Scale(GaugeExpr):
         if self.factor < 0.0:
             raise ParameterError("scale factor must be nonnegative")
 
+    def _polar(self):
+        return Scale(1.0 / self.factor, polar(self.child)) if self.factor > 0.0 else None
+
+    def _gauge(self, space, u):
+        inner = self.child._gauge(space, u)
+        if self.factor > 0.0:
+            return inner / self.factor
+        return 0.0 if inner <= _kernel_tol(u) else _INF
+
+    def _support(self, space, w):
+        if self.factor > 0.0:
+            return self.factor * self.child._support(space, w)
+        # the recession cone's support: zero on its polar cone, inf off it
+        return _INF if _min_over_epigraph(self.child, space, w, 0.0) == -_INF else 0.0
+
+    def _encode(self, b, space, u, t):
+        if self.factor > 0.0:
+            self.child._encode(b, space, u, t * self.factor)
+            return
+        self.child._encode(b, space, u, LinExpr.of(0.0))
+        b.le(-t)
+
 
 @dataclass(frozen=True)
 class Intersect(GaugeExpr):
@@ -344,6 +848,16 @@ class Intersect(GaugeExpr):
         object.__setattr__(self, "children", tuple(children))
         if not self.children:
             raise ParameterError("intersection needs at least one child")
+
+    def _polar(self):
+        return ConvexUnion(tuple(polar(c) for c in self.children))
+
+    def _gauge(self, space, u):
+        return max(c._gauge(space, u) for c in self.children)
+
+    def _encode(self, b, space, u, t):
+        for child in self.children:
+            child._encode(b, space, u, t)
 
 
 @dataclass(frozen=True)
@@ -361,6 +875,20 @@ class MinkowskiSum(GaugeExpr):
             raise ParameterError("sum needs at least one term")
         object.__setattr__(self, "terms", pairs)
 
+    def _support(self, space, w):
+        total = 0.0
+        for beta, child in self.terms:
+            total += Scale(beta, child)._support(space, w)
+            if np.isinf(total):
+                return _INF
+        return total
+
+    def _encode(self, b, space, u, t):
+        parts = _sum_rows(b, space, [b.add_vars(space.size, name=f"part{i}")
+                                     for i in range(len(self.terms))], u)
+        for (beta, child), part in zip(self.terms, parts):
+            child._encode(b, space, part, t * beta)
+
 
 @dataclass(frozen=True)
 class ConvexUnion(GaugeExpr):
@@ -373,52 +901,60 @@ class ConvexUnion(GaugeExpr):
         if not self.children:
             raise ParameterError("union needs at least one child")
 
+    def _polar(self):
+        return Intersect(tuple(polar(c) for c in self.children))
+
+    def _encode(self, b, space, u, t):
+        cols = [(b.add_vars(space.size, name=f"part{i}"), b.add_vars(1, name=f"level{i}")[0])
+                for i in range(len(self.children))]
+        parts = _sum_rows(b, space, [part for part, _ in cols], u)
+        for child, part, (_, level) in zip(self.children, parts, cols):
+            child._encode(b, space, part, LinExpr.var(level))
+        b.le(sum(LinExpr.var(level) for _, level in cols) - t)
+
 
 @dataclass(frozen=True)
 class Polar(GaugeExpr):
     child: GaugeExpr
 
+    def _polar(self):
+        return self.child
+
+    def _gauge(self, space, u):
+        return self.child._support(space, u)
+
+    def _encode(self, b, space, u, t):
+        inner = self.child
+        rewritten = inner._polar()
+        if rewritten is not None:
+            rewritten._encode(b, space, u, t)
+        elif isinstance(inner, MinkowskiSum):
+            # polar of a sum: the penalty splits as a weighted sum of polar gauges
+            levels = []
+            for beta, child in inner.terms:
+                lv = b.add_vars(1, name="lvl")[0]
+                polar_or_raise(child)._encode(b, space, u, LinExpr.var(lv))
+                levels.append((beta, lv))
+            b.le(sum(LinExpr.var(lv, beta) for beta, lv in levels) - t)
+        elif isinstance(inner, Scale):  # factor zero: the polar of a recession cone
+            rho = b.add_vars(1, name="reach")[0]
+            polar_or_raise(inner.child)._encode(b, space, u, LinExpr.var(rho))
+            b.le(-t)
+        else:
+            raise EncodingError(f"no conic epigraph for the polar of {type(inner).__name__}")
+
 
 # ---------------------------------------------------------------------------
-# polarity rewrites
+# entry points
 
 
-def _polar_atom(expr: GaugeExpr):
-    if isinstance(expr, L2Ball):
-        return L2Ball()
-    if isinstance(expr, CvarGauge):
-        return CvarPolar(expr.beta)
-    if isinstance(expr, CvarPolar):
-        return CvarGauge(expr.beta)
-    if isinstance(expr, TotalVariation):
-        return Oscillation()
-    if isinstance(expr, Oscillation):
-        return TotalVariation()
-    if isinstance(expr, L1Ball):
-        return LinfBall()
-    if isinstance(expr, LinfBall):
-        return L1Ball()
-    if isinstance(expr, Lipschitz):
-        return W1Ball(expr.metric)
-    if isinstance(expr, W1Ball):
-        return Lipschitz(expr.metric)
-    if isinstance(expr, PhiDivergence):
-        if expr.kind == "chi2":
-            return Scale(1.0 / np.sqrt(expr.budget), L2Ball())
-        if expr.kind == "tv":
-            return Scale(1.0 / expr.budget, LinfBall())
-        return None  # kl: no finite-dimensional rewrite
-    if isinstance(expr, WassersteinP):
-        return None
-    if isinstance(expr, MomentGauge):
-        return MomentPolar(expr.order, expr.map, expr.norm)
-    if isinstance(expr, MomentPolar):
-        return MomentGauge(expr.order, expr.map, expr.norm)
-    if isinstance(expr, RegionMask):
-        return Cylinder(polar(expr.inner), expr.region)
-    if isinstance(expr, Cylinder):
-        return RegionMask(polar(expr.inner), expr.region)
-    return None
+def _deviation(space: DiscreteSpace, u, what: str = "deviation") -> np.ndarray:
+    u = np.asarray(u, dtype=float).ravel()
+    if len(u) != space.size:
+        raise DimensionError(f"{what} has {len(u)} entries for {space.size} points")
+    if not np.all(np.isfinite(u)):
+        raise ParameterError(f"{what} must be finite")
+    return u
 
 
 def polar(expr: GaugeExpr) -> GaugeExpr:
@@ -428,471 +964,25 @@ def polar(expr: GaugeExpr) -> GaugeExpr:
     polarity cancels (all sets here are closed, convex, and contain zero).
     Minkowski sums and the kl / transport atoms stay symbolic.
     """
-    if isinstance(expr, Polar):
-        return expr.child
-    if isinstance(expr, Scale):
-        if expr.factor > 0.0:
-            return Scale(1.0 / expr.factor, polar(expr.child))
-        return Polar(expr)
-    if isinstance(expr, Intersect):
-        return ConvexUnion(tuple(polar(c) for c in expr.children))
-    if isinstance(expr, ConvexUnion):
-        return Intersect(tuple(polar(c) for c in expr.children))
-    if isinstance(expr, MinkowskiSum):
-        return Polar(expr)
-    rewritten = _polar_atom(expr)
-    if rewritten is not None:
-        return rewritten
-    return Polar(expr)
-
-
-# ---------------------------------------------------------------------------
-# gauge evaluation
-
-
-def _kernel_tol(u: np.ndarray) -> float:
-    return settings.kernel_tol * (1.0 + float(np.max(np.abs(u), initial=0.0)))
-
-
-def _solve_value(builder: ProgramBuilder) -> float:
-    prog = builder.build()
-    sol = conic.solve(prog, SolveSettings())
-    if sol.status == "infeasible":
-        return _INF
-    if sol.status == "unbounded":
-        return -_INF
-    return float(sol.value)
-
-
-def _flow_cost(space: DiscreteSpace, u: np.ndarray, metric: Hemimetric) -> float:
-    """Minimal transport cost realizing net mass change p * u (inf if unbalanced)."""
-    p = space.weights
-    if abs(float(p @ u)) > _kernel_tol(u):
-        return _INF
-    if np.max(np.abs(u), initial=0.0) <= _kernel_tol(u):
-        return 0.0
-    n = space.size
-    c = metric.matrix(space.points, space.points)
-    b = ProgramBuilder()
-    arcs = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                arcs[(i, j)] = b.add_vars(1, name=f"flow[{i},{j}]", obj=c[i, j])[0]
-    for col in arcs.values():
-        b.nonneg_var(col)
-    for k in range(n):
-        expr = LinExpr(const=-p[k] * u[k])
-        for (i, j), col in arcs.items():
-            if i == k:
-                expr = expr + LinExpr.var(col)
-            elif j == k:
-                expr = expr - LinExpr.var(col)
-        b.eq(expr)
-    return _solve_value(b)
-
-
-def _transport_program(space: DiscreteSpace, cost_pow: np.ndarray, budget, gain: np.ndarray):
-    """max sum_ij plan[i,j] * gain[i] over plans with old-marginal p and
-    transport cost at most budget. Returns the builder and plan columns."""
-    n = space.size
-    p = space.weights
-    b = ProgramBuilder()
-    plan = np.empty((n, n), dtype=int)
-    for i in range(n):
-        for j in range(n):
-            plan[i, j] = b.add_vars(1, name=f"plan[{i},{j}]", obj=-gain[i])[0]
-    for col in plan.ravel():
-        b.nonneg_var(int(col))
-    for j in range(n):
-        b.eq(sum(LinExpr.var(int(plan[i, j])) for i in range(n)) - p[j])
-    b.le(sum(cost_pow[i, j] * LinExpr.var(int(plan[i, j])) for i in range(n) for j in range(n)) - budget)
-    return b, plan
-
-
-def _wasserstein_member(space: DiscreteSpace, nu: np.ndarray, atom: WassersteinP) -> bool:
-    """Is the reweighting nu within the transport radius of the base measure?"""
-    c = atom.metric.matrix(space.points, space.points) ** atom.power
-    n = space.size
-    p = space.weights
-    b = ProgramBuilder()
-    plan = np.empty((n, n), dtype=int)
-    for i in range(n):
-        for j in range(n):
-            plan[i, j] = b.add_vars(1, name=f"plan[{i},{j}]", obj=c[i, j])[0]
-    for col in plan.ravel():
-        b.nonneg_var(int(col))
-    for j in range(n):
-        b.eq(sum(LinExpr.var(int(plan[i, j])) for i in range(n)) - p[j])
-    for i in range(n):
-        b.eq(sum(LinExpr.var(int(plan[i, j])) for j in range(n)) - p[i] * nu[i])
-    val = _solve_value(b)
-    return val <= atom.radius ** atom.power + settings.closure_rel_tol * (1.0 + atom.radius ** atom.power)
-
-
-def _phi_gauge(space: DiscreteSpace, u: np.ndarray, atom: PhiDivergence) -> float:
-    p = space.weights
-    if np.max(np.abs(u), initial=0.0) == 0.0:
-        return 0.0
-    if atom.kind == "chi2":
-        return float(np.sqrt(p @ (u * u) / atom.budget))
-    if atom.kind == "tv":
-        return float(p @ np.abs(u) / atom.budget)
-    # kl: bisection on t; domain needs 1 + u/t >= 0
-
-    def div(t: float) -> float:
-        x = 1.0 + u / t
-        if np.min(x) < 0.0:
-            return _INF
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(x > 0.0, x * np.log(np.maximum(x, 1e-300)), 0.0)
-        return float(p @ (term - x + 1.0))
-
-    lo = max(float(np.max(-u)), 0.0)
-    hi = max(1.0, lo * 2.0, float(np.max(np.abs(u)))) * 2.0
-    for _ in range(200):
-        if div(hi) <= atom.budget:
-            break
-        hi *= 4.0
-        if hi > 1e12:
-            return _INF
-    lo_t = max(lo, 1e-300)
-    for _ in range(160):
-        mid = 0.5 * (lo_t + hi)
-        if div(mid) <= atom.budget:
-            hi = mid
-        else:
-            lo_t = mid
-    return float(hi)
-
-
-def _wasserstein_gauge(space: DiscreteSpace, u: np.ndarray, atom: WassersteinP) -> float:
-    p = space.weights
-    if abs(float(p @ u)) > _kernel_tol(u):
-        return _INF
-    if np.max(np.abs(u), initial=0.0) <= _kernel_tol(u):
-        return 0.0
-    t_lo = max(float(np.max(-u)), 1e-12)
-    t_hi = max(t_lo * 2.0, 1.0)
-    for _ in range(200):
-        if _wasserstein_member(space, 1.0 + u / t_hi, atom):
-            break
-        t_hi *= 4.0
-        if t_hi > 1e12:
-            return _INF
-    if _wasserstein_member(space, np.clip(1.0 + u / t_lo, 0.0, None), atom):
-        return t_lo
-    for _ in range(60):
-        mid = 0.5 * (t_lo + t_hi)
-        if _wasserstein_member(space, 1.0 + u / mid, atom):
-            t_hi = mid
-        else:
-            t_lo = mid
-    return float(t_hi)
-
-
-def _resolve_map(atom, space: DiscreteSpace) -> AffineMap:
-    if atom.map is not None:
-        return atom.map
-    mu = space.weights @ space.points
-    centered = space.points - mu[None, :]
-    cov = (space.weights[:, None] * centered).T @ centered
-    vals, vecs = np.linalg.eigh(cov)
-    if np.min(vals) <= 1e-12 * max(float(np.max(vals)), 1.0):
-        raise ParameterError("degenerate covariance; supply an explicit feature map")
-    w = (vecs / np.sqrt(vals)) @ vecs.T
-    if atom.order == 1:
-        return AffineMap.of(w)
-    return AffineMap.of(w, -w @ mu)
-
-
-def _moment_features(atom, space: DiscreteSpace) -> np.ndarray:
-    """Per-point feature rows: z_i for order 1, svec(z_i z_i') for order 2."""
-    z = _resolve_map(atom, space).apply(space.points)
-    if atom.order == 1:
-        return z
-    side = z.shape[1]
-    rows = np.empty((len(z), side * (side + 1) // 2))
-    for i, zi in enumerate(z):
-        rows[i] = conic.svec(np.outer(zi, zi))
-    return rows
-
-
-def _moment_gauge(space: DiscreteSpace, u: np.ndarray, atom: MomentGauge) -> float:
-    feats = _moment_features(atom, space)
-    vec = (space.weights * u) @ feats
-    if atom.order == 1 or atom.norm == "euclidean":
-        return float(np.linalg.norm(vec))
-    side = int(round((np.sqrt(8 * len(vec) + 1) - 1) / 2))
-    mat = conic.unsvec(vec, side)
-    return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
-
-
-def _moment_polar_gauge(space: DiscreteSpace, w: np.ndarray, atom: MomentPolar) -> float:
-    feats = _moment_features(atom, space)
-    theta, *_ = np.linalg.lstsq(feats, w, rcond=None)
-    resid = float(np.linalg.norm(feats @ theta - w))
-    if resid > 1e-7 * (1.0 + float(np.linalg.norm(w))):
-        return _INF
-    if atom.norm == "euclidean":
-        return float(np.linalg.norm(theta))
-    # spectral primal norm -> nuclear dual norm, via a small SDP
-    side = int(round((np.sqrt(8 * feats.shape[1] + 1) - 1) / 2))
-    b = ProgramBuilder()
-    th = b.add_vars(feats.shape[1], name="theta")
-    uu = b.add_vars(side * (side + 1) // 2, name="U")
-    vv = b.add_vars(side * (side + 1) // 2, name="V")
-    for i in range(len(w)):
-        b.eq(sum(feats[i, k] * LinExpr.var(th[k]) for k in range(len(th))) - w[i])
-    _nuclear_block(b, side, [LinExpr.var(c) for c in th], uu, vv)
-    diag = [conic.svec_indices(side).index((i, i)) for i in range(side)]
-    for d in diag:
-        b.add_objective(int(uu[d]), 0.5)
-        b.add_objective(int(vv[d]), 0.5)
-    return _solve_value(b)
-
-
-def _nuclear_block(b: ProgramBuilder, side: int, theta_exprs, uu, vv):
-    """PSD block [[U, T],[T', V]] >= 0 with T the symmetric matrix svec'd by
-    theta_exprs; U, V are svec variable vectors of matching side."""
-    pairs_small = conic.svec_indices(side)
-    loc_small = {pq: k for k, pq in enumerate(pairs_small)}
-
-    def small_entry(vecvars, a, bb, as_expr=False):
-        k = loc_small[(min(a, bb), max(a, bb))]
-        scale = 1.0 if a == bb else 1.0 / np.sqrt(2.0)
-        if as_expr:
-            return theta_exprs[k] * scale
-        return LinExpr.var(vecvars[k], scale)
-
-    exprs = []
-    for a in range(2 * side):
-        for bb in range(a, 2 * side):
-            if a < side and bb < side:
-                entry = small_entry(uu, a, bb)
-            elif a >= side and bb >= side:
-                entry = small_entry(vv, a - side, bb - side)
-            else:
-                entry = small_entry(None, a, bb - side, as_expr=True)
-            if a != bb:
-                entry = entry * np.sqrt(2.0)
-            exprs.append(entry)
-    b.psd(2 * side, exprs)
-
-
-def _region_split(space: DiscreteSpace, region: Callable):
-    mask = np.asarray(region(space.points), dtype=bool).ravel()
-    if mask.shape[0] != space.size:
-        raise DimensionError("region predicate must return one flag per point")
-    sub = DiscreteSpace(space.points[mask], space.weights[mask]) if np.any(mask) else None
-    return mask, sub
+    rewritten = expr._polar()
+    return Polar(expr) if rewritten is None else rewritten
 
 
 def gauge_value(expr: GaugeExpr, space: DiscreteSpace, u) -> float:
     """Gauge of the deviation u: inf{t > 0 : u in t * set}; may be inf or 0."""
-    u = np.asarray(u, dtype=float).ravel()
-    if len(u) != space.size:
-        raise DimensionError(f"deviation has {len(u)} entries for {space.size} points")
-    if not np.all(np.isfinite(u)):
-        raise ParameterError("deviation must be finite")
-    p = space.weights
-
-    if isinstance(expr, L2Ball):
-        return float(np.sqrt(p @ (u * u)))
-    if isinstance(expr, CvarGauge):
-        return max(0.0, float(np.max(u))) * (1.0 - expr.beta) / expr.beta
-    if isinstance(expr, CvarPolar):
-        if float(np.min(u)) < -_kernel_tol(u):
-            return _INF
-        return expr.beta / (1.0 - expr.beta) * float(p @ np.clip(u, 0.0, None))
-    if isinstance(expr, TotalVariation):
-        if abs(float(p @ u)) > _kernel_tol(u):
-            return _INF
-        return float(p @ np.abs(u))
-    if isinstance(expr, Oscillation):
-        return 0.5 * (float(np.max(u)) - float(np.min(u)))
-    if isinstance(expr, L1Ball):
-        return float(p @ np.abs(u))
-    if isinstance(expr, LinfBall):
-        return float(np.max(np.abs(u), initial=0.0))
-    if isinstance(expr, Lipschitz):
-        c = expr.metric.matrix(space.points, space.points)
-        worst = 0.0
-        for i in range(space.size):
-            for j in range(space.size):
-                if i == j:
-                    continue
-                rise = u[i] - u[j]
-                if rise <= 0.0:
-                    continue
-                if c[i, j] <= 1e-300:
-                    return _INF
-                worst = max(worst, rise / c[i, j])
-        return worst
-    if isinstance(expr, W1Ball):
-        return _flow_cost(space, u, expr.metric)
-    if isinstance(expr, PhiDivergence):
-        return _phi_gauge(space, u, expr)
-    if isinstance(expr, WassersteinP):
-        return _wasserstein_gauge(space, u, expr)
-    if isinstance(expr, MomentGauge):
-        return _moment_gauge(space, u, expr)
-    if isinstance(expr, MomentPolar):
-        return _moment_polar_gauge(space, u, expr)
-    if isinstance(expr, RegionMask):
-        mask, sub = _region_split(space, expr.region)
-        off = u[~mask]
-        if np.max(np.abs(off), initial=0.0) > _kernel_tol(u):
-            return _INF
-        if sub is None:
-            return 0.0
-        return gauge_value(expr.inner, sub, u[mask])
-    if isinstance(expr, Cylinder):
-        mask, sub = _region_split(space, expr.region)
-        if sub is None:
-            return 0.0
-        return gauge_value(expr.inner, sub, u[mask])
-    if isinstance(expr, Scale):
-        inner = gauge_value(expr.child, space, u)
-        if expr.factor > 0.0:
-            return inner / expr.factor
-        return 0.0 if inner <= _kernel_tol(u) else _INF
-    if isinstance(expr, Intersect):
-        return max(gauge_value(c, space, u) for c in expr.children)
-    if isinstance(expr, MinkowskiSum):
-        b = ProgramBuilder()
-        t = b.add_vars(1, name="t", obj=1.0)[0]
-        parts = [b.add_vars(space.size, name=f"part{i}") for i in range(len(expr.terms))]
-        for k in range(space.size):
-            b.eq(sum(LinExpr.var(pt[k]) for pt in parts) - u[k])
-        for (beta, child), pt in zip(expr.terms, parts):
-            encode_epigraph(b, child, space, [LinExpr.var(c) for c in pt], LinExpr.var(t, beta))
-        return _solve_value(b)
-    if isinstance(expr, ConvexUnion):
-        b = ProgramBuilder()
-        parts = []
-        ts = []
-        for i, child in enumerate(expr.children):
-            parts.append(b.add_vars(space.size, name=f"part{i}"))
-            ts.append(b.add_vars(1, name=f"t{i}", obj=1.0)[0])
-        for k in range(space.size):
-            b.eq(sum(LinExpr.var(pt[k]) for pt in parts) - u[k])
-        for child, pt, t in zip(expr.children, parts, ts):
-            encode_epigraph(b, child, space, [LinExpr.var(c) for c in pt], LinExpr.var(t))
-        return _solve_value(b)
-    if isinstance(expr, Polar):
-        return support_value(expr.child, space, u)
-    raise ParameterError(f"unknown gauge expression {type(expr).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# support functions
-
-
-def _kl_support(space: DiscreteSpace, w: np.ndarray, budget: float) -> float:
-    """sup <w, u> over the kl set, via its one-dimensional dual."""
-    p = space.weights
-    spread = float(np.max(w) - np.min(w)) if len(w) else 0.0
-    mean_w = float(p @ w)
-
-    def objective(log_g: float) -> float:
-        g = np.exp(log_g)
-        # g * sum p exp(w/g) computed in log space to dodge overflow
-        z = w / g + np.log(p)
-        zmax = float(np.max(z))
-        lse = zmax + np.log(np.sum(np.exp(z - zmax)))
-        if lse + np.log(g) > 700.0:
-            return 1e300
-        return g * budget - mean_w + np.exp(lse + np.log(g)) - g
-
-    lo = np.log(max(1e-9 * (1.0 + spread), 1e-12))
-    hi = np.log((10.0 + 10.0 * spread) * (1.0 + 1.0 / budget))
-    res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12, "maxiter": 500})
-    best = min(objective(lo), objective(hi), float(res.fun))
-    return float(best)
-
-
-def _wasserstein_support(space: DiscreteSpace, w: np.ndarray, atom: WassersteinP) -> float:
-    cost_pow = atom.metric.matrix(space.points, space.points) ** atom.power
-    b, _ = _transport_program(space, cost_pow, atom.radius ** atom.power, w)
-    val = _solve_value(b)
-    if np.isinf(val):
-        return _INF
-    return float(-val - space.weights @ w)
+    return expr._gauge(space, _deviation(space, u))
 
 
 def support_value(expr: GaugeExpr, space: DiscreteSpace, w) -> float:
     """Support function sup{<w, u>_P : u in the set}; equals the polar gauge."""
-    w = np.asarray(w, dtype=float).ravel()
-    if len(w) != space.size:
-        raise DimensionError(f"argument has {len(w)} entries for {space.size} points")
-    if isinstance(expr, Scale):
-        if expr.factor > 0.0:
-            return expr.factor * support_value(expr.child, space, w)
-        return _cone_support(expr.child, space, w)
-    if isinstance(expr, MinkowskiSum):
-        total = 0.0
-        for beta, child in expr.terms:
-            part = support_value(Scale(beta, child), space, w) if beta == 0.0 \
-                else beta * support_value(child, space, w)
-            total += part
-            if np.isinf(total):
-                return _INF
-        return total
-    if isinstance(expr, ConvexUnion):
-        return max(support_value(c, space, w) for c in expr.children)
-    if isinstance(expr, Intersect):
-        return gauge_value(polar(expr), space, w)
-    if isinstance(expr, Polar):
-        return gauge_value(expr.child, space, w)
-    if isinstance(expr, PhiDivergence) and expr.kind == "kl":
-        return _kl_support(space, w, expr.budget)
-    if isinstance(expr, WassersteinP):
-        return _wasserstein_support(space, w, expr)
-    rewritten = _polar_atom(expr)
-    if rewritten is None:
-        raise ParameterError(f"no support rule for {type(expr).__name__}")
-    return gauge_value(rewritten, space, w)
-
-
-def _cone_support(child: GaugeExpr, space: DiscreteSpace, w: np.ndarray) -> float:
-    """Support of the recession cone of a set: zero on its polar cone, inf off it."""
-    b = ProgramBuilder()
-    uu = b.add_vars(space.size, name="u")
-    for k, col in enumerate(uu):
-        b.add_objective(int(col), -space.weights[k] * w[k])
-    encode_epigraph(b, child, space, [LinExpr.var(c) for c in uu], LinExpr.of(0.0))
-    val = _solve_value(b)
-    if val == -_INF:
-        return _INF
-    return 0.0
+    return expr._support(space, _deviation(space, w, "argument"))
 
 
 def membership(expr: GaugeExpr, space: DiscreteSpace, u, t: float) -> bool:
     """Closure-tolerant test u in t * set (t must be positive)."""
     if not (t > 0.0):
         raise ParameterError("membership level t must be positive")
-    if isinstance(expr, PhiDivergence) and expr.kind == "kl":
-        # one divergence evaluation at the requested level instead of the
-        # gauge bisection; the divergence shrinks as the level grows, so the
-        # two tests agree
-        u = np.asarray(u, dtype=float).ravel()
-        if len(u) != space.size:
-            raise DimensionError(f"deviation has {len(u)} entries for {space.size} points")
-        if not np.all(np.isfinite(u)):
-            raise ParameterError("deviation must be finite")
-        x = 1.0 + u / (t * (1.0 + settings.closure_rel_tol))
-        if float(np.min(x)) < 0.0:
-            return False
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(x > 0.0, x * np.log(np.maximum(x, 1e-300)), 0.0)
-        return float(space.weights @ (term - x + 1.0)) <= expr.budget
-    return gauge_value(expr, space, u) <= t * (1.0 + settings.closure_rel_tol)
-
-
-# ---------------------------------------------------------------------------
-# conic epigraph encoding
+    return expr._member(space, _deviation(space, u), t)
 
 
 def encode_epigraph(b: ProgramBuilder, expr: GaugeExpr, space: DiscreteSpace, u, t):
@@ -903,184 +993,9 @@ def encode_epigraph(b: ProgramBuilder, expr: GaugeExpr, space: DiscreteSpace, u,
     and transport balls, which have dedicated evaluators).
     """
     u = [LinExpr.of(e) for e in u]
-    t = LinExpr.of(t)
-    p = space.weights
-    n = space.size
-
-    if isinstance(expr, L2Ball):
-        b.soc([t] + [u[i] * np.sqrt(p[i]) for i in range(n)])
-        return
-    if isinstance(expr, CvarGauge):
-        ratio = expr.beta / (1.0 - expr.beta)
-        for i in range(n):
-            b.le(u[i] - t * ratio)
-        b.le(-t)
-        return
-    if isinstance(expr, CvarPolar):
-        ratio = expr.beta / (1.0 - expr.beta)
-        for i in range(n):
-            b.le(-u[i])
-        b.le(sum(u[i] * (ratio * p[i]) for i in range(n)) - t)
-        return
-    if isinstance(expr, TotalVariation) or isinstance(expr, L1Ball):
-        if isinstance(expr, TotalVariation):
-            b.eq(sum(u[i] * p[i] for i in range(n)))
-        mag = b.add_vars(n, name="mag")
-        for i in range(n):
-            b.le(u[i] - LinExpr.var(mag[i]))
-            b.le(-u[i] - LinExpr.var(mag[i]))
-        b.le(sum(LinExpr.var(mag[i], p[i]) for i in range(n)) - t)
-        return
-    if isinstance(expr, LinfBall):
-        for i in range(n):
-            b.le(u[i] - t)
-            b.le(-u[i] - t)
-        return
-    if isinstance(expr, Oscillation):
-        low = LinExpr.var(b.add_vars(1, name="floor")[0])
-        for i in range(n):
-            b.le(low - u[i])
-            b.le(u[i] - low - t * 2.0)
-        return
-    if isinstance(expr, Lipschitz):
-        c = expr.metric.matrix(space.points, space.points)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    b.le(u[i] - u[j] - t * c[i, j])
-        b.le(-t)
-        return
-    if isinstance(expr, W1Ball):
-        c = expr.metric.matrix(space.points, space.points)
-        arcs = {}
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    arcs[(i, j)] = b.add_vars(1, name=f"flow[{i},{j}]")[0]
-        for col in arcs.values():
-            b.nonneg_var(int(col))
-        for k in range(n):
-            expr_k = u[k] * (-p[k])
-            for (i, j), col in arcs.items():
-                if i == k:
-                    expr_k = expr_k + LinExpr.var(col)
-                elif j == k:
-                    expr_k = expr_k - LinExpr.var(col)
-            b.eq(expr_k)
-        b.le(sum(LinExpr.var(col, c[i, j]) for (i, j), col in arcs.items()) - t)
-        return
-    if isinstance(expr, PhiDivergence):
-        if expr.kind == "chi2":
-            encode_epigraph(b, Scale(np.sqrt(expr.budget), L2Ball()), space, u, t)
-            return
-        if expr.kind == "tv":
-            encode_epigraph(b, Scale(expr.budget, L1Ball()), space, u, t)
-            return
-        raise EncodingError("kl sets have no conic epigraph; use divergence_dual_value")
-    if isinstance(expr, WassersteinP):
-        raise EncodingError("transport balls have no conic epigraph; use wasserstein_p_dual_value")
-    if isinstance(expr, MomentGauge):
-        feats = _moment_features(expr, space)
-        lifted = [sum(u[i] * (p[i] * feats[i, k]) for i in range(n)) for k in range(feats.shape[1])]
-        if expr.order == 1 or expr.norm == "euclidean":
-            b.soc([t] + lifted)
-            return
-        side = int(round((np.sqrt(8 * feats.shape[1] + 1) - 1) / 2))
-        pairs = conic.svec_indices(side)
-        for sign in (1.0, -1.0):
-            exprs = []
-            for k, (a, bb) in enumerate(pairs):
-                entry = lifted[k] * sign
-                if a == bb:
-                    exprs.append(t - entry)
-                else:
-                    exprs.append(entry * -1.0)
-            b.psd(side, exprs)
-        return
-    if isinstance(expr, MomentPolar):
-        feats = _moment_features(expr, space)
-        th = b.add_vars(feats.shape[1], name="fit")
-        for i in range(n):
-            b.eq(sum(LinExpr.var(th[k], feats[i, k]) for k in range(len(th))) - u[i])
-        if atom_norm_is_euclidean(expr):
-            b.soc([t] + [LinExpr.var(k) for k in th])
-            return
-        side = int(round((np.sqrt(8 * feats.shape[1] + 1) - 1) / 2))
-        uu = b.add_vars(side * (side + 1) // 2, name="nucU")
-        vv = b.add_vars(side * (side + 1) // 2, name="nucV")
-        _nuclear_block(b, side, [LinExpr.var(k) for k in th], uu, vv)
-        diag = [conic.svec_indices(side).index((i, i)) for i in range(side)]
-        b.le(sum(LinExpr.var(uu[d], 0.5) + LinExpr.var(vv[d], 0.5) for d in diag) - t)
-        return
-    if isinstance(expr, RegionMask):
-        mask, sub = _region_split(space, expr.region)
-        for i in range(n):
-            if not mask[i]:
-                b.eq(u[i])
-        if sub is not None:
-            encode_epigraph(b, expr.inner, sub, [u[i] for i in range(n) if mask[i]], t)
-        return
-    if isinstance(expr, Cylinder):
-        mask, sub = _region_split(space, expr.region)
-        if sub is not None:
-            encode_epigraph(b, expr.inner, sub, [u[i] for i in range(n) if mask[i]], t)
-        return
-    if isinstance(expr, Scale):
-        if expr.factor > 0.0:
-            encode_epigraph(b, expr.child, space, u, t * expr.factor)
-            return
-        encode_epigraph(b, expr.child, space, u, LinExpr.of(0.0))
-        b.le(-t)
-        return
-    if isinstance(expr, Intersect):
-        for child in expr.children:
-            encode_epigraph(b, child, space, u, t)
-        return
-    if isinstance(expr, MinkowskiSum):
-        parts = [b.add_vars(n, name=f"part{i}") for i in range(len(expr.terms))]
-        for k in range(n):
-            b.eq(sum(LinExpr.var(pt[k]) for pt in parts) - u[k])
-        for (beta, child), pt in zip(expr.terms, parts):
-            encode_epigraph(b, child, space, [LinExpr.var(c) for c in pt], t * beta)
-        return
-    if isinstance(expr, ConvexUnion):
-        parts = []
-        ts = []
-        for i, child in enumerate(expr.children):
-            parts.append(b.add_vars(n, name=f"part{i}"))
-            ts.append(b.add_vars(1, name=f"level{i}")[0])
-        for k in range(n):
-            b.eq(sum(LinExpr.var(pt[k]) for pt in parts) - u[k])
-        for child, pt, tv in zip(expr.children, parts, ts):
-            encode_epigraph(b, child, space, [LinExpr.var(c) for c in pt], LinExpr.var(tv))
-        b.le(sum(LinExpr.var(tv) for tv in ts) - t)
-        return
-    if isinstance(expr, Polar):
-        inner = expr.child
-        rewritten = polar(inner)
-        if not isinstance(rewritten, Polar):
-            encode_epigraph(b, rewritten, space, u, t)
-            return
-        if isinstance(inner, MinkowskiSum):
-            # polar of a sum: the penalty splits as a weighted sum of polar gauges
-            levels = []
-            for beta, child in inner.terms:
-                lv = b.add_vars(1, name="lvl")[0]
-                encode_epigraph(b, polar_or_raise(child), space, u, LinExpr.var(lv))
-                levels.append((beta, lv))
-            b.le(sum(LinExpr.var(lv, beta) for beta, lv in levels) - t)
-            return
-        if isinstance(inner, Scale) and inner.factor == 0.0:
-            rho = b.add_vars(1, name="reach")[0]
-            encode_epigraph(b, polar_or_raise(inner.child), space, u, LinExpr.var(rho))
-            b.le(-t)
-            return
-        raise EncodingError(f"no conic epigraph for the polar of {type(inner).__name__}")
-    raise ParameterError(f"unknown gauge expression {type(expr).__name__}")
-
-
-def atom_norm_is_euclidean(expr) -> bool:
-    return expr.order == 1 or expr.norm == "euclidean"
+    if len(u) != space.size:
+        raise DimensionError(f"deviation has {len(u)} entries for {space.size} points")
+    expr._encode(b, space, u, LinExpr.of(t))
 
 
 def polar_or_raise(expr: GaugeExpr) -> GaugeExpr:
@@ -1096,10 +1011,4 @@ def support_value_by_program(expr: GaugeExpr, space: DiscreteSpace, w) -> float:
     Independent route from support_value (which goes through polarity); used
     to cross-check the two.
     """
-    w = np.asarray(w, dtype=float).ravel()
-    b = ProgramBuilder()
-    uu = b.add_vars(space.size, name="u")
-    for k, col in enumerate(uu):
-        b.add_objective(int(col), -space.weights[k] * w[k])
-    encode_epigraph(b, expr, space, [LinExpr.var(c) for c in uu], LinExpr.of(1.0))
-    return float(-_solve_value(b))
+    return float(-_min_over_epigraph(expr, space, _deviation(space, w, "argument"), 1.0))

@@ -231,19 +231,11 @@ def moment_dual(problem: ReweightingProblem) -> float:
     alpha = b.add_vars(1, name="alpha", obj=1.0)[0]
     point_exprs = [LinExpr.var(alpha) for _ in range(n)]
     for radius, atom in terms:
-        feats = gauges._moment_features(atom, sp)
+        feats = atom.features(sp)
         th = b.add_vars(feats.shape[1], name="theta", obj=sp.weights @ feats)
         level = b.add_vars(1, name="level", obj=radius)[0]
-        if gauges.atom_norm_is_euclidean(atom):
-            b.soc([LinExpr.var(level)] + [LinExpr.var(c) for c in th])
-        else:
-            side = int(round((np.sqrt(8 * feats.shape[1] + 1) - 1) / 2))
-            uu = b.add_vars(side * (side + 1) // 2, name="nucU")
-            vv = b.add_vars(side * (side + 1) // 2, name="nucV")
-            gauges._nuclear_block(b, side, [LinExpr.var(c) for c in th], uu, vv)
-            diag = [conic.svec_indices(side).index((i, i)) for i in range(side)]
-            b.le(sum(LinExpr.var(uu[d], 0.5) + LinExpr.var(vv[d], 0.5) for d in diag)
-                 - LinExpr.var(level))
+        gauges.dual_norm_epigraph(b, [LinExpr.var(c) for c in th], LinExpr.var(level),
+                                  atom.euclidean)
         for i in range(n):
             point_exprs[i] = point_exprs[i] + sum(
                 LinExpr.var(th[k], feats[i, k]) for k in range(len(th)))

@@ -283,8 +283,8 @@ class TestProgramChecks:
 
     def test_deterministic_given_settings(self):
         prog = lp_min_x_geq_1()
-        a = solve(prog, SolveSettings(seed=123))
-        b = solve(prog, SolveSettings(seed=123))
+        a = solve(prog, SolveSettings())
+        b = solve(prog, SolveSettings())
         np.testing.assert_array_equal(a.x, b.x)
         assert a.value == b.value
 

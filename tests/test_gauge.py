@@ -8,9 +8,12 @@ catalogue, always comparing two independent evaluation routes where
 one exists.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
+import gaugekit.gauge as gauge_module
 from gaugekit.conic import LinExpr, ProgramBuilder, solve
 from gaugekit.errors import DimensionError, EncodingError, ParameterError
 from gaugekit.gauge import (
@@ -19,6 +22,7 @@ from gaugekit.gauge import (
     CvarGauge,
     CvarPolar,
     Cylinder,
+    GaugeExpr,
     Hemimetric,
     Intersect,
     L1Ball,
@@ -394,6 +398,29 @@ class TestGroundCosts:
         findings = hemimetric_check(m, [0.0, 1.0, 2.0])
         assert any("triangle" in f for f in findings)
 
+    def test_triangle_scan_matches_a_plain_triple_loop(self):
+        rng = np.random.default_rng(5)
+        m = 7
+        pts = np.arange(float(m))
+        table = rng.uniform(0.1, 3.0, size=(m, m))
+        np.fill_diagonal(table, 0.0)
+        count, worst, arg = 0, 0.0, None
+        for i in range(m):
+            for j in range(m):
+                best, stop = np.inf, None
+                for k in range(m):
+                    if table[i, k] + table[k, j] < best:
+                        best, stop = table[i, k] + table[k, j], k
+                gap = table[i, j] - best
+                if gap > 1e-12:
+                    count += 1
+                    if gap > worst:
+                        worst, arg = gap, (i, stop, j)
+        assert count > 0
+        i, k, j = arg
+        assert hemimetric_check(Hemimetric.from_table(pts, table), pts) == [
+            f"{count} triangle violations; worst c({i},{j}) - c({i},{k}) - c({k},{j}) = {worst:.6g}"]
+
     def test_negative_and_diagonal_findings(self):
         m = Hemimetric.from_table([0.0, 1.0], [[0.0, -1.0], [1.0, 0.2]])
         findings = hemimetric_check(m, [0.0, 1.0])
@@ -460,6 +487,8 @@ class TestMembershipAndGuards:
             gauge_value(L2Ball(), BASE, [1.0, 2.0])
         with pytest.raises(ParameterError):
             gauge_value(L2Ball(), BASE, [1.0, np.inf, 0.0, 0.0])
+        with pytest.raises(DimensionError):
+            encode_epigraph(ProgramBuilder(), CvarGauge(0.5), BASE, [0.0, 0.0], 1.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
@@ -497,3 +526,52 @@ class TestMembershipAndGuards:
             encode_epigraph(b, PhiDivergence("kl", 0.1), BASE, u, LinExpr.var(t))
         with pytest.raises(EncodingError):
             encode_epigraph(b, WassersteinP(1.0, ABS1, 0.5), BASE, u, LinExpr.var(t))
+
+
+def _upper_half(points):
+    return points[:, 0] >= 1.5
+
+
+# One instance of every concrete expression class in gaugekit.gauge.
+ONE_OF_EACH = [
+    L2Ball(), CvarGauge(0.6), CvarPolar(0.6), TotalVariation(), Oscillation(),
+    L1Ball(), LinfBall(), Lipschitz(ABS1), W1Ball(ABS1), PhiDivergence("chi2", 0.25),
+    WassersteinP(1.0, ABS1, 0.5), MomentGauge(1, IDMAP), MomentPolar(1, IDMAP),
+    RegionMask(L2Ball(), _upper_half), Cylinder(L1Ball(), _upper_half),
+    Scale(2.0, L1Ball()), Intersect((L2Ball(), LinfBall())),
+    MinkowskiSum([(0.5, L2Ball()), (0.5, TotalVariation())]),
+    ConvexUnion((L2Ball(), LinfBall())),
+    Polar(MinkowskiSum([(1.0, L1Ball()), (0.5, L2Ball())])),
+]
+
+
+class TestEveryExpressionClass:
+    def test_catalogue_covers_every_class(self):
+        concrete = {cls for name, cls in vars(gauge_module).items()
+                    if inspect.isclass(cls) and issubclass(cls, GaugeExpr)
+                    and cls is not GaugeExpr and not name.startswith("_")}
+        assert {type(x) for x in ONE_OF_EACH} == concrete
+
+    @pytest.mark.parametrize("expr", ONE_OF_EACH, ids=lambda x: type(x).__name__)
+    def test_bipolar_rewrite_returns_the_expression(self, expr):
+        if expr._polar() is None:
+            return
+        back = polar(polar(expr))
+        if isinstance(expr, PhiDivergence):
+            # the divergence balls rewrite to a scaled norm ball, the same set
+            # written another way
+            for u in np.random.default_rng(4).normal(size=(5, BASE.size)):
+                assert gauge_value(back, BASE, u) == pytest.approx(gauge_value(expr, BASE, u))
+        else:
+            assert back == expr
+
+    @pytest.mark.parametrize("expr", ONE_OF_EACH, ids=lambda x: type(x).__name__)
+    def test_encoding_emits_rows_or_refuses(self, expr):
+        b = ProgramBuilder()
+        t = b.add_vars(1, name="t")[0]
+        u = b.add_vars(BASE.size, name="u")
+        try:
+            encode_epigraph(b, expr, BASE, [LinExpr.var(c) for c in u], LinExpr.var(t))
+        except EncodingError:
+            return
+        assert b.build().num_rows > 0
