@@ -141,12 +141,21 @@ def default_instance(seed: int = 0) -> CaseInstance:
     )
 
 
-def _dot(cols, coeffs) -> LinExpr:
-    expr = LinExpr.of(0.0)
-    for col, coef in zip(cols, coeffs):
-        if coef != 0.0:
-            expr = expr + LinExpr.var(int(col), float(coef))
-    return expr
+def _slopes(b: ProgramBuilder, instance: CaseInstance) -> dict:
+    """One nonnegative slope column per district with a positive radius,
+    priced at that radius; maps the district index to its column."""
+    priced = np.flatnonzero(instance.radii > 0.0)
+    cols = b.add_vars(len(priced), name="slope", obj=instance.radii[priced])
+    b.nonneg_var(cols)
+    return dict(zip(priced.tolist(), cols))
+
+
+def _nonneg_pair(b: ProgramBuilder, name: str):
+    """Two nonnegative 2-vectors of columns, such as the multipliers of a
+    district box's upper and lower sides."""
+    cols = b.add_vars(4, name=name)
+    b.nonneg_var(cols)
+    return cols[:2], cols[2:]
 
 
 def build_case_envelope_lp(instance: CaseInstance) -> conic.ConicProgram:
@@ -171,15 +180,10 @@ def build_case_envelope_lp(instance: CaseInstance) -> conic.ConicProgram:
     x = b.add_vars(2, name="x")
     a1 = b.add_vars(1, name="base", obj=1.0)[0]
     a2 = b.add_vars(1, name="threshold", obj=1.0)[0]
-    gamma = {}
-    for k in range(nregions):
-        if instance.radii[k] > 0.0:
-            gamma[k] = b.add_vars(1, name=f"slope{k}", obj=instance.radii[k])[0]
-            b.nonneg_var(gamma[k])
+    gamma = _slopes(b, instance)
     s = b.add_vars(m, name="level", obj=1.0 / m)
     eta = b.add_vars(m, name="excess", obj=ratio / m)
-    for col in eta:
-        b.nonneg_var(int(col))
+    b.nonneg_var(eta)
     if instance.delta > 0.0:
         rms = b.add_vars(1, name="rms", obj=instance.delta / np.sqrt(m))[0]
         b.soc([LinExpr.var(rms)] + [LinExpr.var(int(col)) for col in s])
@@ -189,7 +193,7 @@ def build_case_envelope_lp(instance: CaseInstance) -> conic.ConicProgram:
     for j in range(m):
         xi = instance.samples[j]
         for d in _DIRECTIONS:
-            b.le(_dot(x, d) - float(d @ xi)
+            b.le(LinExpr.dot(x, d) - float(d @ xi)
                  - LinExpr.var(a2) - LinExpr.var(int(eta[j])))
     for k in range(nregions):
         lo, hi = instance.region_lower[k], instance.region_upper[k]
@@ -197,28 +201,22 @@ def build_case_envelope_lp(instance: CaseInstance) -> conic.ConicProgram:
             xi = instance.samples[j]
             if k not in gamma:
                 for d in _DIRECTIONS:
-                    b.le(_dot(x, d) - float(d @ xi) - LinExpr.var(a1)
+                    b.le(LinExpr.dot(x, d) - float(d @ xi) - LinExpr.var(a1)
                          - LinExpr.var(a2) - LinExpr.var(int(s[j])))
                 b.le(LinExpr.var(a1, -1.0) - LinExpr.var(int(s[j])))
                 continue
             for d in _DIRECTIONS:
-                dual_hi = b.add_vars(2, name="boxhi")
-                dual_lo = b.add_vars(2, name="boxlo")
-                for col in list(dual_hi) + list(dual_lo):
-                    b.nonneg_var(int(col))
-                b.le(_dot(x, d) - float(d @ xi)
+                dual_hi, dual_lo = _nonneg_pair(b, "box")
+                b.le(LinExpr.dot(x, d) - float(d @ xi)
                      - LinExpr.var(a1) - LinExpr.var(a2) - LinExpr.var(int(s[j]))
-                     - _dot(dual_hi, xi - hi) - _dot(dual_lo, lo - xi))
+                     - LinExpr.dot(dual_hi, xi - hi) - LinExpr.dot(dual_lo, lo - xi))
                 for i in range(2):
                     gap = LinExpr.var(int(dual_hi[i])) - LinExpr.var(int(dual_lo[i]))
                     for sign in (1.0, -1.0):
                         b.le(gap * sign + sign * d[i] - LinExpr.var(gamma[k]))
-            dual_hi = b.add_vars(2, name="zerohi")
-            dual_lo = b.add_vars(2, name="zerolo")
-            for col in list(dual_hi) + list(dual_lo):
-                b.nonneg_var(int(col))
+            dual_hi, dual_lo = _nonneg_pair(b, "zero")
             b.le(LinExpr.var(a1, -1.0) - LinExpr.var(int(s[j]))
-                 - _dot(dual_hi, xi - hi) - _dot(dual_lo, lo - xi))
+                 - LinExpr.dot(dual_hi, xi - hi) - LinExpr.dot(dual_lo, lo - xi))
             for i in range(2):
                 gap = LinExpr.var(int(dual_hi[i])) - LinExpr.var(int(dual_lo[i]))
                 for sign in (1.0, -1.0):
@@ -226,8 +224,10 @@ def build_case_envelope_lp(instance: CaseInstance) -> conic.ConicProgram:
     return b.build()
 
 
-def _feature_row(point: np.ndarray) -> np.ndarray:
-    return np.concatenate(([1.0], point, conic.svec(np.outer(point, point))))
+def _feature_rows(points: np.ndarray) -> np.ndarray:
+    """Rows (1, z, svec(z z')) for a stack of points z."""
+    quad = conic.svec(points[:, :, None] * points[:, None, :])
+    return np.column_stack([np.ones(len(points)), points, quad])
 
 
 def _region_second_moments(instance: CaseInstance, supplied) -> list:
@@ -236,7 +236,7 @@ def _region_second_moments(instance: CaseInstance, supplied) -> list:
         out = []
         for idx in members:
             if len(idx):
-                rows = np.stack([_feature_row(p) for p in instance.samples[idx]])
+                rows = _feature_rows(instance.samples[idx])
                 out.append(rows.T @ rows / len(idx))
             else:
                 out.append(np.zeros((6, 6)))
@@ -295,20 +295,11 @@ def build_case_funcparam_sdp(instance: CaseInstance,
     x = b.add_vars(2, name="x")
     a1 = b.add_vars(1, name="base", obj=1.0)[0]
     a2 = b.add_vars(1, name="threshold", obj=1.0)[0]
-    quads = []
-    for k in range(nregions):
-        idx = members[k]
-        mean_row = (np.sum([_feature_row(p) for p in instance.samples[idx]], axis=0) / m
-                    if len(idx) else np.zeros(6))
-        quads.append(b.add_vars(6, name=f"quad{k}", obj=mean_row))
-    gamma = {}
-    for k in range(nregions):
-        if instance.radii[k] > 0.0:
-            gamma[k] = b.add_vars(1, name=f"slope{k}", obj=instance.radii[k])[0]
-            b.nonneg_var(gamma[k])
+    means = [_feature_rows(instance.samples[idx]).sum(axis=0) / m for idx in members]
+    quads = b.add_vars(6 * nregions, name="quad", obj=np.concatenate(means)).reshape(nregions, 6)
+    gamma = _slopes(b, instance)
     eta = b.add_vars(m, name="excess", obj=ratio / m)
-    for col in eta:
-        b.nonneg_var(int(col))
+    b.nonneg_var(eta)
     for q in quads:
         b.psd(2, [LinExpr.var(int(q[3])), LinExpr.var(int(q[4])),
                   LinExpr.var(int(q[5]))])
@@ -319,7 +310,7 @@ def build_case_funcparam_sdp(instance: CaseInstance,
             share = len(members[k]) / m
             half = np.sqrt(share) * _matrix_sqrt(second[k])
             for r in range(6):
-                rows.append(_dot(quads[k], half[r]))
+                rows.append(LinExpr.dot(quads[k], half[r]))
         b.soc([LinExpr.var(norm)] + rows)
     for i in range(2):
         b.le(LinExpr.var(int(x[i])) - instance.upper[i])
@@ -327,7 +318,7 @@ def build_case_funcparam_sdp(instance: CaseInstance,
     for j in range(m):
         xi = instance.samples[j]
         for d in _DIRECTIONS:
-            b.le(_dot(x, d) - float(d @ xi)
+            b.le(LinExpr.dot(x, d) - float(d @ xi)
                  - LinExpr.var(a2) - LinExpr.var(int(eta[j])))
     for k in range(nregions):
         lo, hi = instance.region_lower[k], instance.region_upper[k]
@@ -336,16 +327,13 @@ def build_case_funcparam_sdp(instance: CaseInstance,
         q_rows = [(LinExpr.var(int(q[3])), LinExpr.var(int(q[4]), 1.0 / root2)),
                   (LinExpr.var(int(q[4]), 1.0 / root2), LinExpr.var(int(q[5])))]
         for d in list(_DIRECTIONS) + [None]:
-            shift_hi = b.add_vars(2, name="shifthi")
-            shift_lo = b.add_vars(2, name="shiftlo")
-            for col in list(shift_hi) + list(shift_lo):
-                b.nonneg_var(int(col))
+            shift_hi, shift_lo = _nonneg_pair(b, "shift")
             corner = b.add_vars(1, name="corner")[0]
             row = (LinExpr.var(a1, -1.0) - LinExpr.var(int(q[0]))
-                   - _dot(shift_lo, lo) + _dot(shift_hi, hi)
+                   - LinExpr.dot(shift_lo, lo) + LinExpr.dot(shift_hi, hi)
                    + LinExpr.var(corner, 0.25))
             if d is not None:
-                row = row + _dot(x, d) - LinExpr.var(a2)
+                row = row + LinExpr.dot(x, d) - LinExpr.var(a2)
             b.le(row)
             off = []
             for i in range(2):
@@ -362,12 +350,9 @@ def build_case_funcparam_sdp(instance: CaseInstance,
             continue
         for i in range(2):
             for sign in (1.0, -1.0):
-                grad_hi = b.add_vars(2, name="gradhi")
-                grad_lo = b.add_vars(2, name="gradlo")
-                for col in list(grad_hi) + list(grad_lo):
-                    b.nonneg_var(int(col))
+                grad_hi, grad_lo = _nonneg_pair(b, "grad")
                 b.le(LinExpr.var(int(q[1 + i]), sign)
-                     + _dot(grad_hi, 2.0 * hi) - _dot(grad_lo, 2.0 * lo)
+                     + LinExpr.dot(grad_hi, 2.0 * hi) - LinExpr.dot(grad_lo, 2.0 * lo)
                      - LinExpr.var(gamma[k]))
                 for c in range(2):
                     b.eq(q_rows[i][c] * sign

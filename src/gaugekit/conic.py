@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -104,14 +104,17 @@ class ConicProgram:
         return a
 
 
+# fixed solver constants: the over-relaxation factor, the ray-certificate
+# tolerance, and the iteration stride between convergence checks
+_OVER_RELAX = 1.5
+_INFEAS_TOL = 1e-7
+_CHECK_EVERY = 25
+
+
 @dataclass(frozen=True)
 class SolveSettings:
     tol: float = 1e-8
     max_iter: int = 100_000
-    over_relax: float = 1.5
-    infeas_tol: float = 1e-7
-    check_every: int = 25
-    polish: bool = True
 
 
 @dataclass(frozen=True)
@@ -415,7 +418,7 @@ def solve(program: ConicProgram, settings: SolveSettings | None = None) -> Solut
     v = np.zeros(n + m + 1)
     u[-1] = 1.0
     v[-1] = 1.0
-    alpha = st.over_relax
+    alpha = _OVER_RELAX
 
     bnorm1 = 1.0 + np.linalg.norm(b_raw)
     cnorm1 = 1.0 + np.linalg.norm(c_raw)
@@ -434,7 +437,7 @@ def solve(program: ConicProgram, settings: SolveSettings | None = None) -> Solut
     ut = np.empty(nm + 1)
     ut_xy = ut[:nm]
     keep = 1.0 - alpha
-    check_every, last = st.check_every, st.max_iter - 1
+    last = st.max_iter - 1
     status = "max_iter"
     for k in range(st.max_iter):
         w = u + v
@@ -451,7 +454,7 @@ def solve(program: ConicProgram, settings: SolveSettings | None = None) -> Solut
         v += z - ox
         u = z
 
-        if (k + 1) % check_every == 0 or k == last:
+        if (k + 1) % _CHECK_EVERY == 0 or k == last:
             tau = u[-1]
             unorm = np.linalg.norm(u[:n + m])
             if tau > 1e-11 * max(1.0, unorm):
@@ -471,7 +474,7 @@ def solve(program: ConicProgram, settings: SolveSettings | None = None) -> Solut
             ux, uy = u[:n], u[n:n + m]
             by = float(b @ uy)
             if by < 0.0:
-                if np.linalg.norm(a.T @ uy) <= st.infeas_tol * (-by):
+                if np.linalg.norm(a.T @ uy) <= _INFEAS_TOL * (-by):
                     ycert = d * uy / (-by)
                     return Solution(
                         x=np.full(n, np.nan), y=ycert, s=np.full(m, np.nan),
@@ -481,7 +484,7 @@ def solve(program: ConicProgram, settings: SolveSettings | None = None) -> Solut
             cx = float(c @ ux)
             if cx < 0.0:
                 vs = v[n:n + m]
-                if np.linalg.norm(a @ ux + vs) <= st.infeas_tol * (-cx):
+                if np.linalg.norm(a @ ux + vs) <= _INFEAS_TOL * (-cx):
                     xcert = e * ux / (-cx)
                     return Solution(
                         x=xcert, y=np.full(m, np.nan), s=np.full(m, np.nan),
@@ -494,7 +497,7 @@ def solve(program: ConicProgram, settings: SolveSettings | None = None) -> Solut
         best = (float("inf"), _candidate(tau))
     x, y, s = best[1]
 
-    if st.polish and status == "optimal":
+    if status == "optimal":
         polished = _polish_lp(program, a_raw, x, y, s, st.tol)
         if polished is not None:
             xp, yp, sp = polished
@@ -508,6 +511,14 @@ def solve(program: ConicProgram, settings: SolveSettings | None = None) -> Solut
     return replace(sol, residuals=(rp, rd, gap))
 
 
+def accepted(sol: Solution, what: str) -> Solution:
+    """The callers' status rule: an optimal or max_iter solution passes, any
+    other status raises ParameterError naming the solve."""
+    if sol.status not in ("optimal", "max_iter"):
+        raise ParameterError(f"{what} ended with status {sol.status}")
+    return sol
+
+
 # ---------------------------------------------------------------------------
 # builder
 
@@ -515,10 +526,14 @@ def solve(program: ConicProgram, settings: SolveSettings | None = None) -> Solut
 class ProgramBuilder:
     """Incremental assembly of a ConicProgram.
 
-    Variables are created with add_vars; rows are appended in cone-block order
-    through eq_row / le_row / soc_block / psd_block. Coefficient maps are
-    {column_index: value} dictionaries; rows mean  sum_j coef_j x_j (= or <=) rhs,
-    and cone blocks constrain  rhs_row - sum coef x  to the cone.
+    Variables are created with add_vars. Every row goes through one path:
+    le, eq, soc and psd take affine expressions (LinExpr instances or
+    scalars), nonneg_var takes one column or an array of columns, and all
+    of them append their rows in cone-block order through _append, which
+    writes  expr + s = 0  with the slack s in the cone. So le(expr) means
+    expr <= 0, while soc and psd negate their expressions to put the
+    expressions themselves in the cone. Consecutive zero rows, and
+    consecutive nonnegative rows, share one cone block.
     """
 
     def __init__(self):
@@ -528,10 +543,6 @@ class ProgramBuilder:
         self._cones: list[Cone] = []
         self._names: list[str] = []
         self._nvars = 0
-
-    @property
-    def num_vars(self) -> int:
-        return self._nvars
 
     def add_vars(self, count: int, name: str = "x", obj=0.0) -> np.ndarray:
         idx = np.arange(self._nvars, self._nvars + count)
@@ -546,67 +557,45 @@ class ProgramBuilder:
     def add_objective(self, col: int, coef: float):
         self._obj[int(col)] = self._obj.get(int(col), 0.0) + float(coef)
 
-    def _push(self, kind: str, coeffs: dict, rhs: float):
-        self._rows.append({int(k): float(val) for k, val in coeffs.items() if val != 0.0})
-        self._rhs.append(float(rhs))
-        if self._cones and self._cones[-1].kind == kind and kind in (ZERO, NONNEG):
-            self._cones[-1] = Cone(kind, self._cones[-1].dim + 1)
-        else:
-            self._cones.append(Cone(kind, 1))
+    def _append(self, kind: str, exprs: list, dim: int):
+        """One row per expression, with slack equal to minus the expression,
+        forming the cone (kind, dim); zero and nonnegative rows join a
+        preceding block of their kind."""
+        for e in exprs:
+            self._rows.append(dict(e.terms))
+            self._rhs.append(-e.const)
+        if kind in (ZERO, NONNEG) and self._cones and self._cones[-1].kind == kind:
+            dim += self._cones.pop().dim
+        self._cones.append(Cone(kind, dim))
 
-    def eq_row(self, coeffs: dict, rhs: float):
-        """sum coef_j x_j = rhs"""
-        self._push(ZERO, coeffs, rhs)
-
-    def le_row(self, coeffs: dict, rhs: float):
-        """sum coef_j x_j <= rhs"""
-        self._push(NONNEG, coeffs, rhs)
-
-    def nonneg_var(self, col: int):
-        """x_col >= 0"""
-        self.le_row({col: -1.0}, 0.0)
-
-    def soc_block(self, rows: list):
-        """Constrain the vector (rhs_k - sum coef x)_k to the second-order cone.
-
-        rows is a list of (coeffs, rhs); the first row is the cone's scalar part.
-        """
-        if len(rows) < 1:
-            raise ParameterError("soc block needs at least one row")
-        for coeffs, rhs in rows:
-            self._rows.append({int(k): float(v) for k, v in coeffs.items() if v != 0.0})
-            self._rhs.append(float(rhs))
-        self._cones.append(Cone(SOC, len(rows)))
-
-    def psd_block(self, side: int, rows: list):
-        """Constrain svec-ordered rows (rhs - sum coef x) to the PSD cone."""
-        want = side * (side + 1) // 2
-        if len(rows) != want:
-            raise DimensionError(f"psd side {side} needs {want} rows, got {len(rows)}")
-        for coeffs, rhs in rows:
-            self._rows.append({int(k): float(v) for k, v in coeffs.items() if v != 0.0})
-            self._rhs.append(float(rhs))
-        self._cones.append(Cone(PSD, side))
-
-    # affine-expression sugar; expressions are LinExpr instances or scalars
+    def nonneg_var(self, cols):
+        """x_col >= 0 for one column or for each of an array of columns."""
+        exprs = [-LinExpr.var(col) for col in np.atleast_1d(cols)]
+        if exprs:
+            self._append(NONNEG, exprs, len(exprs))
 
     def le(self, expr):
         """expr <= 0"""
-        expr = LinExpr.of(expr)
-        self.le_row(expr.terms, -expr.const)
+        self._append(NONNEG, [LinExpr.of(expr)], 1)
 
     def eq(self, expr):
         """expr = 0"""
-        expr = LinExpr.of(expr)
-        self.eq_row(expr.terms, -expr.const)
+        self._append(ZERO, [LinExpr.of(expr)], 1)
 
     def soc(self, exprs):
-        """(expr_0, expr_1, ...) lies in the second-order cone."""
-        self.soc_block(_expr_rows(exprs))
+        """(expr_0, expr_1, ...) lies in the second-order cone; expr_0 is the scalar part."""
+        exprs = [-LinExpr.of(e) for e in exprs]
+        if not exprs:
+            raise ParameterError("soc block needs at least one row")
+        self._append(SOC, exprs, len(exprs))
 
     def psd(self, side: int, exprs):
         """svec-ordered exprs form a PSD matrix."""
-        self.psd_block(side, _expr_rows(exprs))
+        exprs = [-LinExpr.of(e) for e in exprs]
+        want = side * (side + 1) // 2
+        if len(exprs) != want:
+            raise DimensionError(f"psd side {side} needs {want} rows, got {len(exprs)}")
+        self._append(PSD, exprs, side)
 
     def build(self) -> ConicProgram:
         rows, cols, vals = [], [], []
@@ -648,6 +637,28 @@ class LinExpr:
             return value
         return LinExpr(const=float(value))
 
+    @staticmethod
+    def sum(exprs) -> "LinExpr":
+        """The builtin sum of exprs, in one pass: the same additions in the
+        same order, so the terms (with their order) and the constant come out
+        bit for bit, without copying the running total at every term."""
+        terms: dict[int, float] = {}
+        const = 0.0
+        for e in map(LinExpr.of, exprs):
+            for k, v in e.terms.items():
+                total = terms.get(k, 0.0) + v
+                if total != 0.0:
+                    terms[k] = total
+                else:
+                    terms.pop(k, None)
+            const += e.const
+        return LinExpr(terms, const)
+
+    @staticmethod
+    def dot(cols, coefs) -> "LinExpr":
+        """sum_k coefs[k] x_{cols[k]}; zero coefficients add no term."""
+        return LinExpr.sum(LinExpr.var(col, coef) for col, coef in zip(cols, coefs))
+
     def __add__(self, other):
         other = LinExpr.of(other)
         terms = dict(self.terms)
@@ -671,11 +682,6 @@ class LinExpr:
         return LinExpr({k: s * v for k, v in self.terms.items()}, s * self.const)
 
     __rmul__ = __mul__
-
-
-def _expr_rows(exprs):
-    """Rows encoding slack_k = expr_k under  A x + s = b."""
-    return [({k: -v for k, v in e.terms.items()}, e.const) for e in map(LinExpr.of, exprs)]
 
 
 def dump_program(program: ConicProgram) -> str:

@@ -26,6 +26,7 @@ from .errors import ContractError, DimensionError, EncodingError, ParameterError
 from .gauge import Hemimetric, Lipschitz, Oscillation, hemimetric_check, polar
 from .oracle import w1_distance
 from .reformulate import ReweightingProblem
+from .space import _as_points
 
 __all__ = [
     "PostTransform",
@@ -137,15 +138,6 @@ def envelope_eval(gamma: float, s, centers, c: Hemimetric, point) -> float:
     return float(vals[int(np.argmin(vals))])
 
 
-def _as_points(points) -> np.ndarray:
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2:
-        raise DimensionError(f"centers must be a list of vectors, got ndim={arr.ndim}")
-    return arr
-
-
 def _polar_hemimetric(problem: ReweightingProblem):
     """Hemimetric and per-slope price for the problem's polar, or raise."""
     pol = polar(problem.gauge)
@@ -194,8 +186,7 @@ def build_envelope_program(
     s = b.add_vars(m, name="s", obj=1.0 / m)
     if gh.kind == "case-study":
         rms = int(b.add_vars(1, name="rms", obj=gh.delta)[0])
-        for col in s:
-            b.nonneg_var(int(col))
+        b.nonneg_var(s)
         b.soc([LinExpr.var(rms)] + [LinExpr.var(int(col), 1.0 / np.sqrt(m)) for col in s])
     for j in range(problem.space.size):
         for i in range(m):
@@ -228,9 +219,7 @@ def _objective(ep: EnvelopeProgram, gamma: float, alpha: float, s: np.ndarray) -
 
 def solve_envelope(ep: EnvelopeProgram, settings: SolveSettings | None = None) -> EnvelopeSolution:
     """Solve the built program and unpack (gamma, alpha, s)."""
-    sol = conic.solve(ep.program, settings or SolveSettings())
-    if sol.status not in ("optimal", "max_iter"):
-        raise ParameterError(f"envelope solve ended with status {sol.status}")
+    sol = conic.accepted(conic.solve(ep.program, settings or SolveSettings()), "envelope solve")
     s = np.array([sol.x[i] for i in ep.s])
     return EnvelopeSolution(
         value=float(sol.value),

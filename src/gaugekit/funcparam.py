@@ -32,7 +32,7 @@ from . import gauge as gauges
 from .conic import LinExpr, ProgramBuilder, SolveSettings
 from .errors import BasisError, DimensionError, ParameterError
 from .reformulate import ReweightingProblem
-from .space import DiscreteSpace, settings
+from .space import DiscreteSpace, _as_points, settings
 
 
 def _checked_predicates(predicates) -> tuple:
@@ -43,15 +43,6 @@ def _checked_predicates(predicates) -> tuple:
         if not callable(pred):
             raise ParameterError("region predicates must be callable")
     return preds
-
-
-def _as_rows(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    if pts.ndim != 2:
-        raise DimensionError(f"points must be a list of vectors, got ndim={pts.ndim}")
-    return pts
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +92,7 @@ class Basis:
         Listing every support atom makes the span all functions on the
         support, which reproduces the unrestricted dual.
         """
-        pts = _as_rows(points)
+        pts = _as_points(points)
         if len(pts) == 0:
             raise ParameterError("singleton basis needs at least one point")
         if not np.all(np.isfinite(pts)):
@@ -129,7 +120,7 @@ class Basis:
         Region predicates must partition the given points: a point
         claimed by two regions, or by none, is a basis error.
         """
-        pts = _as_rows(points)
+        pts = _as_points(points)
         n, dim = pts.shape
         if self.kind == "indicator-regions":
             phi = self._region_matrix(pts)
@@ -146,7 +137,7 @@ class Basis:
             if self.order == 1:
                 phi = np.column_stack(lin)
             else:
-                quad = np.stack([conic.svec(np.outer(x, x)) for x in pts])
+                quad = conic.svec(pts[:, :, None] * pts[:, None, :])
                 phi = np.column_stack([np.ones(n)] + lin + [quad])
         elif self.kind == "singleton-indicators":
             if self.points.shape[1] != dim:
@@ -200,13 +191,7 @@ def build_param_dual(problem: ReweightingProblem, basis: Basis) -> conic.ConicPr
     alpha = b.add_vars(1, name="alpha", obj=1.0)[0]
     lam = b.add_vars(width, name="coef", obj=sp.weights @ phi)
     level = b.add_vars(1, name="level", obj=problem.epsilon)[0]
-    combos = []
-    for j in range(n):
-        expr = LinExpr.of(0.0)
-        for i in range(width):
-            if phi[j, i] != 0.0:
-                expr = expr + LinExpr.var(int(lam[i]), float(phi[j, i]))
-        combos.append(expr)
+    combos = [LinExpr.dot(lam, phi[j]) for j in range(n)]
     for j in range(n):
         b.le(LinExpr.of(f[j]) - LinExpr.var(alpha) - combos[j])
     gauges.encode_epigraph(b, gauges.polar(problem.gauge), sp,
@@ -219,8 +204,7 @@ def build_param_dual(problem: ReweightingProblem, basis: Basis) -> conic.ConicPr
             offset += count
         else:
             if block == "nonneg":
-                for i in range(size):
-                    b.nonneg_var(int(lam[offset + i]))
+                b.nonneg_var(lam[offset:offset + size])
             offset += size
     return b.build()
 
@@ -229,6 +213,4 @@ def param_dual_value(problem: ReweightingProblem, basis: Basis,
                      solver: SolveSettings | None = None) -> float:
     """Solve the restricted dual and return its value."""
     sol = conic.solve(build_param_dual(problem, basis), solver or SolveSettings())
-    if sol.status not in ("optimal", "max_iter"):
-        raise ParameterError(f"restricted dual solve ended with status {sol.status}")
-    return float(sol.value)
+    return float(conic.accepted(sol, "restricted dual solve").value)

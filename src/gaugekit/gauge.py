@@ -201,36 +201,32 @@ def _solve_value(builder: ProgramBuilder) -> float:
 
 
 def _flow_arcs(b: ProgramBuilder, space: DiscreteSpace, metric: Hemimetric, u, priced: bool):
-    """Nonnegative flows on the arcs between distinct points whose net outflow
-    at point k is p_k u_k; u holds affine expressions. Priced arcs carry their
-    ground cost as objective. Returns the arc columns and the cost matrix."""
+    """Nonnegative flows on the arcs between distinct points, in row-major
+    (from, to) order, whose net outflow at point k is p_k u_k; u holds affine
+    expressions. Priced arcs carry their ground cost as objective. Returns
+    the arc columns and the arc costs."""
     n = space.size
-    c = metric.matrix(space.points, space.points)
-    arcs = {(i, j): b.add_vars(1, name=f"flow[{i},{j}]", obj=c[i, j] if priced else 0.0)[0]
-            for i in range(n) for j in range(n) if i != j}
-    for col in arcs.values():
-        b.nonneg_var(int(col))
+    src, dst = np.nonzero(~np.eye(n, dtype=bool))
+    cost = metric.matrix(space.points, space.points)[src, dst]
+    arcs = b.add_vars(len(cost), name="flow", obj=cost if priced else 0.0)
+    b.nonneg_var(arcs)
+    balance = [[] for _ in range(n)]
+    for i, j, col in zip(src, dst, arcs):
+        balance[i].append(LinExpr.var(col))
+        balance[j].append(LinExpr.var(col, -1.0))
     for k in range(n):
-        expr = u[k] * (-space.weights[k])
-        for (i, j), col in arcs.items():
-            if i == k:
-                expr = expr + LinExpr.var(col)
-            elif j == k:
-                expr = expr - LinExpr.var(col)
-        b.eq(expr)
-    return arcs, c
+        b.eq(u[k] * (-space.weights[k]) + LinExpr.sum(balance[k]))
+    return arcs, cost
 
 
 def _plan(b: ProgramBuilder, space: DiscreteSpace, obj: np.ndarray) -> np.ndarray:
     """Nonnegative plan columns plan[i, j] (mass moved from old point j to new
     point i) with objective obj[i, j] and old marginal equal to the weights."""
     n = space.size
-    plan = np.array([[b.add_vars(1, name=f"plan[{i},{j}]", obj=obj[i, j])[0] for j in range(n)]
-                     for i in range(n)])
-    for col in plan.ravel():
-        b.nonneg_var(int(col))
+    plan = b.add_vars(n * n, name="plan", obj=obj.ravel()).reshape(n, n)
+    b.nonneg_var(plan.ravel())
     for j in range(n):
-        b.eq(sum(LinExpr.var(int(plan[i, j])) for i in range(n)) - space.weights[j])
+        b.eq(LinExpr.sum(map(LinExpr.var, plan[:, j])) - space.weights[j])
     return plan
 
 
@@ -250,13 +246,13 @@ def _encode_l1(b: ProgramBuilder, space: DiscreteSpace, u, t):
     for i, ui in enumerate(u):
         b.le(ui - LinExpr.var(mag[i]))
         b.le(-ui - LinExpr.var(mag[i]))
-    b.le(sum(LinExpr.var(mag[i], space.weights[i]) for i in range(space.size)) - t)
+    b.le(LinExpr.dot(mag, space.weights) - t)
 
 
 def _sum_rows(b: ProgramBuilder, space: DiscreteSpace, parts, u):
     """Rows making the part columns sum to u; returns the parts as expressions."""
     for k in range(space.size):
-        b.eq(sum(LinExpr.var(pt[k]) for pt in parts) - u[k])
+        b.eq(LinExpr.sum(LinExpr.var(pt[k]) for pt in parts) - u[k])
     return [[LinExpr.var(c) for c in pt] for pt in parts]
 
 
@@ -291,7 +287,7 @@ def dual_norm_epigraph(b: ProgramBuilder, theta, level, euclidean: bool):
             exprs.append(entry * np.sqrt(2.0) if a != c else entry)
     b.psd(2 * side, exprs)
     diag = [pairs.index((i, i)) for i in range(side)]
-    b.le(sum(LinExpr.var(uu[d], 0.5) + LinExpr.var(vv[d], 0.5) for d in diag) - level)
+    b.le(LinExpr.sum(LinExpr.var(uu[d], 0.5) + LinExpr.var(vv[d], 0.5) for d in diag) - level)
 
 
 def _region_split(space: DiscreteSpace, region: Callable):
@@ -393,7 +389,7 @@ class CvarPolar(_Cvar):
         ratio = self.beta / (1.0 - self.beta)
         for ui in u:
             b.le(-ui)
-        b.le(sum(u[i] * (ratio * space.weights[i]) for i in range(space.size)) - t)
+        b.le(LinExpr.sum(u[i] * (ratio * space.weights[i]) for i in range(space.size)) - t)
 
 
 @dataclass(frozen=True)
@@ -409,7 +405,7 @@ class TotalVariation(GaugeExpr):
         return float(space.weights @ np.abs(u))
 
     def _encode(self, b, space, u, t):
-        b.eq(sum(u[i] * space.weights[i] for i in range(space.size)))
+        b.eq(LinExpr.sum(u[i] * space.weights[i] for i in range(space.size)))
         _encode_l1(b, space, u, t)
 
 
@@ -471,18 +467,11 @@ class Lipschitz(GaugeExpr):
 
     def _gauge(self, space, u):
         c = self.metric.matrix(space.points, space.points)
-        worst = 0.0
-        for i in range(space.size):
-            for j in range(space.size):
-                if i == j:
-                    continue
-                rise = u[i] - u[j]
-                if rise <= 0.0:
-                    continue
-                if c[i, j] <= 1e-300:
-                    return _INF
-                worst = max(worst, rise / c[i, j])
-        return worst
+        rise = u[:, None] - u[None, :]
+        up = rise > 0.0  # never on the diagonal
+        if np.any(c[up] <= 1e-300):
+            return _INF
+        return float(np.max(rise[up] / c[up], initial=0.0))
 
     def _encode(self, b, space, u, t):
         c = self.metric.matrix(space.points, space.points)
@@ -511,8 +500,8 @@ class W1Ball(GaugeExpr):
         return _solve_value(b)
 
     def _encode(self, b, space, u, t):
-        arcs, c = _flow_arcs(b, space, self.metric, u, priced=False)
-        b.le(sum(LinExpr.var(col, c[i, j]) for (i, j), col in arcs.items()) - t)
+        arcs, cost = _flow_arcs(b, space, self.metric, u, priced=False)
+        b.le(LinExpr.dot(arcs, cost) - t)
 
 
 @dataclass(frozen=True)
@@ -629,8 +618,7 @@ class WassersteinP(GaugeExpr):
         b = ProgramBuilder()
         plan = _plan(b, space, self.metric.matrix(space.points, space.points) ** self.power)
         for i in range(space.size):
-            b.eq(sum(LinExpr.var(int(plan[i, j])) for j in range(space.size))
-                 - space.weights[i] * nu[i])
+            b.eq(LinExpr.sum(map(LinExpr.var, plan[i])) - space.weights[i] * nu[i])
         budget = self.radius ** self.power
         return _solve_value(b) <= budget + settings.closure_rel_tol * (1.0 + budget)
 
@@ -662,8 +650,7 @@ class WassersteinP(GaugeExpr):
         cost = self.metric.matrix(space.points, space.points) ** self.power
         b = ProgramBuilder()
         plan = _plan(b, space, np.repeat(-w[:, None], n, axis=1))
-        b.le(sum(cost[i, j] * LinExpr.var(int(plan[i, j])) for i in range(n) for j in range(n))
-             - self.radius ** self.power)
+        b.le(LinExpr.dot(plan.ravel(), cost.ravel()) - self.radius ** self.power)
         val = _solve_value(b)
         if np.isinf(val):
             return _INF
@@ -728,7 +715,7 @@ class MomentGauge(_Moment):
     def _encode(self, b, space, u, t):
         feats = self.features(space)
         p = space.weights
-        lifted = [sum(u[i] * (p[i] * feats[i, k]) for i in range(space.size))
+        lifted = [LinExpr.sum(u[i] * (p[i] * feats[i, k]) for i in range(space.size))
                   for k in range(feats.shape[1])]
         if self.euclidean:
             b.soc([t] + lifted)
@@ -761,7 +748,7 @@ class MomentPolar(_Moment):
         feats = self.features(space)
         th = b.add_vars(feats.shape[1], name="fit")
         for i in range(space.size):
-            b.eq(sum(LinExpr.var(th[k], feats[i, k]) for k in range(len(th))) - u[i])
+            b.eq(LinExpr.dot(th, feats[i]) - u[i])
         dual_norm_epigraph(b, [LinExpr.var(k) for k in th], t, self.euclidean)
 
 
@@ -910,7 +897,7 @@ class ConvexUnion(GaugeExpr):
         parts = _sum_rows(b, space, [part for part, _ in cols], u)
         for child, part, (_, level) in zip(self.children, parts, cols):
             child._encode(b, space, part, LinExpr.var(level))
-        b.le(sum(LinExpr.var(level) for _, level in cols) - t)
+        b.le(LinExpr.sum(LinExpr.var(level) for _, level in cols) - t)
 
 
 @dataclass(frozen=True)
@@ -935,7 +922,7 @@ class Polar(GaugeExpr):
                 lv = b.add_vars(1, name="lvl")[0]
                 polar_or_raise(child)._encode(b, space, u, LinExpr.var(lv))
                 levels.append((beta, lv))
-            b.le(sum(LinExpr.var(lv, beta) for beta, lv in levels) - t)
+            b.le(LinExpr.sum(LinExpr.var(lv, beta) for beta, lv in levels) - t)
         elif isinstance(inner, Scale):  # factor zero: the polar of a recession cone
             rho = b.add_vars(1, name="reach")[0]
             polar_or_raise(inner.child)._encode(b, space, u, LinExpr.var(rho))

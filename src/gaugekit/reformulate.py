@@ -66,9 +66,8 @@ def build_primal(problem: ReweightingProblem) -> conic.ConicProgram:
     b = ProgramBuilder()
     nu = b.add_vars(n, name="nu", obj=-(sp.weights * f))
     t = b.add_vars(1, name="level")[0]
-    for col in nu:
-        b.nonneg_var(int(col))
-    b.eq(sum(LinExpr.var(c, sp.weights[i]) for i, c in enumerate(nu)) - 1.0)
+    b.nonneg_var(nu)
+    b.eq(LinExpr.dot(nu, sp.weights) - 1.0)
     gauges.encode_epigraph(b, problem.gauge, sp,
                            [LinExpr.var(c) - 1.0 for c in nu], LinExpr.var(t))
     b.le(LinExpr.var(t) - problem.epsilon)
@@ -96,9 +95,8 @@ def build_dual(problem: ReweightingProblem) -> conic.ConicProgram:
 
 def primal_solution(problem: ReweightingProblem, settings: SolveSettings | None = None):
     """Solve the primal; returns (value, Reweighting)."""
-    sol = conic.solve(build_primal(problem), settings or SolveSettings())
-    if sol.status not in ("optimal", "max_iter"):
-        raise ParameterError(f"primal solve ended with status {sol.status}")
+    sol = conic.accepted(conic.solve(build_primal(problem), settings or SolveSettings()),
+                         "primal solve")
     n = problem.space.size
     # scrub solver dust: tiny negative entries and mass drift
     nu = np.clip(sol.x[:n], 0.0, None)
@@ -110,9 +108,8 @@ def primal_solution(problem: ReweightingProblem, settings: SolveSettings | None 
 
 def dual_solution(problem: ReweightingProblem, settings: SolveSettings | None = None) -> DualSolution:
     """Solve the dual; returns the majorant certificate."""
-    sol = conic.solve(build_dual(problem), settings or SolveSettings())
-    if sol.status not in ("optimal", "max_iter"):
-        raise ParameterError(f"dual solve ended with status {sol.status}")
+    sol = conic.accepted(conic.solve(build_dual(problem), settings or SolveSettings()),
+                         "dual solve")
     n = problem.space.size
     return DualSolution(
         value=float(sol.value),
@@ -237,14 +234,10 @@ def moment_dual(problem: ReweightingProblem) -> float:
         gauges.dual_norm_epigraph(b, [LinExpr.var(c) for c in th], LinExpr.var(level),
                                   atom.euclidean)
         for i in range(n):
-            point_exprs[i] = point_exprs[i] + sum(
-                LinExpr.var(th[k], feats[i, k]) for k in range(len(th)))
+            point_exprs[i] = point_exprs[i] + LinExpr.dot(th, feats[i])
     for i in range(n):
         b.le(LinExpr.of(f[i]) - point_exprs[i])
-    sol = conic.solve(b.build())
-    if sol.status not in ("optimal", "max_iter"):
-        raise ParameterError(f"moment dual ended with status {sol.status}")
-    return float(sol.value)
+    return float(conic.accepted(conic.solve(b.build()), "moment dual").value)
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +312,7 @@ def composed_dual(space: DiscreteSpace, cost, stages):
         b.le(exprs[i] - LinExpr.var(alpha0) - LinExpr.var(w0[i]))
     gauges.encode_epigraph(b, gauges.polar(gauge0), space,
                            [LinExpr.var(c) for c in w0], LinExpr.var(level))
-    sol = conic.solve(b.build())
-    if sol.status not in ("optimal", "max_iter"):
-        raise ParameterError(f"composed dual ended with status {sol.status}")
+    sol = conic.accepted(conic.solve(b.build()), "composed dual")
 
     def at(expr):
         return expr.const + sum(coef * sol.x[col] for col, coef in expr.terms.items())
@@ -343,13 +334,10 @@ def satisficing_dual(problem: ReweightingProblem, tau: float):
     t = b.add_vars(1, name="level", obj=1.0)[0]
     for i in range(n):
         b.le(LinExpr.of(f[i]) - LinExpr.var(alpha) - LinExpr.var(w[i]))
-    b.le(LinExpr.var(alpha) + sum(LinExpr.var(c, sp.weights[i]) for i, c in enumerate(w))
-         - tau)
+    b.le(LinExpr.var(alpha) + LinExpr.dot(w, sp.weights) - tau)
     gauges.encode_epigraph(b, gauges.polar(problem.gauge), sp,
                            [LinExpr.var(c) for c in w], LinExpr.var(t))
     sol = conic.solve(b.build())
     if sol.status == "infeasible":
         return None
-    if sol.status not in ("optimal", "max_iter"):
-        raise ParameterError(f"satisficing dual ended with status {sol.status}")
-    return float(sol.value)
+    return float(conic.accepted(sol, "satisficing dual").value)

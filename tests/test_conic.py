@@ -17,7 +17,7 @@ from gaugekit.conic import (
     svec,
     unsvec,
 )
-from gaugekit.errors import DimensionError
+from gaugekit.errors import DimensionError, ParameterError
 from gaugekit.oracle import reference_lp
 
 
@@ -268,6 +268,91 @@ class TestLpReferenceAgreement:
         loose = solve(prog, SolveSettings(tol=1e-6))
         tight = solve(prog, SolveSettings(tol=1e-7))
         assert abs(loose.value - tight.value) <= 10 * 1e-6 * (1 + abs(loose.value))
+
+
+def _bits(expr):
+    """Terms in dict order and the constant, as exact float bits."""
+    return [(k, v.hex()) for k, v in expr.terms.items()], expr.const.hex()
+
+
+def _program_arrays(prog):
+    return (prog.c, prog.a_rows, prog.a_cols, prog.a_vals, prog.b)
+
+
+class TestBuilderRowPath:
+    def test_linexpr_sum_matches_the_builtin_sum(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            # few columns, so columns are shared between the summands
+            exprs = [LinExpr({int(k): v for k, v in zip(rng.integers(0, 5, 3), rng.normal(size=3))},
+                             rng.normal()) for _ in range(int(rng.integers(1, 9)))]
+            assert _bits(LinExpr.sum(exprs)) == _bits(sum(exprs))
+            assert _bits(LinExpr.sum(iter(exprs))) == _bits(sum(exprs))
+
+    def test_linexpr_sum_drops_and_readds_cancelled_terms_as_the_builtin_sum(self):
+        # column 3 cancels to exactly zero after two summands and comes back
+        # after column 7, so it moves behind 7 in the builtin sum's dict order
+        exprs = [LinExpr.var(3, 0.5) + 1.5, LinExpr.var(3, -0.5) - 1.5,
+                 LinExpr.var(7, 2.0), 0.25, LinExpr.var(3, 0.125)]
+        got, want = LinExpr.sum(exprs), sum(exprs)
+        assert _bits(got) == _bits(want)
+        assert list(got.terms) == [7, 3]
+        assert got.const == 0.25
+        # a constant that cancels
+        cancel = [LinExpr.var(1) - 2.0, 2.0]
+        assert _bits(LinExpr.sum(cancel)) == _bits(sum(cancel))
+        # negated columns carry a constant of -0.0; the builtin sum starts
+        # from 0 and so ends on +0.0
+        negs = [-LinExpr.var(1), -LinExpr.var(2)]
+        assert _bits(LinExpr.sum(negs)) == _bits(sum(negs))
+        assert not np.signbit(LinExpr.sum(negs).const)
+        assert _bits(LinExpr.sum([])) == ([], (0.0).hex())
+
+    def test_dot_matches_a_sum_of_scaled_columns(self):
+        cols = np.array([4, 2, 4, 9])
+        coefs = np.array([1.5, 0.0, -1.5, 3.0])
+        want = sum(LinExpr.var(c, v) for c, v in zip(cols, coefs) if v != 0.0)
+        assert _bits(LinExpr.dot(cols, coefs)) == _bits(want)
+        assert LinExpr.dot(cols, coefs).terms == {9: 3.0}
+
+    def test_nonneg_var_array_matches_single_columns(self):
+        def build(array_form):
+            b = ProgramBuilder()
+            x = b.add_vars(5, obj=np.arange(5.0))
+            b.eq(LinExpr.var(x[0]) + LinExpr.var(x[4]) - 1.0)
+            if array_form:
+                b.nonneg_var(x[:3])
+                b.nonneg_var(x[:0])
+            else:
+                for col in x[:3]:
+                    b.nonneg_var(int(col))
+            b.le(LinExpr.var(x[3]) - 2.0)
+            b.nonneg_var(x[4] if array_form else int(x[4]))
+            return b.build()
+
+        single, array = build(False), build(True)
+        for want, got in zip(_program_arrays(single), _program_arrays(array)):
+            assert want.dtype == got.dtype
+            np.testing.assert_array_equal(want, got)
+        assert np.signbit(array.b).tolist() == np.signbit(single.b).tolist()
+        # the le row and the nonnegative rows around it share one block
+        assert array.cones == single.cones == (Cone("zero", 1), Cone("nonneg", 5))
+
+    def test_empty_array_adds_no_rows(self):
+        b = ProgramBuilder()
+        b.add_vars(2)
+        b.nonneg_var(np.array([], dtype=int))
+        prog = b.build()
+        assert prog.num_rows == 0 and prog.cones == ()
+
+    def test_empty_soc_and_wrong_psd_row_count_are_rejected(self):
+        b = ProgramBuilder()
+        t = b.add_vars(1)[0]
+        with pytest.raises(ParameterError):
+            b.soc([])
+        with pytest.raises(DimensionError):
+            b.psd(2, [LinExpr.var(t), LinExpr.var(t)])
+        assert b.build().num_rows == 0
 
 
 class TestProgramChecks:

@@ -106,6 +106,39 @@ class TestClosedForms:
         # indicator cost prices every move at one, so the gauge is the spread
         assert gauge_value(Lipschitz(Hemimetric.indicator()), BASE, [0.0, 4.0, 1.0, 2.0]) == pytest.approx(4.0)
 
+    def test_steepest_rise_matches_a_plain_double_loop(self):
+        def loop(c, u):
+            worst = 0.0
+            for i in range(len(u)):
+                for j in range(len(u)):
+                    rise = u[i] - u[j]
+                    if i == j or rise <= 0.0:
+                        continue
+                    if c[i, j] <= 1e-300:
+                        return np.inf
+                    worst = max(worst, rise / c[i, j])
+            return worst
+
+        rng = np.random.default_rng(8)
+        m = 6
+        pts = np.arange(float(m))
+        space = uniform_space(pts)
+        infinite = 0
+        for trial in range(200):
+            table = rng.uniform(0.1, 3.0, size=(m, m))
+            # some off-diagonal costs are zero, below the 1e-300 floor, or
+            # negative: each makes a rise across that pair infinitely steep
+            free = rng.uniform(size=(m, m)) < 0.05
+            table[free] = rng.choice([0.0, 1e-301, -0.5], size=int(free.sum()))
+            np.fill_diagonal(table, 0.0)
+            u = rng.normal(size=m)
+            if trial % 4 == 0:
+                u[rng.integers(m)] = u[rng.integers(m)]  # a tie: no rise across that pair
+            want = loop(table, u)
+            infinite += np.isinf(want)
+            assert gauge_value(Lipschitz(Hemimetric.from_table(pts, table)), space, u) == want
+        assert 0 < infinite < 200
+
     def test_flow_ball_costs_the_swap(self):
         g = W1Ball(ABS1)
         assert gauge_value(g, BASE, [1.0, -1.0, 0.0, 0.0]) == pytest.approx(0.25, abs=1e-7)
