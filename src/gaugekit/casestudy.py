@@ -145,15 +145,15 @@ def _slopes(b: ProgramBuilder, instance: CaseInstance) -> dict:
     """One nonnegative slope column per district with a positive radius,
     priced at that radius; maps the district index to its column."""
     priced = np.flatnonzero(instance.radii > 0.0)
-    cols = b.add_vars(len(priced), name="slope", obj=instance.radii[priced])
+    cols = b.add_vars(len(priced), obj=instance.radii[priced])
     b.nonneg_var(cols)
     return dict(zip(priced.tolist(), cols))
 
 
-def _nonneg_pair(b: ProgramBuilder, name: str):
+def _nonneg_pair(b: ProgramBuilder):
     """Two nonnegative 2-vectors of columns, such as the multipliers of a
     district box's upper and lower sides."""
-    cols = b.add_vars(4, name=name)
+    cols = b.add_vars(4)
     b.nonneg_var(cols)
     return cols[:2], cols[2:]
 
@@ -177,15 +177,15 @@ def build_case_envelope_lp(instance: CaseInstance) -> conic.ConicProgram:
     members = instance.members()
     ratio = instance.beta / (1.0 - instance.beta)
     b = ProgramBuilder()
-    x = b.add_vars(2, name="x")
-    a1 = b.add_vars(1, name="base", obj=1.0)[0]
-    a2 = b.add_vars(1, name="threshold", obj=1.0)[0]
+    x = b.add_vars(2)
+    a1 = b.add_vars(1, obj=1.0)[0]
+    a2 = b.add_vars(1, obj=1.0)[0]
     gamma = _slopes(b, instance)
-    s = b.add_vars(m, name="level", obj=1.0 / m)
-    eta = b.add_vars(m, name="excess", obj=ratio / m)
+    s = b.add_vars(m, obj=1.0 / m)
+    eta = b.add_vars(m, obj=ratio / m)
     b.nonneg_var(eta)
     if instance.delta > 0.0:
-        rms = b.add_vars(1, name="rms", obj=instance.delta / np.sqrt(m))[0]
+        rms = b.add_vars(1, obj=instance.delta / np.sqrt(m))[0]
         b.soc([LinExpr.var(rms)] + [LinExpr.var(int(col)) for col in s])
     for i in range(2):
         b.le(LinExpr.var(int(x[i])) - instance.upper[i])
@@ -206,7 +206,7 @@ def build_case_envelope_lp(instance: CaseInstance) -> conic.ConicProgram:
                 b.le(LinExpr.var(a1, -1.0) - LinExpr.var(int(s[j])))
                 continue
             for d in _DIRECTIONS:
-                dual_hi, dual_lo = _nonneg_pair(b, "box")
+                dual_hi, dual_lo = _nonneg_pair(b)
                 b.le(LinExpr.dot(x, d) - float(d @ xi)
                      - LinExpr.var(a1) - LinExpr.var(a2) - LinExpr.var(int(s[j]))
                      - LinExpr.dot(dual_hi, xi - hi) - LinExpr.dot(dual_lo, lo - xi))
@@ -214,7 +214,7 @@ def build_case_envelope_lp(instance: CaseInstance) -> conic.ConicProgram:
                     gap = LinExpr.var(int(dual_hi[i])) - LinExpr.var(int(dual_lo[i]))
                     for sign in (1.0, -1.0):
                         b.le(gap * sign + sign * d[i] - LinExpr.var(gamma[k]))
-            dual_hi, dual_lo = _nonneg_pair(b, "zero")
+            dual_hi, dual_lo = _nonneg_pair(b)
             b.le(LinExpr.var(a1, -1.0) - LinExpr.var(int(s[j]))
                  - LinExpr.dot(dual_hi, xi - hi) - LinExpr.dot(dual_lo, lo - xi))
             for i in range(2):
@@ -292,19 +292,19 @@ def build_case_funcparam_sdp(instance: CaseInstance,
     second = _region_second_moments(instance, region_moments)
     root2 = np.sqrt(2.0)
     b = ProgramBuilder()
-    x = b.add_vars(2, name="x")
-    a1 = b.add_vars(1, name="base", obj=1.0)[0]
-    a2 = b.add_vars(1, name="threshold", obj=1.0)[0]
+    x = b.add_vars(2)
+    a1 = b.add_vars(1, obj=1.0)[0]
+    a2 = b.add_vars(1, obj=1.0)[0]
     means = [_feature_rows(instance.samples[idx]).sum(axis=0) / m for idx in members]
-    quads = b.add_vars(6 * nregions, name="quad", obj=np.concatenate(means)).reshape(nregions, 6)
+    quads = b.add_vars(6 * nregions, obj=np.concatenate(means)).reshape(nregions, 6)
     gamma = _slopes(b, instance)
-    eta = b.add_vars(m, name="excess", obj=ratio / m)
+    eta = b.add_vars(m, obj=ratio / m)
     b.nonneg_var(eta)
     for q in quads:
         b.psd(2, [LinExpr.var(int(q[3])), LinExpr.var(int(q[4])),
                   LinExpr.var(int(q[5]))])
     if instance.delta > 0.0:
-        norm = b.add_vars(1, name="mnorm", obj=instance.delta)[0]
+        norm = b.add_vars(1, obj=instance.delta)[0]
         rows = []
         for k in range(nregions):
             share = len(members[k]) / m
@@ -327,8 +327,8 @@ def build_case_funcparam_sdp(instance: CaseInstance,
         q_rows = [(LinExpr.var(int(q[3])), LinExpr.var(int(q[4]), 1.0 / root2)),
                   (LinExpr.var(int(q[4]), 1.0 / root2), LinExpr.var(int(q[5])))]
         for d in list(_DIRECTIONS) + [None]:
-            shift_hi, shift_lo = _nonneg_pair(b, "shift")
-            corner = b.add_vars(1, name="corner")[0]
+            shift_hi, shift_lo = _nonneg_pair(b)
+            corner = b.add_vars(1)[0]
             row = (LinExpr.var(a1, -1.0) - LinExpr.var(int(q[0]))
                    - LinExpr.dot(shift_lo, lo) + LinExpr.dot(shift_hi, hi)
                    + LinExpr.var(corner, 0.25))
@@ -350,7 +350,7 @@ def build_case_funcparam_sdp(instance: CaseInstance,
             continue
         for i in range(2):
             for sign in (1.0, -1.0):
-                grad_hi, grad_lo = _nonneg_pair(b, "grad")
+                grad_hi, grad_lo = _nonneg_pair(b)
                 b.le(LinExpr.var(int(q[1 + i]), sign)
                      + LinExpr.dot(grad_hi, 2.0 * hi) - LinExpr.dot(grad_lo, 2.0 * lo)
                      - LinExpr.var(gamma[k]))

@@ -401,13 +401,31 @@ def load_config(text):
     return doc
 
 
+def _as_number(value, field):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{field}: must be a number")
+    return float(value)
+
+
+def _as_integer(value, field):
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{field}: must be an integer")
+    return int(value)
+
+
+def _as_array(value, field):
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field}: must be numbers")
+
+
 def _get_number(doc, key, default=None):
     value = doc.get(key, default)
     if value is None:
         raise ConfigError(f"{key}: required")
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{key}: must be a number")
-    return float(value)
+    return _as_number(value, key)
 
 
 def _build_space(doc, seed):
@@ -423,14 +441,15 @@ def _build_space(doc, seed):
         for key in ("lower", "upper", "count"):
             if key not in sub:
                 raise ConfigError(f"space.sampler.{key}: required")
-        return sample_uniform_box(sub["lower"], sub["upper"],
-                                  int(sub["count"]), seed)
+        return sample_uniform_box(_as_array(sub["lower"], "space.sampler.lower"),
+                                  _as_array(sub["upper"], "space.sampler.upper"),
+                                  _as_integer(sub["count"], "space.sampler.count"), seed)
     if "points" not in block:
         raise ConfigError("space.points: required")
-    points = np.asarray(block["points"], dtype=float)
+    points = _as_array(block["points"], "space.points")
     if "weights" not in block:
         return uniform_space(points)
-    weights = np.asarray(block["weights"], dtype=float).ravel()
+    weights = _as_array(block["weights"], "space.weights").ravel()
     if np.any(weights < -1e-12):
         raise ConfigError("space.weights: must be nonnegative")
     total = float(weights.sum())
@@ -447,7 +466,7 @@ def _build_cost(doc, space):
     if ("values" in block) == ("expression" in block):
         raise ConfigError("cost: give either values or an expression")
     if "values" in block:
-        values = np.asarray(block["values"], dtype=float).ravel()
+        values = _as_array(block["values"], "cost.values").ravel()
         if len(values) != space.size:
             raise ConfigError(
                 f"cost.values: {len(values)} entries for {space.size} points")
@@ -475,9 +494,9 @@ def _solver_settings(doc, tol_flag):
     _check_keys(block, ("tol", "max-iter"), "solver")
     kwargs = {}
     if "tol" in block:
-        kwargs["tol"] = float(block["tol"])
+        kwargs["tol"] = _as_number(block["tol"], "solver.tol")
     if "max-iter" in block:
-        kwargs["max_iter"] = int(block["max-iter"])
+        kwargs["max_iter"] = _as_integer(block["max-iter"], "solver.max-iter")
     if tol_flag is not None:
         kwargs["tol"] = float(tol_flag)
     return SolveSettings(**kwargs) if kwargs else None
@@ -506,18 +525,19 @@ def _build_basis(block):
         for i, box in enumerate(boxes):
             if not (isinstance(box, list) and len(box) == 2):
                 raise ConfigError(f"basis.boxes[{i}]: must be a [lo, hi] pair")
-            preds.append(_box_predicate(box[0], box[1]))
+            preds.append(_box_predicate(_as_array(box[0], f"basis.boxes[{i}]"),
+                                        _as_array(box[1], f"basis.boxes[{i}]")))
         if kind == "indicator-regions":
             return Basis.indicator_regions(preds, nonneg=nonneg)
         return Basis.piecewise_affine(preds)
     if kind == "moment":
         if "order" not in block:
             raise ConfigError("basis.order: required for a moment basis")
-        return Basis.moment(int(block["order"]))
+        return Basis.moment(_as_integer(block["order"], "basis.order"))
     if kind == "singletons":
         if "points" not in block:
             raise ConfigError("basis.points: required for a singleton basis")
-        return Basis.singletons(np.asarray(block["points"], dtype=float),
+        return Basis.singletons(_as_array(block["points"], "basis.points"),
                                 nonneg=nonneg)
     raise ConfigError(f"basis.kind: unknown kind {kind!r}")
 
@@ -529,13 +549,18 @@ def _build_case_instance(block):
                 "samples", "delta", "radii", "beta"):
         if key not in block:
             raise ConfigError(f"case-instance.{key}: required")
+    arrays = {key: _as_array(block[key], f"case-instance.{key}")
+              for key in ("lower", "upper", "region-lower", "region-upper",
+                          "samples", "radii")}
+    delta = _as_number(block["delta"], "case-instance.delta")
+    beta = _as_number(block["beta"], "case-instance.beta")
     try:
         return CaseInstance(
-            lower=block["lower"], upper=block["upper"],
-            region_lower=block["region-lower"],
-            region_upper=block["region-upper"],
-            samples=block["samples"], delta=block["delta"],
-            radii=block["radii"], beta=block["beta"])
+            lower=arrays["lower"], upper=arrays["upper"],
+            region_lower=arrays["region-lower"],
+            region_upper=arrays["region-upper"],
+            samples=arrays["samples"], delta=delta,
+            radii=arrays["radii"], beta=beta)
     except GaugekitError as exc:
         raise ConfigError(f"case-instance: {exc}")
 
@@ -612,6 +637,8 @@ def cmd_envelope_sweep(doc, settings, seed):
     lower, upper = sub.get("lower"), sub.get("upper")
     if lower is None or upper is None:
         raise ConfigError("space.sampler: lower and upper are required")
+    lower = _as_array(lower, "space.sampler.lower")
+    upper = _as_array(upper, "space.sampler.upper")
 
     cost_block = doc.get("cost")
     if not isinstance(cost_block, dict) or "expression" not in cost_block:
@@ -633,16 +660,15 @@ def cmd_envelope_sweep(doc, settings, seed):
     sizes = block.get("sizes")
     if not isinstance(sizes, list) or not sizes:
         raise ConfigError("samples.sizes: required, a nonempty list")
+    sizes = [_as_integer(m, f"samples.sizes[{k}]") for k, m in enumerate(sizes)]
     target = block.get("target")
-    if target is not None and (not isinstance(target, (int, float))
-                               or isinstance(target, bool)):
-        raise ConfigError("samples.target: must be a number")
+    if target is not None:
+        target = _as_number(target, "samples.target")
 
     def sampler(count, sample_seed):
         return sample_uniform_box(lower, upper, count, sample_seed)
 
-    rows = convergence_sweep(sampler, cost_fn, metric, epsilon, sizes,
-                             seed, None if target is None else float(target))
+    rows = convergence_sweep(sampler, cost_fn, metric, epsilon, sizes, seed, target)
     table = [(r.m, r.seed, r.z_m, r.w1_bound, r.gap, r.status) for r in rows]
     ok = all(r.status in ("ok", "surrogate") for r in rows)
     columns = ("m", "seed", "z_m", "w1_bound", "gap", "status")
@@ -764,7 +790,7 @@ def cmd_verify(doc, settings, seed):
             if "gauge" not in item or "epsilon" not in item:
                 raise ConfigError(f"stages[{i}]: needs gauge and epsilon")
             stages.append((parse_gauge(item["gauge"], f"stages[{i}].gauge"),
-                           float(item["epsilon"])))
+                           _as_number(item["epsilon"], f"stages[{i}].epsilon")))
         composed, _ = composed_dual(space, cost, stages)
         outer = ReweightingProblem(space, cost, stages[0][0], stages[0][1])
         outer_value = conic.solve(build_dual(outer), settings).value
@@ -842,7 +868,7 @@ def main(argv=None):
         except OSError as exc:
             raise ConfigError(f"config: {exc}")
         doc = load_config(text)
-        seed = int(doc.get("seed", 0))
+        seed = _as_integer(doc.get("seed", 0), "seed")
         env_seed = os.environ.get("GAUGEKIT_SEED")
         if env_seed is not None:
             try:

@@ -64,7 +64,6 @@ class ConicProgram:
     a_vals: np.ndarray
     b: np.ndarray
     cones: tuple
-    names: tuple = ()
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float).ravel()
@@ -541,15 +540,13 @@ class ProgramBuilder:
         self._rows: list[dict[int, float]] = []
         self._rhs: list[float] = []
         self._cones: list[Cone] = []
-        self._names: list[str] = []
         self._nvars = 0
 
-    def add_vars(self, count: int, name: str = "x", obj=0.0) -> np.ndarray:
+    def add_vars(self, count: int, obj=0.0) -> np.ndarray:
         idx = np.arange(self._nvars, self._nvars + count)
         self._nvars += count
         objv = np.broadcast_to(np.asarray(obj, dtype=float), (count,))
         for i, j in enumerate(idx):
-            self._names.append(f"{name}[{i}]" if count > 1 else name)
             if objv[i] != 0.0:
                 self._obj[int(j)] = self._obj.get(int(j), 0.0) + float(objv[i])
         return idx
@@ -614,7 +611,6 @@ class ProgramBuilder:
             a_vals=np.asarray(vals, dtype=float),
             b=np.asarray(self._rhs, dtype=float),
             cones=tuple(self._cones),
-            names=tuple(self._names),
         )
 
 

@@ -180,12 +180,12 @@ def build_envelope_program(
     cost_mat = metric.matrix(problem.space.points, pts)
 
     b = ProgramBuilder()
-    alpha = int(b.add_vars(1, name="alpha", obj=1.0)[0])
-    gamma = int(b.add_vars(1, name="gamma", obj=price)[0])
+    alpha = int(b.add_vars(1, obj=1.0)[0])
+    gamma = int(b.add_vars(1, obj=price)[0])
     b.nonneg_var(gamma)
-    s = b.add_vars(m, name="s", obj=1.0 / m)
+    s = b.add_vars(m, obj=1.0 / m)
     if gh.kind == "case-study":
-        rms = int(b.add_vars(1, name="rms", obj=gh.delta)[0])
+        rms = int(b.add_vars(1, obj=gh.delta)[0])
         b.nonneg_var(s)
         b.soc([LinExpr.var(rms)] + [LinExpr.var(int(col), 1.0 / np.sqrt(m)) for col in s])
     for j in range(problem.space.size):
@@ -219,7 +219,7 @@ def _objective(ep: EnvelopeProgram, gamma: float, alpha: float, s: np.ndarray) -
 
 def solve_envelope(ep: EnvelopeProgram, settings: SolveSettings | None = None) -> EnvelopeSolution:
     """Solve the built program and unpack (gamma, alpha, s)."""
-    sol = conic.accepted(conic.solve(ep.program, settings or SolveSettings()), "envelope solve")
+    sol = conic.accepted(conic.solve(ep.program, settings), "envelope solve")
     s = np.array([sol.x[i] for i in ep.s])
     return EnvelopeSolution(
         value=float(sol.value),

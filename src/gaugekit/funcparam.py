@@ -32,7 +32,7 @@ from . import gauge as gauges
 from .conic import LinExpr, ProgramBuilder, SolveSettings
 from .errors import BasisError, DimensionError, ParameterError
 from .reformulate import ReweightingProblem
-from .space import DiscreteSpace, _as_points, settings
+from .space import DiscreteSpace, _as_points, _coincident_pairs
 
 
 def _checked_predicates(predicates) -> tuple:
@@ -144,8 +144,8 @@ class Basis:
                 raise DimensionError(
                     f"basis points have dimension {self.points.shape[1]}, "
                     f"queried points have {dim}")
-            gaps = np.linalg.norm(pts[:, None, :] - self.points[None, :, :], axis=2)
-            phi = (gaps <= settings.point_merge_tol).astype(float)
+            phi = np.zeros((n, len(self.points)))
+            phi[_coincident_pairs(pts, self.points)] = 1.0
         else:
             raise ParameterError(f"unknown basis kind {self.kind!r}")
         if not np.all(np.isfinite(phi)):
@@ -188,9 +188,9 @@ def build_param_dual(problem: ReweightingProblem, basis: Basis) -> conic.ConicPr
     phi = basis.evaluate(sp.points)
     width = phi.shape[1]
     b = ProgramBuilder()
-    alpha = b.add_vars(1, name="alpha", obj=1.0)[0]
-    lam = b.add_vars(width, name="coef", obj=sp.weights @ phi)
-    level = b.add_vars(1, name="level", obj=problem.epsilon)[0]
+    alpha = b.add_vars(1, obj=1.0)[0]
+    lam = b.add_vars(width, obj=sp.weights @ phi)
+    level = b.add_vars(1, obj=problem.epsilon)[0]
     combos = [LinExpr.dot(lam, phi[j]) for j in range(n)]
     for j in range(n):
         b.le(LinExpr.of(f[j]) - LinExpr.var(alpha) - combos[j])
@@ -212,5 +212,5 @@ def build_param_dual(problem: ReweightingProblem, basis: Basis) -> conic.ConicPr
 def param_dual_value(problem: ReweightingProblem, basis: Basis,
                      solver: SolveSettings | None = None) -> float:
     """Solve the restricted dual and return its value."""
-    sol = conic.solve(build_param_dual(problem, basis), solver or SolveSettings())
+    sol = conic.solve(build_param_dual(problem, basis), solver)
     return float(conic.accepted(sol, "restricted dual solve").value)

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import conic
-from .conic import LinExpr, ProgramBuilder, SolveSettings
+from .conic import LinExpr, ProgramBuilder
 from .errors import DimensionError, EncodingError, ParameterError
 from .space import DiscreteSpace, settings
 
@@ -191,8 +191,7 @@ def _balance_shortcut(space: DiscreteSpace, u: np.ndarray):
 
 
 def _solve_value(builder: ProgramBuilder) -> float:
-    prog = builder.build()
-    sol = conic.solve(prog, SolveSettings())
+    sol = conic.solve(builder.build())
     if sol.status == "infeasible":
         return _INF
     if sol.status == "unbounded":
@@ -208,7 +207,7 @@ def _flow_arcs(b: ProgramBuilder, space: DiscreteSpace, metric: Hemimetric, u, p
     n = space.size
     src, dst = np.nonzero(~np.eye(n, dtype=bool))
     cost = metric.matrix(space.points, space.points)[src, dst]
-    arcs = b.add_vars(len(cost), name="flow", obj=cost if priced else 0.0)
+    arcs = b.add_vars(len(cost), obj=cost if priced else 0.0)
     b.nonneg_var(arcs)
     balance = [[] for _ in range(n)]
     for i, j, col in zip(src, dst, arcs):
@@ -223,7 +222,7 @@ def _plan(b: ProgramBuilder, space: DiscreteSpace, obj: np.ndarray) -> np.ndarra
     """Nonnegative plan columns plan[i, j] (mass moved from old point j to new
     point i) with objective obj[i, j] and old marginal equal to the weights."""
     n = space.size
-    plan = b.add_vars(n * n, name="plan", obj=obj.ravel()).reshape(n, n)
+    plan = b.add_vars(n * n, obj=obj.ravel()).reshape(n, n)
     b.nonneg_var(plan.ravel())
     for j in range(n):
         b.eq(LinExpr.sum(map(LinExpr.var, plan[:, j])) - space.weights[j])
@@ -233,7 +232,7 @@ def _plan(b: ProgramBuilder, space: DiscreteSpace, obj: np.ndarray) -> np.ndarra
 def _min_over_epigraph(expr: "GaugeExpr", space: DiscreteSpace, w: np.ndarray, level: float) -> float:
     """min -<w, u>_P over u with gauge(u) <= level, through the set's epigraph."""
     b = ProgramBuilder()
-    uu = b.add_vars(space.size, name="u")
+    uu = b.add_vars(space.size)
     for k, col in enumerate(uu):
         b.add_objective(int(col), -space.weights[k] * w[k])
     expr._encode(b, space, [LinExpr.var(c) for c in uu], LinExpr.of(level))
@@ -242,7 +241,7 @@ def _min_over_epigraph(expr: "GaugeExpr", space: DiscreteSpace, w: np.ndarray, l
 
 def _encode_l1(b: ProgramBuilder, space: DiscreteSpace, u, t):
     """sum_i p_i |u_i| <= t through one magnitude variable per point."""
-    mag = b.add_vars(space.size, name="mag")
+    mag = b.add_vars(space.size)
     for i, ui in enumerate(u):
         b.le(ui - LinExpr.var(mag[i]))
         b.le(-ui - LinExpr.var(mag[i]))
@@ -265,8 +264,8 @@ def dual_norm_epigraph(b: ProgramBuilder, theta, level, euclidean: bool):
         b.soc([level] + list(theta))
         return
     side = conic.svec_side(len(theta))
-    uu = b.add_vars(len(theta), name="nucU")
-    vv = b.add_vars(len(theta), name="nucV")
+    uu = b.add_vars(len(theta))
+    vv = b.add_vars(len(theta))
     pairs = conic.svec_indices(side)
     loc = {pq: k for k, pq in enumerate(pairs)}
 
@@ -315,7 +314,7 @@ class GaugeExpr:
     def _gauge(self, space: DiscreteSpace, u: np.ndarray) -> float:
         """Gauge of a checked deviation: min t subject to the epigraph rows."""
         b = ProgramBuilder()
-        t = b.add_vars(1, name="t", obj=1.0)[0]
+        t = b.add_vars(1, obj=1.0)[0]
         self._encode(b, space, [LinExpr.of(x) for x in u], LinExpr.var(t))
         return _solve_value(b)
 
@@ -420,7 +419,7 @@ class Oscillation(GaugeExpr):
         return 0.5 * (float(np.max(u)) - float(np.min(u)))
 
     def _encode(self, b, space, u, t):
-        low = LinExpr.var(b.add_vars(1, name="floor")[0])
+        low = LinExpr.var(b.add_vars(1)[0])
         for ui in u:
             b.le(low - ui)
             b.le(ui - low - t * 2.0)
@@ -746,7 +745,7 @@ class MomentPolar(_Moment):
 
     def _encode(self, b, space, u, t):
         feats = self.features(space)
-        th = b.add_vars(feats.shape[1], name="fit")
+        th = b.add_vars(feats.shape[1])
         for i in range(space.size):
             b.eq(LinExpr.dot(th, feats[i]) - u[i])
         dual_norm_epigraph(b, [LinExpr.var(k) for k in th], t, self.euclidean)
@@ -871,8 +870,7 @@ class MinkowskiSum(GaugeExpr):
         return total
 
     def _encode(self, b, space, u, t):
-        parts = _sum_rows(b, space, [b.add_vars(space.size, name=f"part{i}")
-                                     for i in range(len(self.terms))], u)
+        parts = _sum_rows(b, space, [b.add_vars(space.size) for _ in self.terms], u)
         for (beta, child), part in zip(self.terms, parts):
             child._encode(b, space, part, t * beta)
 
@@ -892,8 +890,7 @@ class ConvexUnion(GaugeExpr):
         return Intersect(tuple(polar(c) for c in self.children))
 
     def _encode(self, b, space, u, t):
-        cols = [(b.add_vars(space.size, name=f"part{i}"), b.add_vars(1, name=f"level{i}")[0])
-                for i in range(len(self.children))]
+        cols = [(b.add_vars(space.size), b.add_vars(1)[0]) for _ in self.children]
         parts = _sum_rows(b, space, [part for part, _ in cols], u)
         for child, part, (_, level) in zip(self.children, parts, cols):
             child._encode(b, space, part, LinExpr.var(level))
@@ -919,12 +916,12 @@ class Polar(GaugeExpr):
             # polar of a sum: the penalty splits as a weighted sum of polar gauges
             levels = []
             for beta, child in inner.terms:
-                lv = b.add_vars(1, name="lvl")[0]
+                lv = b.add_vars(1)[0]
                 polar_or_raise(child)._encode(b, space, u, LinExpr.var(lv))
                 levels.append((beta, lv))
             b.le(LinExpr.sum(LinExpr.var(lv, beta) for beta, lv in levels) - t)
         elif isinstance(inner, Scale):  # factor zero: the polar of a recession cone
-            rho = b.add_vars(1, name="reach")[0]
+            rho = b.add_vars(1)[0]
             polar_or_raise(inner.child)._encode(b, space, u, LinExpr.var(rho))
             b.le(-t)
         else:

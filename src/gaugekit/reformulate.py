@@ -64,8 +64,8 @@ def build_primal(problem: ReweightingProblem) -> conic.ConicProgram:
     sp, f = problem.space, problem.cost
     n = sp.size
     b = ProgramBuilder()
-    nu = b.add_vars(n, name="nu", obj=-(sp.weights * f))
-    t = b.add_vars(1, name="level")[0]
+    nu = b.add_vars(n, obj=-(sp.weights * f))
+    t = b.add_vars(1)[0]
     b.nonneg_var(nu)
     b.eq(LinExpr.dot(nu, sp.weights) - 1.0)
     gauges.encode_epigraph(b, problem.gauge, sp,
@@ -83,9 +83,9 @@ def build_dual(problem: ReweightingProblem) -> conic.ConicProgram:
     sp, f = problem.space, problem.cost
     n = sp.size
     b = ProgramBuilder()
-    alpha = b.add_vars(1, name="alpha", obj=1.0)[0]
-    w = b.add_vars(n, name="w", obj=sp.weights)
-    t = b.add_vars(1, name="level", obj=problem.epsilon)[0]
+    alpha = b.add_vars(1, obj=1.0)[0]
+    w = b.add_vars(n, obj=sp.weights)
+    t = b.add_vars(1, obj=problem.epsilon)[0]
     for i in range(n):
         b.le(LinExpr.of(f[i]) - LinExpr.var(alpha) - LinExpr.var(w[i]))
     gauges.encode_epigraph(b, gauges.polar(problem.gauge), sp,
@@ -95,8 +95,7 @@ def build_dual(problem: ReweightingProblem) -> conic.ConicProgram:
 
 def primal_solution(problem: ReweightingProblem, settings: SolveSettings | None = None):
     """Solve the primal; returns (value, Reweighting)."""
-    sol = conic.accepted(conic.solve(build_primal(problem), settings or SolveSettings()),
-                         "primal solve")
+    sol = conic.accepted(conic.solve(build_primal(problem), settings), "primal solve")
     n = problem.space.size
     # scrub solver dust: tiny negative entries and mass drift
     nu = np.clip(sol.x[:n], 0.0, None)
@@ -108,8 +107,7 @@ def primal_solution(problem: ReweightingProblem, settings: SolveSettings | None 
 
 def dual_solution(problem: ReweightingProblem, settings: SolveSettings | None = None) -> DualSolution:
     """Solve the dual; returns the majorant certificate."""
-    sol = conic.accepted(conic.solve(build_dual(problem), settings or SolveSettings()),
-                         "dual solve")
+    sol = conic.accepted(conic.solve(build_dual(problem), settings), "dual solve")
     n = problem.space.size
     return DualSolution(
         value=float(sol.value),
@@ -225,12 +223,12 @@ def moment_dual(problem: ReweightingProblem) -> float:
     sp, f = problem.space, problem.cost
     n = sp.size
     b = ProgramBuilder()
-    alpha = b.add_vars(1, name="alpha", obj=1.0)[0]
+    alpha = b.add_vars(1, obj=1.0)[0]
     point_exprs = [LinExpr.var(alpha) for _ in range(n)]
     for radius, atom in terms:
         feats = atom.features(sp)
-        th = b.add_vars(feats.shape[1], name="theta", obj=sp.weights @ feats)
-        level = b.add_vars(1, name="level", obj=radius)[0]
+        th = b.add_vars(feats.shape[1], obj=sp.weights @ feats)
+        level = b.add_vars(1, obj=radius)[0]
         gauges.dual_norm_epigraph(b, [LinExpr.var(c) for c in th], LinExpr.var(level),
                                   atom.euclidean)
         for i in range(n):
@@ -293,8 +291,8 @@ def composed_dual(space: DiscreteSpace, cost, stages):
     for expr, eps in reversed(stages[1:]):
         dlo, dhi = _stage_band(expr, eps)
         lo, hi = max(0.0, 1.0 + dlo), 1.0 + dhi
-        alpha = b.add_vars(1, name=f"alpha{len(stages) - 1 - len(folded)}", obj=1.0)[0]
-        tail = b.add_vars(n, name=f"tail{len(stages) - 1 - len(folded)}")
+        alpha = b.add_vars(1, obj=1.0)[0]
+        tail = b.add_vars(n)
         nxt = []
         for i in range(n):
             b.le(exprs[i] - LinExpr.var(alpha) - LinExpr.var(tail[i]))
@@ -305,9 +303,9 @@ def composed_dual(space: DiscreteSpace, cost, stages):
         exprs = nxt
     # outermost stage: the usual majorant dual against the folded cost
     gauge0, eps0 = stages[0]
-    alpha0 = b.add_vars(1, name="alpha0", obj=1.0)[0]
-    w0 = b.add_vars(n, name="w0", obj=space.weights)
-    level = b.add_vars(1, name="level0", obj=eps0)[0]
+    alpha0 = b.add_vars(1, obj=1.0)[0]
+    w0 = b.add_vars(n, obj=space.weights)
+    level = b.add_vars(1, obj=eps0)[0]
     for i in range(n):
         b.le(exprs[i] - LinExpr.var(alpha0) - LinExpr.var(w0[i]))
     gauges.encode_epigraph(b, gauges.polar(gauge0), space,
@@ -329,9 +327,9 @@ def satisficing_dual(problem: ReweightingProblem, tau: float):
     sp, f = problem.space, problem.cost
     n = sp.size
     b = ProgramBuilder()
-    alpha = b.add_vars(1, name="alpha")[0]
-    w = b.add_vars(n, name="w")
-    t = b.add_vars(1, name="level", obj=1.0)[0]
+    alpha = b.add_vars(1)[0]
+    w = b.add_vars(n)
+    t = b.add_vars(1, obj=1.0)[0]
     for i in range(n):
         b.le(LinExpr.of(f[i]) - LinExpr.var(alpha) - LinExpr.var(w[i]))
     b.le(LinExpr.var(alpha) + LinExpr.dot(w, sp.weights) - tau)

@@ -12,16 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DimensionError, ParameterError
 
 
-@dataclass
+@dataclass(frozen=True)
 class Settings:
-    """Global numeric tolerances. Fixed defaults, overridable in place.
+    """Global numeric tolerances.
 
     weight_sum_tol     : |sum(p) - 1| allowed for a valid space
-    point_merge_tol    : support points closer than this are one atom
+    point_merge_tol    : support points within this distance are one atom
     feasibility_tol    : slack allowed on reweighting nonnegativity / unit mass
     closure_rel_tol    : relative slack in gauge membership tests
     kernel_tol         : gauge values at or below this count as kernel members
@@ -43,37 +44,54 @@ def _as_points(points) -> np.ndarray:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise DimensionError(f"points must be a list of vectors, got ndim={arr.ndim}")
+    if arr.shape[1] == 0:
+        raise DimensionError("points need at least one coordinate")
     return arr
 
 
+def _coincident_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), row-major, with norm(a[i] - b[j]) <= point_merge_tol.
+
+    A KD-tree over the finite points proposes the pairs within twice the
+    tolerance, exact duplicates included, and that norm decides.
+    """
+    tol = settings.point_merge_tol
+    ra, rb = (np.flatnonzero(np.isfinite(x).all(axis=1)) for x in (a, b))
+    near = cKDTree(a[ra]).sparse_distance_matrix(cKDTree(b[rb]), 2.0 * tol, output_type="ndarray")
+    near.sort(order=("i", "j"))
+    ii, jj = ra[near["i"]], rb[near["j"]]
+    keep = np.array([np.linalg.norm(a[i] - b[j]) <= tol for i, j in zip(ii, jj)], dtype=bool)
+    return ii[keep], jj[keep]
+
+
 def _merge_duplicates(points: np.ndarray, weights: np.ndarray):
-    """Merge support atoms closer than the merge tolerance, summing weights."""
-    kept_idx: list[int] = []
-    target = np.empty(len(points), dtype=int)
-    for i, pt in enumerate(points):
-        hit = -1
-        for slot, j in enumerate(kept_idx):
-            if np.linalg.norm(pt - points[j]) <= settings.point_merge_tol:
-                hit = slot
-                break
-        if hit < 0:
-            kept_idx.append(i)
-            target[i] = len(kept_idx) - 1
-        else:
-            target[i] = hit
-    merged_w = np.zeros(len(kept_idx))
-    np.add.at(merged_w, target, weights)
-    return points[kept_idx], merged_w
+    """Each point joins the first kept atom it coincides with, or is kept;
+    weights are summed in input order. Only first exact copies go through the
+    pair search, as a point repeated m times would add m² pairs; each other
+    copy has its first copy's distances, so it takes that copy's atom."""
+    _, first, copy = np.unique(points, axis=0, return_index=True, return_inverse=True)
+    firsts = np.sort(first)
+    owner = np.arange(len(points))
+    ii, jj = _coincident_pairs(points[firsts], points[firsts])
+    for i, j in zip(firsts[ii], firsts[jj]):
+        if j < owner[i] and owner[j] == j:
+            owner[i] = j
+    owner = owner[first[copy.ravel()]]
+    kept = owner == np.arange(len(points))
+    merged_w = np.zeros(int(kept.sum()))
+    np.add.at(merged_w, (np.cumsum(kept) - 1)[owner], weights)
+    return points[kept], merged_w
 
 
 @dataclass(frozen=True)
 class DiscreteSpace:
     """Finite probability space: support points and nominal weights.
 
-    Duplicate points (within point_merge_tol) are merged at construction by
-    summing their weights. Weight invariants (positivity, unit sum) are NOT
-    enforced here; `validate` reports them so callers can treat violations as
-    data.
+    Points within point_merge_tol of each other are one atom: at
+    construction each point joins the first earlier kept atom within the
+    tolerance, pooling its weight there. Weight invariants (positivity, unit
+    sum) are NOT enforced here; `validate` reports them so callers can treat
+    violations as data.
     """
 
     points: np.ndarray
@@ -165,10 +183,9 @@ def validate(space: DiscreteSpace) -> list[str]:
     if abs(total - 1.0) > settings.weight_sum_tol:
         issues.append(f"Σp = {total:.12g} (must be 1)")
     # distinctness is enforced by construction; re-check defensively
-    for i in range(space.size):
-        for j in range(i + 1, space.size):
-            if np.linalg.norm(space.points[i] - space.points[j]) <= settings.point_merge_tol:
-                issues.append(f"points {i + 1} and {j + 1} coincide")
+    for i, j in zip(*_coincident_pairs(space.points, space.points)):
+        if i < j:
+            issues.append(f"points {i + 1} and {j + 1} coincide")
     return issues
 
 
@@ -183,8 +200,8 @@ def sample_uniform_box(low, high, count: int, seed: int) -> DiscreteSpace:
     """Draw `count` i.i.d. uniform points from the box [low, high].
 
     The seed is an explicit 64-bit integer; the same seed reproduces the same
-    space bit for bit. Coincident draws (probability zero for a continuous
-    nominal) would be merged by the DiscreteSpace constructor.
+    space bit for bit. Draws within point_merge_tol of each other (probability
+    zero for a continuous nominal) become one atom.
     """
     if count < 1:
         raise ParameterError("count must be >= 1")

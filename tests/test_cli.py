@@ -159,6 +159,43 @@ class TestConfigLoading:
         assert code == 1
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, doc, key", [
+        ("duality-check", dict(BASE_DOC, seed="abc"), "seed"),
+        ("duality-check", dict(BASE_DOC, seed=1.5), "seed"),
+        ("duality-check", dict(BASE_DOC, solver={"tol": "tight"}), "solver.tol"),
+        ("duality-check", dict(BASE_DOC, solver={"max-iter": "many"}), "solver.max-iter"),
+        ("duality-check", dict(BASE_DOC, space={"sampler": {
+            "lower": 0.0, "upper": 3.0, "count": "many"}}), "space.sampler.count"),
+        ("duality-check", dict(BASE_DOC, space={"sampler": {
+            "lower": "zero", "upper": 3.0, "count": 4}}), "space.sampler.lower"),
+        ("duality-check", dict(BASE_DOC, space={"points": "abc"}), "space.points"),
+        ("duality-check", dict(BASE_DOC, space={
+            "points": [[0], [1]], "weights": ["half", "half"]}), "space.weights"),
+        ("duality-check", dict(BASE_DOC, cost={"values": [0, 1, "two", 3]}), "cost.values"),
+        ("verify", dict(BASE_DOC, basis={"kind": "moment", "order": "two"}), "basis.order"),
+        ("verify", dict(BASE_DOC, basis={"kind": "singletons", "points": [[0], [1, 2]]}),
+         "basis.points"),
+        ("verify", dict(BASE_DOC, basis={"kind": "indicator-regions", "boxes": [["a", 1]]}),
+         "basis.boxes[0]"),
+        ("verify", dict(BASE_DOC, stages=[{"gauge": "tv", "epsilon": "half"}]),
+         "stages[0].epsilon"),
+        ("envelope-sweep", dict(SWEEP_DOC, samples={"sizes": [4, "many"]}), "samples.sizes[1]"),
+        ("envelope-sweep", dict(SWEEP_DOC, space={"sampler": {
+            "lower": 0.0, "upper": "three", "count": 4}}), "space.sampler.upper"),
+        ("case-study", {"case-instance": dict(CASE_DOC["case-instance"], delta="small")},
+         "case-instance.delta"),
+        ("case-study", {"case-instance": dict(CASE_DOC["case-instance"], beta=[0.8])},
+         "case-instance.beta"),
+        ("case-study", {"case-instance": dict(CASE_DOC["case-instance"], radii=["a", 0.2])},
+         "case-instance.radii"),
+        ("case-study", {"case-instance": dict(CASE_DOC["case-instance"], samples="many")},
+         "case-instance.samples"),
+    ])
+    def test_non_numeric_value_names_its_key(self, tmp_path, capsys, command, doc, key):
+        code = main([command, "--config", write_config(tmp_path, doc)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"gaugekit: {key}: ")
+
 
 class TestDualityCheck:
     def test_total_variation_instance(self, tmp_path, capsys):

@@ -23,7 +23,7 @@ from gaugekit.oracle import reference_lp
 
 def lp_min_x_geq_1():
     b = ProgramBuilder()
-    x = b.add_vars(1, name="x", obj=1.0)[0]
+    x = b.add_vars(1, obj=1.0)[0]
     b.le(1.0 - LinExpr.var(x))
     return b.build()
 
@@ -38,7 +38,7 @@ class TestTrivialPrograms:
     def test_soc_norm(self):
         # min t st (t, 3, 4) in soc -> t = 5
         b = ProgramBuilder()
-        t = b.add_vars(1, name="t", obj=1.0)[0]
+        t = b.add_vars(1, obj=1.0)[0]
         b.soc([LinExpr.var(t), LinExpr.of(3.0), LinExpr.of(4.0)])
         sol = solve(b.build())
         assert sol.status == "optimal"
@@ -47,7 +47,7 @@ class TestTrivialPrograms:
     def test_psd_two_by_two(self):
         # min t st [[t,1],[1,t]] >> 0 -> t = 1; svec scales the off-diagonal
         b = ProgramBuilder()
-        t = b.add_vars(1, name="t", obj=1.0)[0]
+        t = b.add_vars(1, obj=1.0)[0]
         b.psd(2, [LinExpr.var(t), LinExpr.of(np.sqrt(2.0)), LinExpr.var(t)])
         sol = solve(b.build())
         assert sol.status == "optimal"
@@ -56,7 +56,7 @@ class TestTrivialPrograms:
     def test_infeasible_detected(self):
         # x >= 1 and x <= 0
         b = ProgramBuilder()
-        x = b.add_vars(1, name="x", obj=1.0)[0]
+        x = b.add_vars(1, obj=1.0)[0]
         b.le(1.0 - LinExpr.var(x))
         b.le(LinExpr.var(x) - 0.0 + 0.0)
         sol = solve(b.build())
@@ -65,7 +65,7 @@ class TestTrivialPrograms:
     def test_unbounded_detected(self):
         # min -x st x >= 0
         b = ProgramBuilder()
-        x = b.add_vars(1, name="x", obj=-1.0)[0]
+        x = b.add_vars(1, obj=-1.0)[0]
         b.nonneg_var(int(x))
         sol = solve(b.build())
         assert sol.status == "unbounded"
@@ -173,7 +173,7 @@ class TestBatchedPsdProjection:
         s = rng.normal(size=(side, side))
         s = 0.5 * (s + s.T)
         b = ProgramBuilder()
-        t = b.add_vars(1, name="t", obj=1.0)[0]
+        t = b.add_vars(1, obj=1.0)[0]
         neg = svec(-s)
         b.psd(side, [LinExpr.var(t) + neg[k] if i == j else LinExpr.of(neg[k])
                      for k, (i, j) in enumerate(conic.svec_indices(side))])
@@ -242,7 +242,7 @@ class TestLpReferenceAgreement:
             status, ref_val, _ = reference_lp(c, a_ub=a_full, b_ub=b_full)
             assert status == "optimal"
             b = ProgramBuilder()
-            x = b.add_vars(n, name="x", obj=c)
+            x = b.add_vars(n, obj=c)
             for col in x:
                 b.nonneg_var(int(col))
             for i in range(a_full.shape[0]):
@@ -259,7 +259,7 @@ class TestLpReferenceAgreement:
         bub = a @ rng.uniform(0.0, 1.0, n) + 0.5
         c = rng.normal(size=n)
         b = ProgramBuilder()
-        x = b.add_vars(n, name="x", obj=c)
+        x = b.add_vars(n, obj=c)
         for col in x:
             b.nonneg_var(int(col))
         for i in range(m):
@@ -363,7 +363,6 @@ class TestProgramChecks:
                 a_rows=np.array([0]), a_cols=np.array([0]), a_vals=np.array([1.0]),
                 b=np.array([1.0, 2.0]),
                 cones=(Cone("nonneg", 1),),
-                names=("x",),
             )
 
     def test_deterministic_given_settings(self):

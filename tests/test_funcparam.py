@@ -25,7 +25,7 @@ from gaugekit.gauge import (
 )
 from gaugekit.oracle import reference_lp
 from gaugekit.reformulate import ReweightingProblem, dual_solution
-from gaugekit.space import uniform_space
+from gaugekit.space import settings, uniform_space
 
 TOL = 1e-6
 
@@ -242,3 +242,23 @@ class TestDominanceAndRefinement:
                 problem = ReweightingProblem(space, cost, gauge, eps)
                 assert param_dual_value(problem, basis) == pytest.approx(
                     dual_solution(problem).value, abs=TOL)
+
+
+class TestSingletonIndicators:
+    def test_match_the_dense_distance_table(self):
+        rng = np.random.default_rng(22)
+        offsets = np.array([0.0, 0.3, 0.6, 1.0, 1.5, 3.0]) * 1e-12
+        for trial in range(100):
+            dim = 1 + trial % 3
+            centres = rng.uniform(-1.0, 1.0, size=(3, dim))
+            listed = centres[rng.integers(0, 3, size=rng.integers(1, 8))]
+            listed = listed + rng.choice(offsets, size=listed.shape)
+            query = centres[rng.integers(0, 3, size=rng.integers(1, 12))]
+            query = query + rng.choice(offsets, size=query.shape)
+            gaps = np.linalg.norm(query[:, None, :] - listed[None, :, :], axis=2)
+            want = (gaps <= settings.point_merge_tol).astype(float)
+            np.testing.assert_array_equal(Basis.singletons(listed).evaluate(query), want)
+
+    def test_a_nonfinite_query_point_matches_nothing(self):
+        phi = Basis.singletons([0.0, 1.0]).evaluate([np.nan, 1.0, np.inf])
+        np.testing.assert_array_equal(phi, [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])

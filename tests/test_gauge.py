@@ -61,7 +61,7 @@ def gauge_via_program(expr, space, u):
     Independent of gauge_value's closed forms; used as the second route.
     """
     b = ProgramBuilder()
-    t = b.add_vars(1, name="t", obj=1.0)[0]
+    t = b.add_vars(1, obj=1.0)[0]
     b.nonneg_var(int(t))
     encode_epigraph(b, expr, space, [LinExpr.of(float(x)) for x in u], LinExpr.var(t))
     sol = solve(b.build())
@@ -553,7 +553,7 @@ class TestMembershipAndGuards:
 
     def test_sets_without_conic_epigraphs_refuse_encoding(self):
         b = ProgramBuilder()
-        t = b.add_vars(1, name="t")[0]
+        t = b.add_vars(1)[0]
         u = [LinExpr.of(0.0)] * 4
         with pytest.raises(EncodingError):
             encode_epigraph(b, PhiDivergence("kl", 0.1), BASE, u, LinExpr.var(t))
@@ -601,8 +601,8 @@ class TestEveryExpressionClass:
     @pytest.mark.parametrize("expr", ONE_OF_EACH, ids=lambda x: type(x).__name__)
     def test_encoding_emits_rows_or_refuses(self, expr):
         b = ProgramBuilder()
-        t = b.add_vars(1, name="t")[0]
-        u = b.add_vars(BASE.size, name="u")
+        t = b.add_vars(1)[0]
+        u = b.add_vars(BASE.size)
         try:
             encode_epigraph(b, expr, BASE, [LinExpr.var(c) for c in u], LinExpr.var(t))
         except EncodingError:
