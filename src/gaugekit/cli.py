@@ -35,8 +35,9 @@ Configuration
 -------------
 A single JSON object. Keys:
 
-    seed            integer; GAUGEKIT_SEED overrides it, --seed overrides both
-    solver          {"tol": float, "max-iter": int}
+    seed            integer in [0, 2**64); GAUGEKIT_SEED overrides it,
+                    --seed overrides both
+    solver          {"tol": float > 0, "max-iter": int >= 1}
     space           {"points": [...], "weights": [...]} (weights optional,
                     uniform by default) or
                     {"sampler": {"lower": ..., "upper": ..., "count": n}}
@@ -494,12 +495,20 @@ def _solver_settings(doc, tol_flag):
     _check_keys(block, ("tol", "max-iter"), "solver")
     kwargs = {}
     if "tol" in block:
-        kwargs["tol"] = _as_number(block["tol"], "solver.tol")
+        kwargs["tol"] = _positive_tol(_as_number(block["tol"], "solver.tol"), "solver.tol")
     if "max-iter" in block:
         kwargs["max_iter"] = _as_integer(block["max-iter"], "solver.max-iter")
+        if kwargs["max_iter"] < 1:
+            raise ConfigError("solver.max-iter: must be at least 1")
     if tol_flag is not None:
-        kwargs["tol"] = float(tol_flag)
+        kwargs["tol"] = _positive_tol(float(tol_flag), "--tol")
     return SolveSettings(**kwargs) if kwargs else None
+
+
+def _positive_tol(value, field):
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{field}: must be finite and positive")
+    return value
 
 
 def _box_predicate(lo, hi):
@@ -622,12 +631,6 @@ def cmd_duality_check(doc, settings, seed):
     return columns, rows, (0 if ok else 2)
 
 
-def _transport_metric(expr):
-    """The ground cost of a transport ball (its polar is a Lipschitz set), else None."""
-    dual = gauges.polar(expr)
-    return dual.metric if isinstance(dual, Lipschitz) else None
-
-
 def cmd_envelope_sweep(doc, settings, seed):
     block = doc.get("space", {})
     if not isinstance(block, dict) or "sampler" not in block:
@@ -647,7 +650,7 @@ def cmd_envelope_sweep(doc, settings, seed):
 
     if "gauge" not in doc:
         raise ConfigError("gauge: required")
-    metric = _transport_metric(parse_gauge(doc["gauge"]))
+    metric = gauges.transport_metric(parse_gauge(doc["gauge"]))
     if metric is None:
         raise ConfigError("envelope-sweep: gauge must be a transport ball "
                           "((w1 metric) or (polar (lipschitz metric)))")
@@ -738,7 +741,7 @@ def cmd_verify(doc, settings, seed):
     if isinstance(expr, TotalVariation) and dual_value is not None:
         add("greedy-vs-dual", tv_greedy(space, cost, eps), dual_value, 1e-4)
 
-    metric = _transport_metric(expr)
+    metric = gauges.transport_metric(expr)
     if metric is not None and dual_value is not None:
         add("transport-vs-dual", w1_transport(space, cost, eps, metric),
             dual_value, 1e-4)
@@ -868,15 +871,17 @@ def main(argv=None):
         except OSError as exc:
             raise ConfigError(f"config: {exc}")
         doc = load_config(text)
-        seed = _as_integer(doc.get("seed", 0), "seed")
+        seed, source = _as_integer(doc.get("seed", 0), "seed"), "seed"
         env_seed = os.environ.get("GAUGEKIT_SEED")
         if env_seed is not None:
             try:
-                seed = int(env_seed)
+                seed, source = int(env_seed), "GAUGEKIT_SEED"
             except ValueError:
                 raise ConfigError(f"GAUGEKIT_SEED: not an integer: {env_seed!r}")
         if args.seed is not None:
-            seed = args.seed
+            seed, source = args.seed, "--seed"
+        if not 0 <= seed < 2**64:
+            raise ConfigError(f"{source}: must lie in [0, 2**64), got {seed}")
         settings = _solver_settings(doc, args.tol)
         handler = _HANDLERS[args.command]
     except ConfigError as exc:

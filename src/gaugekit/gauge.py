@@ -952,6 +952,12 @@ def polar(expr: GaugeExpr) -> GaugeExpr:
     return Polar(expr) if rewritten is None else rewritten
 
 
+def transport_metric(expr: GaugeExpr) -> Optional[Hemimetric]:
+    """The ground cost of a transport ball (its polar is a Lipschitz set), else None."""
+    dual = polar(expr)
+    return dual.metric if isinstance(dual, Lipschitz) else None
+
+
 def gauge_value(expr: GaugeExpr, space: DiscreteSpace, u) -> float:
     """Gauge of the deviation u: inf{t > 0 : u in t * set}; may be inf or 0."""
     return expr._gauge(space, _deviation(space, u))

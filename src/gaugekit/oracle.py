@@ -3,7 +3,9 @@
 Everything here works directly on sorted arrays, greedy mass moves, small
 scipy LPs, or a membership-only Frank-Wolfe loop. None of it goes through the
 dual reformulations, so these values can be frozen as fixtures and compared
-against the conic pipeline.
+against the conic pipeline. The walk tests transport balls with
+w1_flow_gauge (an exact formula on the line, a HiGHS flow LP elsewhere) and
+other gauges with gauge.membership.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import DimensionError, ParameterError
-from .space import DiscreteSpace
+from .space import DiscreteSpace, settings
 
 _INF = float("inf")
 
@@ -103,8 +105,8 @@ def w1_transport(space: DiscreteSpace, cost, eps: float, metric) -> float:
 def w1_flow_gauge(space: DiscreteSpace, u, metric) -> float:
     """Minimal transport cost realizing the signed mass change p * u.
 
-    Infinite when the change is unbalanced. Serves as a membership test for
-    transport-type deviation sets without touching the conic stack.
+    Infinite when the change is unbalanced. Exact on the line under a pnorm
+    cost, a HiGHS flow LP elsewhere; the walk's transport-ball membership test.
     """
     u = np.asarray(u, dtype=float).ravel()
     p = space.weights
@@ -114,14 +116,15 @@ def w1_flow_gauge(space: DiscreteSpace, u, metric) -> float:
         return _INF
     if np.max(np.abs(u), initial=0.0) <= 1e-15:
         return 0.0
+    if space.points.shape[1] == 1 and getattr(metric, "kind", None) == "pnorm":
+        return _line_transport(space.points[:, 0], p * u)
     n = space.size
-    c = metric.matrix(space.points, space.points)
-    arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    a_eq = np.zeros((n, len(arcs)))
-    for k, (i, j) in enumerate(arcs):
-        a_eq[i, k] += 1.0
-        a_eq[j, k] -= 1.0
-    obj = np.array([c[i, j] for i, j in arcs])
+    src, dst = np.nonzero(~np.eye(n, dtype=bool))  # arcs (i, j), i != j, row-major
+    arcs = np.arange(len(src))
+    a_eq = np.zeros((n, len(src)))
+    a_eq[src, arcs] = 1.0
+    a_eq[dst, arcs] = -1.0
+    obj = metric.matrix(space.points, space.points)[src, dst]
     status, value, _ = reference_lp(obj, a_eq=a_eq, b_eq=p * u)
     if status == "infeasible":
         return _INF
@@ -133,8 +136,9 @@ def w1_flow_gauge(space: DiscreteSpace, u, metric) -> float:
 def w1_distance(points_a, weights_a, points_b, weights_b, metric) -> float:
     """Transport distance between two weighted point clouds.
 
-    One-dimensional clouds under an absolute-difference cost use the exact
-    quantile coupling; everything else goes through a plan LP.
+    One-dimensional clouds under an absolute-difference cost merge into one
+    signed mass and take the exact line formula; everything else goes through
+    a plan LP.
     """
     pa = np.atleast_2d(np.asarray(points_a, dtype=float))
     pb = np.atleast_2d(np.asarray(points_b, dtype=float))
@@ -150,7 +154,7 @@ def w1_distance(points_a, weights_a, points_b, weights_b, metric) -> float:
         raise ParameterError("weights must sum to one")
     one_d = pa.shape[1] == 1 and pb.shape[1] == 1
     if one_d and getattr(metric, "kind", None) == "pnorm":
-        return _quantile_coupling(pa.ravel(), wa, pb.ravel(), wb)
+        return _line_transport(np.concatenate([pa.ravel(), pb.ravel()]), np.concatenate([wa, -wb]))
     c = metric.matrix(pa, pb)
     na, nb = len(pa), len(pb)
     a_eq = np.zeros((na + nb, na * nb))
@@ -164,23 +168,12 @@ def w1_distance(points_a, weights_a, points_b, weights_b, metric) -> float:
     return value
 
 
-def _quantile_coupling(xa, wa, xb, wb) -> float:
-    ia = np.argsort(xa)
-    ib = np.argsort(xb)
-    xa, wa = xa[ia], wa[ia].copy()
-    xb, wb = xb[ib], wb[ib].copy()
-    i = j = 0
-    total = 0.0
-    while i < len(xa) and j < len(xb):
-        m = min(wa[i], wb[j])
-        total += m * abs(xa[i] - xb[j])
-        wa[i] -= m
-        wb[j] -= m
-        if wa[i] <= 1e-15:
-            i += 1
-        if wb[j] <= 1e-15:
-            j += 1
-    return total
+def _line_transport(x, signed_mass) -> float:
+    """Exact transport cost of a balanced signed mass on the line under |x - y|:
+    the mass left of each gap between sorted points crosses that gap."""
+    order = np.argsort(x, kind="stable")
+    crossing = np.cumsum(signed_mass[order])[:-1]
+    return float(np.abs(crossing) @ np.diff(x[order]))
 
 
 def chi2_closed_form(space: DiscreteSpace, cost, eps: float):
@@ -230,7 +223,9 @@ def frank_wolfe_primal(problem=None, tol: float = 1e-3, membership=None,
     maximum of a linear objective is already global.
 
     Accepts either a problem object carrying space / cost / gauge / epsilon or
-    those pieces directly. membership(u, t) overrides the gauge-based test;
+    those pieces directly. A transport ball (polar a Lipschitz set) is tested
+    by w1_flow_gauge with the closure slack, with no conic solve, any other
+    gauge by gauge.membership. membership(u, t) overrides either test;
     objective(nu) -> (value, gradient) overrides the linear default.
     """
     if problem is not None:
@@ -241,8 +236,11 @@ def frank_wolfe_primal(problem=None, tol: float = 1e-3, membership=None,
             from . import gauge as _gauge
 
             expr = problem.gauge
+            metric = _gauge.transport_metric(expr)
 
-            def membership(u, t, _expr=expr, _space=space):
+            def membership(u, t, _expr=expr, _space=space, _metric=metric):
+                if _metric is not None:
+                    return w1_flow_gauge(_space, u, _metric) <= t * (1.0 + settings.closure_rel_tol)
                 return _gauge.membership(_expr, _space, u, t)
 
     if space is None or membership is None or epsilon is None:

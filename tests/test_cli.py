@@ -30,6 +30,9 @@ BASE_DOC = {
     "epsilon": 0.5,
 }
 
+SAMPLED_DOC = dict(BASE_DOC, space={"sampler": {"lower": 0.0, "upper": 3.0, "count": 4}},
+                   cost={"expression": "x0"})
+
 SWEEP_DOC = {
     "seed": 1,
     "space": {"sampler": {"lower": 0.0, "upper": 3.0, "count": 64}},
@@ -195,6 +198,37 @@ class TestConfigLoading:
         code = main([command, "--config", write_config(tmp_path, doc)])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"gaugekit: {key}: ")
+
+    @pytest.mark.parametrize("doc, flags, env_seed, key", [
+        (dict(SAMPLED_DOC, seed=-1), [], None, "seed"),
+        (dict(SAMPLED_DOC, seed=2**64), [], None, "seed"),
+        (SAMPLED_DOC, [], "-1", "GAUGEKIT_SEED"),
+        (dict(SAMPLED_DOC, seed=1), [], str(2**64), "GAUGEKIT_SEED"),
+        (SAMPLED_DOC, ["--seed=-1"], "1", "--seed"),
+        (dict(BASE_DOC, solver={"tol": -1}), [], None, "solver.tol"),
+        (dict(BASE_DOC, solver={"tol": 0}), [], None, "solver.tol"),
+        (dict(BASE_DOC, solver={"tol": float("nan")}), [], None, "solver.tol"),
+        (dict(BASE_DOC, solver={"tol": float("inf")}), [], None, "solver.tol"),
+        (dict(BASE_DOC, solver={"max-iter": 0}), [], None, "solver.max-iter"),
+        (dict(BASE_DOC, solver={"max-iter": -5}), [], None, "solver.max-iter"),
+        (BASE_DOC, ["--tol", "0"], None, "--tol"),
+        (BASE_DOC, ["--tol", "inf"], None, "--tol"),
+        (dict(BASE_DOC, solver={"tol": 1e-6}), ["--tol", "nan"], None, "--tol"),
+    ])
+    def test_out_of_range_setting_names_its_source(self, tmp_path, capsys, monkeypatch,
+                                                   doc, flags, env_seed, key):
+        if env_seed is None:
+            monkeypatch.delenv("GAUGEKIT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("GAUGEKIT_SEED", env_seed)
+        code = main(["duality-check", "--config", write_config(tmp_path, doc)] + flags)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"gaugekit: {key}: ")
+
+    def test_largest_seed_samples_a_space(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("GAUGEKIT_SEED", raising=False)
+        doc = dict(SAMPLED_DOC, seed=2**64 - 1)
+        assert main(["duality-check", "--config", write_config(tmp_path, doc)]) == 0
 
 
 class TestDualityCheck:

@@ -47,6 +47,7 @@ from gaugekit.gauge import (
     polar,
     support_value,
     support_value_by_program,
+    transport_metric,
 )
 from gaugekit.space import uniform_space
 
@@ -225,6 +226,13 @@ class TestCombinators:
         kl = PhiDivergence("kl", 0.1)
         assert polar(kl) == Polar(kl)
         assert polar(polar(kl)) == kl
+
+    def test_transport_metric_names_the_ground_cost_of_transport_balls(self):
+        assert transport_metric(W1Ball(ABS1)) == ABS1
+        assert transport_metric(Polar(Lipschitz(ABS1))) == ABS1
+        for expr in (Lipschitz(ABS1), Scale(2.0, W1Ball(ABS1)), TotalVariation(),
+                     PhiDivergence("kl", 0.1)):
+            assert transport_metric(expr) is None
 
     def test_quadratic_divergence_bipolar_matches_numerically(self):
         g = PhiDivergence("chi2", 0.25)

@@ -16,7 +16,17 @@ here before any reformulation code gets to vote:
 import numpy as np
 import pytest
 
-from gaugekit.gauge import CvarGauge, Hemimetric, L2Ball, Scale
+from gaugekit import conic
+from gaugekit.gauge import (
+    CvarGauge,
+    Hemimetric,
+    L2Ball,
+    Lipschitz,
+    Polar,
+    Scale,
+    W1Ball,
+    gauge_value,
+)
 from gaugekit.oracle import (
     chi2_closed_form,
     cvar_sorted,
@@ -33,6 +43,7 @@ from gaugekit.space import DiscreteSpace, uniform_space
 BASE = uniform_space([0.0, 1.0, 2.0, 3.0])
 F = np.array([0.0, 1.0, 2.0, 3.0])
 ABS = Hemimetric.pnorm(2)
+ABS1 = Hemimetric.pnorm(1)
 CHI2_04 = 1.5 + 0.4 * np.sqrt(1.25)
 
 
@@ -143,6 +154,48 @@ class TestW1FlowGauge:
         assert w1_flow_gauge(BASE, np.zeros(4), ABS) == pytest.approx(0.0, abs=1e-12)
 
 
+def flow_instances(seed, count, dim=1):
+    """Random unsorted spaces with a balanced deviation and a pnorm cost."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(2, 13))
+        space = DiscreteSpace(rng.uniform(-2.0, 2.0, (n, dim)), rng.dirichlet(np.ones(n)))
+        u = rng.normal(size=n)
+        yield space, u - space.weights @ u, Hemimetric.pnorm((1.0, 2.0, 3.5)[k % 3])
+
+
+class TestW1FlowGaugeRoutes:
+    """The exact line formula against the flow LP and the conic gauge."""
+
+    def test_line_formula_matches_the_flow_lp(self):
+        for space, u, metric in flow_instances(21, 120):
+            x = space.points[:, 0]
+            table = Hemimetric.from_table(space.points, np.abs(np.subtract.outer(x, x)))
+            lp = w1_flow_gauge(space, u, table)
+            assert w1_flow_gauge(space, u, metric) == pytest.approx(lp, rel=1e-12, abs=1e-12)
+
+    def test_line_formula_matches_the_conic_gauge(self):
+        for space, u, metric in flow_instances(22, 100):
+            want = gauge_value(W1Ball(metric), space, u)
+            assert w1_flow_gauge(space, u, metric) == pytest.approx(want, rel=1e-6, abs=1e-6)
+
+    def test_flow_lp_in_the_plane_matches_the_conic_gauge(self):
+        for space, u, metric in flow_instances(23, 12, dim=2):
+            want = gauge_value(W1Ball(metric), space, u)
+            assert w1_flow_gauge(space, u, metric) == pytest.approx(want, rel=1e-6, abs=1e-6)
+
+    def test_unit_cost_on_the_line_takes_the_flow_lp(self):
+        # every move costs one, so the cost is the mass that moves
+        for space, u, _ in flow_instances(25, 12):
+            want = 0.5 * np.sum(np.abs(space.weights * u))
+            assert w1_flow_gauge(space, u, Hemimetric.indicator()) == pytest.approx(want, abs=1e-9)
+
+    def test_unbalanced_and_zero_deviations_on_the_line(self):
+        for space, u, metric in flow_instances(24, 12):
+            assert w1_flow_gauge(space, u + 1.0, metric) == np.inf
+            assert w1_flow_gauge(space, np.zeros(space.size), metric) == 0.0
+
+
 class TestW1Distance:
     def test_point_mass_vs_uniform(self):
         d = w1_distance([0.0, 1.0, 2.0, 3.0], [0.25] * 4, [3.0], [1.0], ABS)
@@ -228,3 +281,23 @@ class TestFrankWolfe:
         res = frank_wolfe_primal(prob, tol=1e-12, max_iter=5)
         assert not res.converged
         assert res.gap > 0
+
+
+class TestTransportWalk:
+    @pytest.mark.parametrize("expr", [W1Ball(ABS1), Polar(Lipschitz(ABS1))])
+    def test_walk_makes_no_conic_solve(self, monkeypatch, expr):
+        want = w1_transport(BASE, F, 0.5, ABS1)
+        prob = ReweightingProblem(BASE, F, expr, 0.5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the transport walk called the conic solver")
+
+        monkeypatch.setattr(conic, "solve", refuse)
+        res = frank_wolfe_primal(prob, tol=1e-4)
+        assert abs(res.value - want) <= 1e-3
+        assert res.value <= want + res.gap
+
+    def test_explicit_membership_wins(self):
+        prob = ReweightingProblem(BASE, F, W1Ball(ABS1), 0.5)
+        res = frank_wolfe_primal(prob, tol=1e-4, membership=lambda u, t: False)
+        assert res.value == pytest.approx(1.5, abs=1e-12)
