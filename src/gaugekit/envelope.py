@@ -23,7 +23,7 @@ import numpy as np
 from . import conic
 from .conic import ConicProgram, LinExpr, ProgramBuilder, SolveSettings
 from .errors import ContractError, DimensionError, EncodingError, ParameterError
-from .gauge import Hemimetric, Lipschitz, Oscillation, hemimetric_check, polar
+from .gauge import Hemimetric, Oscillation, hemimetric_check, polar, transport_metric
 from .oracle import w1_distance
 from .reformulate import ReweightingProblem
 from .space import _as_points
@@ -140,10 +140,10 @@ def envelope_eval(gamma: float, s, centers, c: Hemimetric, point) -> float:
 
 def _polar_hemimetric(problem: ReweightingProblem):
     """Hemimetric and per-slope price for the problem's polar, or raise."""
-    pol = polar(problem.gauge)
-    if isinstance(pol, Lipschitz):
-        return pol.metric, problem.epsilon
-    if isinstance(pol, Oscillation):
+    metric = transport_metric(problem.gauge)
+    if metric is not None:
+        return metric, problem.epsilon
+    if isinstance(polar(problem.gauge), Oscillation):
         # centered-range gauge = half the slope over the discrete indicator
         return Hemimetric.indicator(), 0.5 * problem.epsilon
     raise EncodingError(

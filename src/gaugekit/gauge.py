@@ -35,7 +35,7 @@ from scipy.optimize import minimize_scalar
 from . import conic
 from .conic import LinExpr, ProgramBuilder
 from .errors import DimensionError, EncodingError, ParameterError
-from .space import DiscreteSpace, settings
+from .space import DiscreteSpace, _as_points, settings
 
 _INF = float("inf")
 
@@ -73,9 +73,7 @@ class Hemimetric:
 
     @staticmethod
     def from_table(points, values) -> "Hemimetric":
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[0] == 1 and pts.shape[1] > 1 and np.asarray(points).ndim == 1:
-            pts = pts.T
+        pts = _as_points(points)
         vals = np.asarray(values, dtype=float)
         if vals.shape != (pts.shape[0], pts.shape[0]):
             raise DimensionError("cost table must be square over the point list")
@@ -124,9 +122,7 @@ def hemimetric_check(metric: Hemimetric, points) -> list:
     Checks nonnegativity, a zero diagonal, and all triangle inequalities.
     Limited to 64 points; the scan builds an (m, m, m) array.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if np.asarray(points).ndim == 1:
-        pts = np.asarray(points, dtype=float).reshape(-1, 1)
+    pts = _as_points(points)
     m = len(pts)
     if m > 64:
         raise ParameterError(f"triangle scan limited to 64 points, got {m}")
@@ -600,7 +596,16 @@ class PhiDivergence(GaugeExpr):
 
 @dataclass(frozen=True)
 class WassersteinP(GaugeExpr):
-    """Deviations u with transport distance from the base measure at most radius."""
+    """Deviations u with transport distance from the base measure at most radius.
+
+    The gauge is one LP. With s = 1/t, "u/t lies in the ball" is linear in a
+    plan and s: a nonnegative plan whose column sums are the weights p, whose
+    row i sums to p_i (1 + s u_i), and whose cost sum c^power * plan is at
+    most radius^power. The gauge is 1/s_max, inf when s_max = 0 and 0 when
+    the LP is unbounded. The program holds the plan off its diagonal as the
+    arcs of _flow_arcs, each old point's outflow capped by its weight (the
+    diagonal is what stays), and the budget row scaled to one.
+    """
 
     power: float
     metric: Hemimetric
@@ -612,36 +617,24 @@ class WassersteinP(GaugeExpr):
         if not (self.radius > 0.0):
             raise ParameterError("transport radius must be positive")
 
-    def _admits(self, space: DiscreteSpace, nu: np.ndarray) -> bool:
-        """Is the reweighting nu within the transport radius of the base measure?"""
-        b = ProgramBuilder()
-        plan = _plan(b, space, self.metric.matrix(space.points, space.points) ** self.power)
-        for i in range(space.size):
-            b.eq(LinExpr.sum(map(LinExpr.var, plan[i])) - space.weights[i] * nu[i])
-        budget = self.radius ** self.power
-        return _solve_value(b) <= budget + settings.closure_rel_tol * (1.0 + budget)
-
     def _gauge(self, space, u):
         shortcut = _balance_shortcut(space, u)
         if shortcut is not None:
             return shortcut
-        t_lo = max(float(np.max(-u)), 1e-12)
-        t_hi = max(t_lo * 2.0, 1.0)
-        for _ in range(200):
-            if self._admits(space, 1.0 + u / t_hi):
-                break
-            t_hi *= 4.0
-            if t_hi > 1e12:
-                return _INF
-        if self._admits(space, np.clip(1.0 + u / t_lo, 0.0, None)):
-            return t_lo
-        for _ in range(60):
-            mid = 0.5 * (t_lo + t_hi)
-            if self._admits(space, 1.0 + u / mid):
-                t_hi = mid
-            else:
-                t_lo = mid
-        return float(t_hi)
+        b = ProgramBuilder()
+        s = int(b.add_vars(1, obj=-1.0)[0])
+        b.nonneg_var(s)
+        # arc (i, j) moves mass from old point j to new point i
+        arcs, cost = _flow_arcs(b, space, self.metric, [LinExpr.var(s, x) for x in u], priced=False)
+        b.le(LinExpr.dot(arcs, cost ** self.power / self.radius ** self.power) - 1.0)
+        _, old = np.nonzero(~np.eye(space.size, dtype=bool))
+        for j in range(space.size):
+            b.le(LinExpr.sum(map(LinExpr.var, arcs[old == j])) - space.weights[j])
+        # the density floor 1 + s u >= 0; the rows above imply it, but as its
+        # own row it lets the solver settle a floor-bound gauge quickly
+        b.le(LinExpr.var(s, float(np.max(-u))) - 1.0)
+        s_max = -_solve_value(b)
+        return 1.0 / s_max if s_max > 0.0 else _INF
 
     def _support(self, space, w):
         # max sum_ij plan[i, j] w_i over plans within the transport budget

@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import DimensionError, ParameterError
-from .space import DiscreteSpace, settings
+from .space import DiscreteSpace, _as_points, settings
 
 _INF = float("inf")
 
@@ -27,6 +28,14 @@ def reference_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(0, None)
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "failed")
     value = float(res.fun) if res.status == 0 else float("nan")
     return status, value, res.x
+
+
+def _marginals(na: int, nb: int):
+    """Sparse rows taking a row-major (na, nb) plan, flattened, to its row
+    sums and to its column sums."""
+    rows = sparse.kron(sparse.eye(na), np.ones((1, nb)), format="csr")
+    cols = sparse.kron(np.ones((1, na)), sparse.eye(nb), format="csr")
+    return rows, cols
 
 
 def _as_cost(cost) -> np.ndarray:
@@ -92,11 +101,9 @@ def w1_transport(space: DiscreteSpace, cost, eps: float, metric) -> float:
         raise DimensionError("cost length does not match the space")
     c = metric.matrix(space.points, space.points)
     obj = -np.repeat(f, n)  # maximize sum_ij plan[i,j] f[i]
-    a_eq = np.zeros((n, n * n))
-    for j in range(n):
-        a_eq[j, j::n] = 1.0  # sum_i plan[i,j] = p[j]
+    _, cols = _marginals(n, n)  # sum_i plan[i,j] = p[j]
     a_ub = c.ravel()[None, :]
-    status, value, _ = reference_lp(obj, a_ub=a_ub, b_ub=[eps], a_eq=a_eq, b_eq=space.weights)
+    status, value, _ = reference_lp(obj, a_ub=a_ub, b_ub=[eps], a_eq=cols, b_eq=space.weights)
     if status != "optimal":
         raise ParameterError(f"transport reference LP ended with status {status}")
     return -value
@@ -118,14 +125,10 @@ def w1_flow_gauge(space: DiscreteSpace, u, metric) -> float:
         return 0.0
     if space.points.shape[1] == 1 and getattr(metric, "kind", None) == "pnorm":
         return _line_transport(space.points[:, 0], p * u)
-    n = space.size
-    src, dst = np.nonzero(~np.eye(n, dtype=bool))  # arcs (i, j), i != j, row-major
-    arcs = np.arange(len(src))
-    a_eq = np.zeros((n, len(src)))
-    a_eq[src, arcs] = 1.0
-    a_eq[dst, arcs] = -1.0
-    obj = metric.matrix(space.points, space.points)[src, dst]
-    status, value, _ = reference_lp(obj, a_eq=a_eq, b_eq=p * u)
+    arcs = np.flatnonzero(~np.eye(space.size, dtype=bool))  # (i, j), i != j, row-major
+    out, into = _marginals(space.size, space.size)
+    obj = metric.matrix(space.points, space.points).ravel()[arcs]
+    status, value, _ = reference_lp(obj, a_eq=(out - into)[:, arcs], b_eq=p * u)
     if status == "infeasible":
         return _INF
     if status != "optimal":
@@ -140,12 +143,7 @@ def w1_distance(points_a, weights_a, points_b, weights_b, metric) -> float:
     signed mass and take the exact line formula; everything else goes through
     a plan LP.
     """
-    pa = np.atleast_2d(np.asarray(points_a, dtype=float))
-    pb = np.atleast_2d(np.asarray(points_b, dtype=float))
-    if np.asarray(points_a).ndim == 1:
-        pa = np.asarray(points_a, dtype=float).reshape(-1, 1)
-    if np.asarray(points_b).ndim == 1:
-        pb = np.asarray(points_b, dtype=float).reshape(-1, 1)
+    pa, pb = _as_points(points_a), _as_points(points_b)
     wa = np.asarray(weights_a, dtype=float).ravel()
     wb = np.asarray(weights_b, dtype=float).ravel()
     if len(wa) != len(pa) or len(wb) != len(pb):
@@ -156,12 +154,7 @@ def w1_distance(points_a, weights_a, points_b, weights_b, metric) -> float:
     if one_d and getattr(metric, "kind", None) == "pnorm":
         return _line_transport(np.concatenate([pa.ravel(), pb.ravel()]), np.concatenate([wa, -wb]))
     c = metric.matrix(pa, pb)
-    na, nb = len(pa), len(pb)
-    a_eq = np.zeros((na + nb, na * nb))
-    for i in range(na):
-        a_eq[i, i * nb:(i + 1) * nb] = 1.0
-    for j in range(nb):
-        a_eq[na + j, j::nb] = 1.0
+    a_eq = sparse.vstack(_marginals(len(pa), len(pb)))
     status, value, _ = reference_lp(c.ravel(), a_eq=a_eq, b_eq=np.concatenate([wa, wb]))
     if status != "optimal":
         raise ParameterError(f"distance reference LP ended with status {status}")

@@ -306,6 +306,19 @@ class TestEnvelopeSweep:
         main(["envelope-sweep", "--config", cfg_five, "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_plane_sweep_runs(self, tmp_path, capsys):
+        # a 2-D box against its 2048-point reference takes the plan LP
+        doc = dict(SWEEP_DOC, space={"sampler": {"lower": [0.0, 0.0], "upper": [3.0, 3.0],
+                                                 "count": 64}},
+                   cost={"expression": "x0 + x1"}, gauge="(polar (lipschitz euclid))",
+                   samples={"sizes": [4, 16]})
+        out = tmp_path / "plane.csv"
+        code = main(["envelope-sweep", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().splitlines()[2:]
+        assert [row.split(",")[5] for row in rows] == ["surrogate", "surrogate"]
+
     def test_needs_a_transport_gauge(self, tmp_path, capsys):
         doc = dict(SWEEP_DOC, gauge="tv")
         code = main(["envelope-sweep", "--config", write_config(tmp_path, doc)])

@@ -13,7 +13,10 @@ import inspect
 import numpy as np
 import pytest
 
+from scipy.optimize import linprog
+
 import gaugekit.gauge as gauge_module
+from gaugekit import conic
 from gaugekit.conic import LinExpr, ProgramBuilder, solve
 from gaugekit.errors import DimensionError, EncodingError, ParameterError
 from gaugekit.gauge import (
@@ -49,7 +52,7 @@ from gaugekit.gauge import (
     support_value_by_program,
     transport_metric,
 )
-from gaugekit.space import uniform_space
+from gaugekit.space import DiscreteSpace, uniform_space
 
 BASE = uniform_space([0.0, 1.0, 2.0, 3.0])
 ABS1 = Hemimetric.pnorm(1.0)
@@ -348,6 +351,62 @@ class TestDualRoutes:
             assert got == pytest.approx(want, abs=1e-6 * (1.0 + abs(want)))
 
 
+def transport_gauge_by_highs(expr, space, u):
+    """1 / s_max of the (plan, s) LP, solved by HiGHS: column sums p, row i
+    summing to p_i (1 + s u_i), moving cost within radius ** power."""
+    n, p = space.size, space.weights
+    cost = expr.metric.matrix(space.points, space.points) ** expr.power
+    obj = np.zeros(n * n + 1)
+    obj[-1] = -1.0  # maximize s
+    rows = np.zeros((2 * n, n * n + 1))
+    for i in range(n):
+        rows[i, i * n:(i + 1) * n] = 1.0
+        rows[i, -1] = -p[i] * u[i]
+        rows[n + i, i:n * n:n] = 1.0
+    res = linprog(obj, A_ub=np.append(cost.ravel(), 0.0)[None, :],
+                  b_ub=[expr.radius ** expr.power], A_eq=rows, b_eq=np.concatenate([p, p]),
+                  method="highs")
+    assert res.status == 0
+    return 1.0 / res.x[-1]
+
+
+class TestTransportGaugeLp:
+    """WassersteinP's gauge is one conic LP over (plan, s = 1/t)."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        count = [0]
+        inner = conic.solve
+
+        def counting(*args, **kwargs):
+            count[0] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(conic, "solve", counting)
+        return count
+
+    def test_matches_the_plan_lp_in_one_solve(self, solves):
+        rng = np.random.default_rng(41)
+        for k in range(20):
+            n = int(rng.integers(3, 7))
+            space = DiscreteSpace(rng.uniform(0.0, 3.0, (n, 1 + k % 2)), rng.dirichlet(np.ones(n)))
+            u = rng.normal(size=n)
+            u -= space.weights @ u
+            power = float(1 + k % 2)
+            expr = WassersteinP(power, Hemimetric.pnorm(power), radius=float(rng.uniform(0.2, 1.0)))
+            want = transport_gauge_by_highs(expr, space, u)
+            solves[0] = 0
+            got = gauge_value(expr, space, u)
+            assert solves[0] == 1
+            assert got == pytest.approx(want, abs=1e-6 * (1.0 + want))
+
+    def test_shortcuts_make_no_solve(self, solves):
+        expr = WassersteinP(1.0, ABS1, radius=0.5)
+        assert gauge_value(expr, BASE, [1.0, 0.0, 0.0, 0.0]) == float("inf")
+        assert gauge_value(expr, BASE, np.zeros(4)) == 0.0
+        assert solves[0] == 0
+
+
 class TestAlgebraProbes:
     CHEAP = [
         L2Ball(),
@@ -467,6 +526,14 @@ class TestGroundCosts:
         findings = hemimetric_check(m, [0.0, 1.0])
         assert any("negative" in f for f in findings)
         assert any("diagonal" in f for f in findings)
+
+    def test_points_without_a_vector_shape_are_rejected(self):
+        # one point-shape rule: scalars, ndim > 2 and zero coordinates
+        for pts in (2.0, np.zeros((2, 1, 1)), np.zeros((2, 0))):
+            with pytest.raises(DimensionError):
+                hemimetric_check(Hemimetric.pnorm(2.0), pts)
+            with pytest.raises(DimensionError):
+                Hemimetric.from_table(pts, np.zeros((2, 2)))
 
     def test_scan_size_limit(self):
         with pytest.raises(ParameterError):

@@ -15,8 +15,11 @@ here before any reformulation code gets to vote:
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linear_sum_assignment
 
-from gaugekit import conic
+from gaugekit import conic, oracle
+from gaugekit.errors import DimensionError
 from gaugekit.gauge import (
     CvarGauge,
     Hemimetric,
@@ -232,6 +235,42 @@ class TestW1Distance:
             fast = w1_distance(a, wa, b, wb, ABS)
             slow = w1_distance(a, wa, b, wb, table)
             assert fast == pytest.approx(slow, abs=1e-7)
+
+
+    def test_plane_clouds_match_an_assignment(self):
+        # equal-size uniform clouds: an optimal plan is a permutation
+        rng = np.random.default_rng(13)
+        for n in (3, 8, 20):
+            a, b = rng.uniform(0, 3, (n, 2)), rng.uniform(0, 3, (n, 2))
+            cost = ABS.matrix(a, b)
+            rows, cols = linear_sum_assignment(cost)
+            want = cost[rows, cols].sum() / n
+            got = w1_distance(a, np.full(n, 1.0 / n), b, np.full(n, 1.0 / n), ABS)
+            assert got == pytest.approx(want, abs=1e-9)
+
+    def test_rejects_points_without_a_vector_shape(self):
+        for pts in (2.0, np.zeros((1, 1, 1)), np.zeros((1, 0))):
+            with pytest.raises(DimensionError):
+                w1_distance(pts, [1.0], [[0.0]], [1.0], ABS)
+
+
+class TestTransportLpsAreSparse:
+    def test_every_transport_lp_gets_a_sparse_equality_block(self, monkeypatch):
+        seen = []
+        inner = oracle.reference_lp
+
+        def checking(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(0, None)):
+            assert sparse.issparse(a_eq)
+            seen.append(a_eq.shape)
+            return inner(c, a_ub, b_ub, a_eq, b_eq, bounds)
+
+        monkeypatch.setattr(oracle, "reference_lp", checking)
+        plane = DiscreteSpace([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], [0.5, 0.25, 0.25])
+        assert w1_transport(BASE, F, 0.5, ABS) == pytest.approx(2.0, abs=1e-7)
+        assert w1_flow_gauge(plane, [-1.0, 1.0, 1.0], ABS) == pytest.approx(0.75, abs=1e-9)
+        assert w1_distance(plane.points, plane.weights, [[0.0, 0.0]], [1.0], ABS) == \
+            pytest.approx(0.75, abs=1e-9)
+        assert seen == [(4, 16), (3, 6), (4, 3)]
 
 
 class TestReferenceLp:
