@@ -1,20 +1,19 @@
-"""Solver-agnostic conic programs and an embedded first-order solver.
+"""Solver-agnostic conic programs and an embedded interior-point solver.
 
-Programs are stored in the standard form
+Programs are stored as  minimize c'x  subject to  A x + s = b, s in K,  where
+K is a product of zero, nonnegative, second-order, and PSD cones (in row
+order); PSD blocks are vectorized with sqrt(2)-scaled off-diagonals.
 
-    minimize    c'x
-    subject to  A x + s = b,   s in K,
-
-where K is a product of zero, nonnegative, second-order, and PSD cones (in
-row order). The solver runs a homogeneous self-dual embedding with
-over-relaxed alternating projections (O'Donoghue, Chu, Parikh & Boyd, 2016).
-Everything an iteration needs is set up once per solve: the single linear
-system is solved through a cached dense inverse of its normal equations, and
-the cone projection follows a plan that groups the rows by cone kind, so zero
-and nonnegative rows are projected in one array operation each and all PSD
-blocks of one side through one batched eigendecomposition. PSD blocks are
-vectorized with sqrt(2)-scaled off-diagonals so every cone is self-dual under
-the Euclidean inner product.
+The solver is the primal-dual interior-point method of CVXOPT's conelp
+(Vandenberghe, "The CVXOPT linear and quadratic cone program solvers", 2010):
+Mehrotra predictor-corrector steps with Nesterov-Todd scaling on the
+homogeneous self-dual embedding, whose rays give infeasibility and
+unboundedness certificates as in ECOS (Domahidi, Chu & Boyd, ECC 2013). An
+iteration factors one reduced system, G' W^-2 G over the cone rows bordered
+by the zero rows, of the size of the variables plus the zero rows. Zero rows
+may be rank-deficient (flow-balance rows sum to zero), so the factored matrix
+carries a static regularisation and each solve is refined against the
+unregularised system. All PSD blocks of one side are handled as one batch.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import io
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import DimensionError, ParameterError
 
@@ -103,17 +102,18 @@ class ConicProgram:
         return a
 
 
-# fixed solver constants: the over-relaxation factor, the ray-certificate
-# tolerance, and the iteration stride between convergence checks
-_OVER_RELAX = 1.5
+# fixed solver constants: ray-certificate tolerance, static regularisation,
+# refinement steps per solve, and how far to the cone boundary a step goes
 _INFEAS_TOL = 1e-7
-_CHECK_EVERY = 25
+_STATIC_REG = 1e-10
+_REFINE = 8
+_STEP = 0.99
 
 
 @dataclass(frozen=True)
 class SolveSettings:
     tol: float = 1e-8
-    max_iter: int = 100_000
+    max_iter: int = 100
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,7 @@ class Solution:
     status: str
     value: float
     residuals: tuple
+    iterations: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -193,135 +194,201 @@ def _project_psd(z: np.ndarray, side: int) -> np.ndarray:
 
 
 class _ConePlan:
-    """Row indices of a cone product, grouped so a projection is a few array ops.
-
-    Zero and nonnegative rows each get one index array; second-order blocks
-    keep their slices; PSD blocks of one side share a (blocks x rows) index
-    array and are projected together.
+    """Row indices of a cone product grouped by kind, so a cone operation is a
+    few array ops: index arrays for the zero and the nonnegative rows, a slice
+    per second-order block and a (blocks x rows) index array per PSD side.
+    unit is the identity element of the cone rows and cone their 0/1 mask.
     """
 
     def __init__(self, cones):
-        zero, nonneg, psd = [], [], {}
-        self.soc = []
-        at = 0
+        kinds = np.repeat(np.array([cone.kind for cone in cones], dtype=str), [cone.rows for cone in cones])
+        self.zero, self.nonneg = np.flatnonzero(kinds == ZERO), np.flatnonzero(kinds == NONNEG)
+        self.cone = (kinds != ZERO).astype(float)
+        self.soc, psd, at = [], {}, 0
         for cone in cones:
-            rows = np.arange(at, at + cone.rows)
-            if cone.kind == ZERO:
-                zero.append(rows)
-            elif cone.kind == NONNEG:
-                nonneg.append(rows)
-            elif cone.kind == SOC:
+            if cone.kind == SOC:
                 self.soc.append(slice(at, at + cone.rows))
-            else:
-                psd.setdefault(cone.dim, []).append(rows)
+            elif cone.kind == PSD:
+                psd.setdefault(cone.dim, []).append(np.arange(at, at + cone.rows))
             at += cone.rows
-        self.zero = np.concatenate(zero) if zero else None
-        self.nonneg = np.concatenate(nonneg) if nonneg else None
         self.psd = [(side, np.stack(blocks)) for side, blocks in psd.items()]
+        self.unit = np.zeros(at)
+        self.unit[self.nonneg] = 1.0
+        self.unit[[blk.start for blk in self.soc]] = 1.0
+        for side, idx in self.psd:
+            self.unit[idx] = svec(np.eye(side))
 
     def project(self, z: np.ndarray, dual: bool) -> np.ndarray:
         out = z.copy()
-        if self.zero is not None and not dual:
+        if not dual:
             out[self.zero] = 0.0
-        if self.nonneg is not None:
-            out[self.nonneg] = np.maximum(z[self.nonneg], 0.0)
+        out[self.nonneg] = np.maximum(z[self.nonneg], 0.0)
         for blk in self.soc:
             out[blk] = _project_soc(z[blk])
         for side, idx in self.psd:
             out[idx] = _project_psd(z[idx], side)
         return out
 
+    def circ(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Jordan product u o v on the cone rows (zero on zero rows)."""
+        out = np.zeros_like(u)
+        out[self.nonneg] = u[self.nonneg] * v[self.nonneg]
+        for blk in self.soc:
+            out[blk] = u[blk.start] * v[blk] + v[blk.start] * u[blk]
+            out[blk.start] = u[blk] @ v[blk]
+        for side, idx in self.psd:
+            um, vm = unsvec(u[idx], side), unsvec(v[idx], side)
+            out[idx] = svec(0.5 * (um @ vm + vm @ um))
+        return out
+
 
 def project_cone(z: np.ndarray, cones, dual: bool) -> np.ndarray:
     """Project onto K (dual=False) or onto K* (dual=True), blockwise.
 
-    cones is a sequence of Cone blocks or a plan built from one. The dual of
-    the zero cone is the free space; every other cone here is self-dual, so
-    only the zero block distinguishes the two cases.
+    The dual of the zero cone is the free space; every other cone here is
+    self-dual, so only the zero block distinguishes the two cases.
     """
-    plan = cones if isinstance(cones, _ConePlan) else _ConePlan(cones)
-    return plan.project(z, dual)
-
-
-# ---------------------------------------------------------------------------
-# scaling
-
-
-def _block_uniform(row_norms: np.ndarray, cones) -> np.ndarray:
-    """Force one shared row scale inside each soc/psd block (cone invariance)."""
-    out = row_norms.copy()
-    at = 0
-    for cone in cones:
-        r = cone.rows
-        if cone.kind in (SOC, PSD):
-            out[at:at + r] = np.max(row_norms[at:at + r])
-        at += r
-    return out
-
-
-def _ruiz_equilibrate(a: np.ndarray, cones, b=None, iters: int = 10):
-    """Iterative row/column scaling toward unit max-norms.
-
-    When given, the right-hand side joins the row norms, so a single huge
-    entry there cannot leave the scaled data badly conditioned.
-    """
-    m, n = a.shape
-    d = np.ones(m)
-    e = np.ones(n)
-    work = a.copy()
-    bw = None if b is None else np.asarray(b, dtype=float).copy()
-    for _ in range(iters):
-        rn = np.max(np.abs(work), axis=1) if n else np.ones(m)
-        if bw is not None:
-            rn = np.maximum(rn, np.abs(bw))
-        rn = _block_uniform(rn, cones)
-        rn[rn == 0] = 1.0
-        cn = np.max(np.abs(work), axis=0) if m else np.ones(n)
-        cn[cn == 0] = 1.0
-        dr = 1.0 / np.sqrt(rn)
-        dc = 1.0 / np.sqrt(cn)
-        work = work * dr[:, None] * dc[None, :]
-        d *= dr
-        e *= dc
-        if bw is not None:
-            bw = bw * dr
-    return work, d, e
+    return _ConePlan(cones).project(z, dual)
 
 
 # ---------------------------------------------------------------------------
 # solver
 
 
-class _KktSolver:
-    """Cached solve of M z = g with M = [[I, A'], [-A, I]].
+def _soc_det(x: np.ndarray) -> float:
+    """sqrt(x' J x) for x inside a second-order cone, J = diag(1, -1, ..., -1)."""
+    rest = np.linalg.norm(x[1:])
+    return float(np.sqrt((x[0] - rest) * (x[0] + rest)))
 
-    Eliminating one block leaves the normal equations on the smaller side,
-    I + A'A (n <= m) or I + AA' (n > m), which are symmetric positive
-    definite. That matrix is factored once with a dense Cholesky and inverted
-    from the factor; the inverse has the factor's size. With a contiguous A'
-    kept beside it, every solve is three matrix-vector products.
+
+class _Scaling:
+    """Nesterov-Todd scaling W z = W^-T s = lam of an interior pair (s, z) on
+    the cone rows (Vandenberghe 2010, section 4), the identity on zero rows.
+    Nonnegative rows keep the diagonal d, a second-order block the symmetric
+    W = beta (2 v v' - J) and its inverse, and PSD blocks of one side factors
+    r and rti = r^-T of W(u) = r' u r from a batched SVD, so lam is diagonal.
     """
 
-    def __init__(self, a: np.ndarray):
-        self.a = a
-        self.at = np.ascontiguousarray(a.T)
-        m, n = a.shape
-        self.primal_side = n <= m
-        if self.primal_side:
-            gram = np.eye(n) + self.at @ a
-        else:
-            gram = np.eye(m) + a @ self.at
-        factor = sla.cho_factor(gram, check_finite=False)
-        self.inverse = sla.cho_solve(factor, np.eye(len(gram)), check_finite=False)
+    def __init__(self, plan: _ConePlan, s: np.ndarray, z: np.ndarray):
+        self.plan = plan
+        self.lam = np.zeros_like(s)
+        sn, zn = s[plan.nonneg], z[plan.nonneg]
+        self.d = np.sqrt(sn / zn)
+        self.lam[plan.nonneg] = np.sqrt(sn * zn)
+        self.soc = []
+        for blk in plan.soc:
+            sdet, zdet = _soc_det(s[blk]), _soc_det(z[blk])
+            jay = np.diag(np.r_[1.0, -np.ones(blk.stop - blk.start - 1)])
+            sbar, jzbar = s[blk] / sdet, jay @ z[blk] / zdet
+            v = (sbar + jzbar) / np.sqrt(2.0 + 2.0 * (s[blk] @ z[blk]) / (sdet * zdet))
+            v[0] += 1.0
+            v /= np.sqrt(2.0 * v[0])
+            fwd = np.sqrt(sdet / zdet) * (2.0 * np.outer(v, v) - jay)
+            self.soc.append((fwd, np.sqrt(zdet / sdet) * (2.0 * np.outer(jay @ v, jay @ v) - jay)))
+            self.lam[blk] = fwd @ z[blk]
+        self.psd = []
+        for side, idx in plan.psd:
+            ls, lz = np.linalg.cholesky(unsvec(np.stack([s[idx], z[idx]]), side))
+            u, sig, vt = np.linalg.svd(np.swapaxes(lz, -1, -2) @ ls)
+            root = 1.0 / np.sqrt(sig)[..., None, :]
+            self.psd.append((ls @ np.swapaxes(vt, -1, -2) * root, lz @ u * root, sig))
+            self.lam[idx] = svec(sig[..., None] * np.eye(side))
 
-    def solve(self, gx: np.ndarray, gy: np.ndarray):
-        if self.primal_side:
-            zx = self.inverse @ (gx - self.at @ gy)
-            zy = gy + self.a @ zx
-        else:
-            zy = self.inverse @ (gy + self.a @ gx)
-            zx = gx - self.at @ zy
-        return zx, zy
+    def apply(self, v: np.ndarray, inverse: bool = False, transpose: bool = False) -> np.ndarray:
+        """W v, W' v, W^-1 v or W^-T v for a vector or an (m x k) matrix of columns."""
+        plan = self.plan
+        out = v.copy()
+        d = 1.0 / self.d if inverse else self.d
+        out[plan.nonneg] *= d.reshape(d.shape + (1,) * (v.ndim - 1))
+        for blk, (fwd, inv) in zip(plan.soc, self.soc):
+            out[blk] = (inv if inverse else fwd) @ v[blk]
+        for (side, idx), (r, rti, _) in zip(plan.psd, self.psd):
+            # W u = r'ur, W'u = rur', W^-1 u = rti u rti', W^-T u = rti'u rti
+            f, block = (rti if inverse else r), v[idx]
+            if v.ndim == 2:
+                block, f = np.swapaxes(block, 1, 2), f[:, None]
+            ft, mat = np.swapaxes(f, -1, -2), unsvec(block, side)
+            res = svec(ft @ mat @ f if inverse == transpose else f @ mat @ ft)
+            out[idx] = np.swapaxes(res, 1, 2) if v.ndim == 2 else res
+        return out
+
+    def ldiv(self, rhs: np.ndarray) -> np.ndarray:
+        """The u with lam o u = rhs on the cone rows (zero on zero rows)."""
+        plan, lam = self.plan, self.lam
+        out = np.zeros_like(rhs)
+        out[plan.nonneg] = rhs[plan.nonneg] / lam[plan.nonneg]
+        for blk in plan.soc:
+            lk, rk = lam[blk], rhs[blk]
+            u0 = (lk[0] * rk[0] - lk[1:] @ rk[1:]) / (lk[0] ** 2 - lk[1:] @ lk[1:])
+            out[blk] = (rk - u0 * lk) / lk[0]
+            out[blk.start] = u0
+        for (side, idx), (_, _, sig) in zip(plan.psd, self.psd):
+            rows, cols, _ = _svec_pattern(side)
+            out[idx] = rhs[idx] * (2.0 / (sig[:, rows] + sig[:, cols]))
+        return out
+
+    def max_step(self, delta: np.ndarray) -> float:
+        """t with lam + a delta in the cone for all 0 <= a < 1/t (any a if t <= 0)."""
+        plan, lam = self.plan, self.lam
+        t = float(np.max(-delta[plan.nonneg] / lam[plan.nonneg], initial=-np.inf))
+        for blk in plan.soc:
+            # the Lorentz boost taking lam / sqrt(lam'J lam) to the unit
+            det = _soc_det(lam[blk])
+            lk, dk = lam[blk] / det, delta[blk]
+            y0 = lk[0] * dk[0] - lk[1:] @ dk[1:]
+            y1 = dk[1:] - (dk[0] + y0) / (lk[0] + 1.0) * lk[1:]
+            t = max(t, (np.linalg.norm(y1) - y0) / det)
+        for (side, idx), (_, _, sig) in zip(plan.psd, self.psd):
+            root = 1.0 / np.sqrt(sig)
+            rel = unsvec(delta[idx], side) * root[:, :, None] * root[:, None, :]
+            t = max(t, float(-np.min(np.linalg.eigvalsh(rel))))
+        return t
+
+
+class _ReducedSystem:
+    """Solves K [ux; uw] = [bx; bw], K = [[0, G'], [G, -I_K]], G = W^-T A,
+    with I_K the identity on the cone rows: uw is W uz on the cone rows and
+    the free duals on the zero rows E. Eliminating the cone rows leaves
+    [[H, E'], [E, 0]] with H = G_K' G_K; it is factored once with reg (1 + H_ii)
+    added on the H diagonal and -reg on the E block, and each solve is refined
+    against K itself.
+    """
+
+    def __init__(self, a: np.ndarray, scaling: _Scaling):
+        zero, self.cone = scaling.plan.zero, scaling.plan.cone
+        self.zero = zero
+        self.g = scaling.apply(a, inverse=True, transpose=True)
+        n, p = a.shape[1], len(zero)
+        mat = np.zeros((n + p, n + p))
+        mat[:n, :n] = self.g.T @ (self.g * self.cone[:, None])
+        mat.flat[::n + p + 1] += _STATIC_REG * np.concatenate([1.0 + np.diag(mat)[:n], -np.ones(p)])
+        mat[:n, n:] = a[zero].T
+        mat[n:, :n] = a[zero]
+        self.lu, self.piv, info = lapack.dgetrf(mat)
+        if info:
+            raise np.linalg.LinAlgError("singular reduced system")
+
+    def _reduced(self, bx: np.ndarray, bw: np.ndarray):
+        n = len(bx)
+        rhs = np.concatenate([bx + self.g.T @ (self.cone * bw), bw[self.zero]])
+        u = lapack.dgetrs(self.lu, self.piv, rhs)[0]
+        uw = self.g @ u[:n] - bw
+        uw[self.zero] = u[n:]
+        return u[:n], uw
+
+    def solve(self, bx: np.ndarray, bw: np.ndarray):
+        """Refined until K's residual is at rounding level or stops falling."""
+        ux, uw = self._reduced(bx, bw)
+        floor, last = 1e-14 * (1.0 + np.linalg.norm(bx) + np.linalg.norm(bw)), np.inf
+        for _ in range(_REFINE):
+            rx, rw = bx - self.g.T @ uw, bw - self.g @ ux + self.cone * uw
+            err = np.linalg.norm(rx) + np.linalg.norm(rw)
+            if err <= floor or err >= last:
+                break
+            last = err
+            dx, dw = self._reduced(rx, rw)
+            ux, uw = ux + dx, uw + dw
+        return ux, uw
 
 
 def residuals(program: ConicProgram, sol: Solution):
@@ -336,184 +403,102 @@ def residuals(program: ConicProgram, sol: Solution):
     return rp, rd, gap
 
 
-def _polish_lp(program: ConicProgram, a: np.ndarray, x, y, s, tol):
-    """Active-set least-squares refinement for zero/nonneg-cone programs."""
-    m = a.shape[0]
-    active = np.zeros(m, dtype=bool)
-    at = 0
-    for cone in program.cones:
-        r = cone.rows
-        if cone.kind == ZERO:
-            active[at:at + r] = True
-        elif cone.kind == NONNEG:
-            blk = slice(at, at + r)
-            thresh = np.sqrt(max(tol, 1e-16)) * (1.0 + np.abs(program.b[blk]))
-            active[blk] = s[blk] <= thresh
-        else:
-            return None
-        at += r
-    aact = a[active]
-    # x solves the active rows and the active duals solve dual feasibility;
-    # the two systems share no unknowns, so each is its own least squares
-    try:
-        xp, *_ = np.linalg.lstsq(aact, program.b[active], rcond=None)
-        yact, *_ = np.linalg.lstsq(aact.T, -program.c, rcond=None)
-    except np.linalg.LinAlgError:
-        return None
-    yp = np.zeros(m)
-    yp[active] = yact
-    sp = program.b - a @ xp
-    # clean tiny negatives on inactive inequality slacks
-    at = 0
-    ok = True
-    for cone in program.cones:
-        r = cone.rows
-        blk = slice(at, at + r)
-        if cone.kind == ZERO:
-            sp[blk] = 0.0
-        else:
-            if np.min(sp[blk]) < -1e-9 * (1.0 + np.max(np.abs(program.b))):
-                ok = False
-            sp[blk] = np.clip(sp[blk], 0.0, None)
-            if np.min(yp[blk]) < -1e-9 * (1.0 + np.max(np.abs(program.c), initial=0.0)):
-                ok = False
-            yp[blk] = np.clip(yp[blk], 0.0, None)
-        at += r
-    if not ok:
-        return None
-    return xp, yp, sp
+def _interior(plan: _ConePlan, v: np.ndarray) -> np.ndarray:
+    """v shifted along the unit into the interior of the cone rows when it is
+    not well inside, as in conelp's starting point."""
+    t = _Scaling(plan, plan.unit, plan.unit).max_step(v)
+    return v + (1.0 + t) * plan.unit if t >= -1e-8 * max(np.linalg.norm(v), 1.0) else v
 
 
 def solve(program: ConicProgram, settings: SolveSettings | None = None) -> Solution:
     """Solve the program; returns a KKT-approximate solution or a certificate.
 
-    Deterministic for fixed settings. Infeasibility and unboundedness are
-    detected through ray certificates of the homogeneous embedding.
+    Deterministic. Stops as optimal when (x, y, s) / tau meets the tolerance
+    in relative primal and dual residual and gap; as infeasible (unbounded)
+    when y (x) is a ray certificate, scaled to b'y = -1 (c'x = -1); at
+    max_iter; or as inaccurate when no step can be computed. The last two
+    return (x, y, s) / tau with its residuals.
     """
     st = settings or SolveSettings()
-    a_raw = program.dense_matrix()
-    m, n = a_raw.shape
-    b_raw, c_raw = program.b, program.c
-
-    # fold the rhs into the equilibration only when its entries sit far
-    # outside the matrix scale; on well-ranged data the plain matrix scaling
-    # conditions better
-    a_big = max(1.0, float(np.max(np.abs(a_raw))) if a_raw.size else 1.0)
-    b_in = b_raw if b_raw.size and float(np.max(np.abs(b_raw))) > 1e3 * a_big else None
-    a, d, e = _ruiz_equilibrate(a_raw, program.cones, b_in)
-    b = d * b_raw
-    c = e * c_raw
-    beta = 1.0 / (1.0 + np.linalg.norm(b))
-    gamma = 1.0 / (1.0 + np.linalg.norm(c))
-    b = beta * b
-    c = gamma * c
-
-    kkt = _KktSolver(a)
-    h = np.concatenate([c, b])
-    mh = np.concatenate(kkt.solve(c, b))
-    denom = 1.0 + float(h @ mh)
-
-    u = np.zeros(n + m + 1)
-    v = np.zeros(n + m + 1)
-    u[-1] = 1.0
-    v[-1] = 1.0
-    alpha = _OVER_RELAX
-
-    bnorm1 = 1.0 + np.linalg.norm(b_raw)
-    cnorm1 = 1.0 + np.linalg.norm(c_raw)
-
-    best = None
-
-    def _candidate(tau):
-        x = e * (u[:n] / tau) / beta
-        y = d * (u[n:n + m] / tau) / gamma
-        s_scaled = v[n:n + m] / tau
-        s = s_scaled / (d * beta)
-        return x, y, s
-
+    a = program.dense_matrix()
+    b, c = program.b, program.c
     plan = _ConePlan(program.cones)
-    nm = n + m
-    ut = np.empty(nm + 1)
-    ut_xy = ut[:nm]
-    keep = 1.0 - alpha
-    last = st.max_iter - 1
+    bnorm, cnorm = np.linalg.norm(b), np.linalg.norm(c)
+
+    start = _ReducedSystem(a, _Scaling(plan, plan.unit, plan.unit))
+    x, w = start.solve(np.zeros_like(c), b)
+    s = _interior(plan, -w * plan.cone)
+    y = _interior(plan, start.solve(-c, np.zeros_like(b))[1])
+    tau = kappa = 1.0
+
     status = "max_iter"
-    for k in range(st.max_iter):
-        w = u + v
-        w_tau = w[-1]
-        g = w[:nm] - w_tau * h
-        ut[:n], ut[n:nm] = kkt.solve(g[:n], g[n:])
-        ut_xy -= mh * ((h @ ut_xy) / denom)
-        ut[-1] = w_tau + h @ ut_xy
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for it in range(st.max_iter + 1):
+            rx, rm = a.T @ y + c * tau, a @ x + s - b * tau
+            cx, by = c @ x, b @ y
+            if (np.linalg.norm(rm) <= st.tol * (1.0 + bnorm) * tau
+                    and np.linalg.norm(rx) <= st.tol * (1.0 + cnorm) * tau
+                    and abs(cx + by) <= st.tol * (tau + abs(cx) + abs(by))):
+                status = "optimal"
+                break
+            if by < 0.0 and np.linalg.norm(a.T @ y) <= _INFEAS_TOL * max(1.0, cnorm) * -by:
+                return Solution(np.full_like(c, np.nan), y / -by, np.full_like(b, np.nan),
+                                "infeasible", float("nan"), (float("nan"),) * 3, it)
+            if cx < 0.0 and np.linalg.norm(a @ x + s) <= _INFEAS_TOL * max(1.0, bnorm) * -cx:
+                return Solution(x / -cx, np.full_like(b, np.nan), np.full_like(b, np.nan),
+                                "unbounded", float("-inf"), (float("nan"),) * 3, it)
+            if it == st.max_iter:
+                break
+            try:
+                x, y, s, tau, kappa = _newton_step(
+                    a, b, c, _Scaling(plan, s, y), x, y, s, tau, kappa, rx, rm, kappa + cx + by)
+            except (np.linalg.LinAlgError, FloatingPointError):
+                status = "inaccurate"
+                break
+    x, y, s = x / tau, y / tau, s / tau
+    sol = Solution(x, y, s, status, float(c @ x), (), it)
+    return replace(sol, residuals=residuals(program, sol))
 
-        ox = alpha * ut + keep * u
-        z = ox - v
-        z[n:nm] = project_cone(z[n:nm], plan, dual=True)
-        z[-1] = max(z[-1], 0.0)
-        v += z - ox
-        u = z
 
-        if (k + 1) % _CHECK_EVERY == 0 or k == last:
-            tau = u[-1]
-            unorm = np.linalg.norm(u[:n + m])
-            if tau > 1e-11 * max(1.0, unorm):
-                x, y, s = _candidate(tau)
-                rp = np.linalg.norm(a_raw @ x + s - b_raw) / bnorm1
-                rd = np.linalg.norm(a_raw.T @ y + c_raw) / cnorm1
-                pobj = float(c_raw @ x)
-                dobj = float(-b_raw @ y)
-                gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-                score = max(rp, rd, gap)
-                if np.isfinite(score) and (best is None or score < best[0]):
-                    best = (score, (x, y, s))
-                if rp <= st.tol and rd <= st.tol and gap <= st.tol:
-                    status = "optimal"
-                    break
-            # certificate tests on the homogeneous ray
-            ux, uy = u[:n], u[n:n + m]
-            by = float(b @ uy)
-            if by < 0.0:
-                if np.linalg.norm(a.T @ uy) <= _INFEAS_TOL * (-by):
-                    ycert = d * uy / (-by)
-                    return Solution(
-                        x=np.full(n, np.nan), y=ycert, s=np.full(m, np.nan),
-                        status="infeasible", value=float("nan"),
-                        residuals=(float("nan"), float("nan"), float("nan")),
-                    )
-            cx = float(c @ ux)
-            if cx < 0.0:
-                vs = v[n:n + m]
-                if np.linalg.norm(a @ ux + vs) <= _INFEAS_TOL * (-cx):
-                    xcert = e * ux / (-cx)
-                    return Solution(
-                        x=xcert, y=np.full(m, np.nan), s=np.full(m, np.nan),
-                        status="unbounded", value=float("-inf"),
-                        residuals=(float("nan"), float("nan"), float("nan")),
-                    )
+def _newton_step(a, b, c, scaling, x, y, s, tau, kappa, rx, rm, rt):
+    """One Mehrotra predictor-corrector step of the embedding. With ~ for W^-T
+    and dw = W dy, the direction solves  G'dw + c dtau = -eta rx,
+    G dx + ds~ - b~ dtau = -eta rm~,  dkappa + c'dx + b~'dw = -eta rt,
+    lam o (ds~ + dw) = ds_target (ds~ = 0 on zero rows) and
+    kappa dtau + tau dkappa = dk_target, as [dx; dw] = v1 + dtau v2 with
+    K v2 = [-c; b~]; it goes _STEP of the way to the cone boundary."""
+    plan, lam = scaling.plan, scaling.lam
+    system = _ReducedSystem(a, scaling)
+    bt, rmt = scaling.apply(np.stack([b, rm], axis=1), inverse=True, transpose=True).T
+    mu = (lam @ lam + tau * kappa) / (plan.unit @ plan.unit + 1.0)
+    v2x, v2w = system.solve(-c, bt)
+    denom = c @ v2x + bt @ v2w - kappa / tau
 
-    if best is None:
-        tau = max(u[-1], 1e-300)
-        best = (float("inf"), _candidate(tau))
-    x, y, s = best[1]
+    def direction(eta, ds_target, dk_target):
+        shift = scaling.ldiv(ds_target)
+        v1x, v1w = system.solve(-eta * rx, -eta * rmt - shift)
+        dtau = (-eta * rt - dk_target / tau - c @ v1x - bt @ v1w) / denom
+        dx, dw = v1x + dtau * v2x, v1w + dtau * v2w
+        ds = (shift - dw) * plan.cone
+        dkappa = (dk_target - kappa * dtau) / tau
+        t = max(scaling.max_step(ds), scaling.max_step(dw), -dtau / tau, -dkappa / kappa, 0.0)
+        return dx, dw, ds, dtau, dkappa, t
 
-    if status == "optimal":
-        polished = _polish_lp(program, a_raw, x, y, s, st.tol)
-        if polished is not None:
-            xp, yp, sp = polished
-            old = residuals(program, Solution(x, y, s, "optimal", 0.0, (0, 0, 0)))
-            new = residuals(program, Solution(xp, yp, sp, "optimal", 0.0, (0, 0, 0)))
-            if max(new) <= max(max(old), 1e-12):
-                x, y, s = xp, yp, sp
-
-    sol = Solution(x=x, y=y, s=s, status=status, value=float(program.c @ x), residuals=(0.0, 0.0, 0.0))
-    rp, rd, gap = residuals(program, sol)
-    return replace(sol, residuals=(rp, rd, gap))
+    lam_sq = plan.circ(lam, lam)
+    _, dw_a, ds_a, dtau_a, dkappa_a, t = direction(1.0, -lam_sq, -tau * kappa)
+    sigma = (1.0 - min(1.0, 1.0 / t if t > 0.0 else 1.0)) ** 3
+    dx, dw, ds, dtau, dkappa, t = direction(
+        1.0 - sigma, -lam_sq - plan.circ(ds_a, dw_a) + sigma * mu * plan.unit,
+        -tau * kappa - dtau_a * dkappa_a + sigma * mu)
+    alpha = min(1.0, _STEP / t) if t > 0.0 else 1.0
+    return (x + alpha * dx, y + alpha * scaling.apply(dw, inverse=True),
+            s + alpha * scaling.apply(ds, transpose=True), tau + alpha * dtau, kappa + alpha * dkappa)
 
 
 def accepted(sol: Solution, what: str) -> Solution:
-    """The callers' status rule: an optimal or max_iter solution passes, any
-    other status raises ParameterError naming the solve."""
-    if sol.status not in ("optimal", "max_iter"):
+    """The callers' status rule: an optimal solution passes, any other status
+    raises ParameterError naming the solve."""
+    if sol.status != "optimal":
         raise ParameterError(f"{what} ended with status {sol.status}")
     return sol
 
@@ -624,8 +609,16 @@ class LinExpr:
         self.const = float(const)
 
     @staticmethod
+    def _clean(terms: dict, const: float) -> "LinExpr":
+        """An expression from already clean terms (int -> nonzero float)."""
+        expr = object.__new__(LinExpr)
+        expr.terms = terms
+        expr.const = const
+        return expr
+
+    @staticmethod
     def var(col, coef: float = 1.0) -> "LinExpr":
-        return LinExpr({int(col): coef})
+        return LinExpr._clean({int(col): float(coef)} if coef != 0.0 else {}, 0.0)
 
     @staticmethod
     def of(value) -> "LinExpr":
@@ -648,7 +641,7 @@ class LinExpr:
                 else:
                     terms.pop(k, None)
             const += e.const
-        return LinExpr(terms, const)
+        return LinExpr._clean(terms, const)
 
     @staticmethod
     def dot(cols, coefs) -> "LinExpr":
@@ -660,12 +653,15 @@ class LinExpr:
         terms = dict(self.terms)
         for k, v in other.terms.items():
             terms[k] = terms.get(k, 0.0) + v
-        return LinExpr(terms, self.const + other.const)
+        if len(terms) < len(self.terms) + len(other.terms):
+            # only a column both sides share can cancel to zero
+            terms = {k: v for k, v in terms.items() if v != 0.0}
+        return LinExpr._clean(terms, self.const + other.const)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LinExpr({k: -v for k, v in self.terms.items()}, -self.const)
+        return LinExpr._clean({k: -v for k, v in self.terms.items()}, -self.const)
 
     def __sub__(self, other):
         return self + (-LinExpr.of(other))
@@ -675,7 +671,8 @@ class LinExpr:
 
     def __mul__(self, scalar):
         s = float(scalar)
-        return LinExpr({k: s * v for k, v in self.terms.items()}, s * self.const)
+        terms = {k: p for k, v in self.terms.items() if (p := s * v) != 0.0}
+        return LinExpr._clean(terms, s * self.const)
 
     __rmul__ = __mul__
 

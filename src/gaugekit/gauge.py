@@ -192,7 +192,7 @@ def _solve_value(builder: ProgramBuilder) -> float:
         return _INF
     if sol.status == "unbounded":
         return -_INF
-    return float(sol.value)
+    return float(conic.accepted(sol, "gauge program").value)
 
 
 def _flow_arcs(b: ProgramBuilder, space: DiscreteSpace, metric: Hemimetric, u, priced: bool):

@@ -52,6 +52,8 @@ from gaugekit.oracle import (
 )
 from gaugekit.reformulate import (
     ReweightingProblem,
+    build_dual,
+    build_primal,
     composed_dual,
     dual_solution,
     moment_dual,
@@ -102,6 +104,25 @@ def test_duality_gap_suite():
             f"trial {trial}: {type(expr).__name__} eps={eps:.3f} "
             f"primal={pval} dual={dval}")
     assert time.monotonic() - start <= 60.0
+
+
+@pytest.mark.parametrize("seed, trial, expr", [
+    (1001, 12, Polar(Lipschitz(ABS1))),
+    (8, 2, CvarGauge(0.8)),
+])
+def test_duality_gap_ill_conditioned_draws(seed, trial, expr):
+    # the suite's generator at trial `trial` of `seed`: the primal of the
+    # first draw and the dual of the second are badly conditioned programs
+    rng = np.random.default_rng(seed)
+    for _ in range(trial + 1):
+        n = int(rng.integers(4, 9))
+        points = np.sort(rng.uniform(0.0, 3.0, n))
+        f = rng.normal(size=n) * 2.0
+        eps = float(rng.uniform(0.0, 2.0))
+    prob = problem(expr, eps, cost=f, space=uniform_space(points))
+    primal, dual = conic.solve(build_primal(prob)), conic.solve(build_dual(prob))
+    assert (primal.status, dual.status) == ("optimal", "optimal")
+    assert abs(-primal.value - dual.value) <= 1e-6 * (1.0 + abs(dual.value))
 
 
 def test_gauge_algebra_suite():

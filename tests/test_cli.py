@@ -251,7 +251,7 @@ class TestDualityCheck:
         assert values["dual"] == pytest.approx(1.5, abs=1e-6)
 
     def test_truncated_solve_exits_two(self, tmp_path, capsys):
-        doc = dict(BASE_DOC, solver={"max-iter": 10})
+        doc = dict(BASE_DOC, solver={"max-iter": 3})
         code = main(["duality-check", "--config", write_config(tmp_path, doc)])
         assert code == 2
         assert "max_iter" in capsys.readouterr().out

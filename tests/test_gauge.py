@@ -400,6 +400,18 @@ class TestTransportGaugeLp:
             assert solves[0] == 1
             assert got == pytest.approx(want, abs=1e-6 * (1.0 + want))
 
+    def test_small_radii_match_the_plan_lp(self):
+        # gauges up to about 1500, where s = 1/t is small
+        rng = np.random.default_rng(0)
+        for k in range(60):
+            n = int(rng.integers(2, 9))
+            space = DiscreteSpace(rng.uniform(0.0, 3.0, (n, 1 + k % 2)), rng.dirichlet(np.ones(n)))
+            u = rng.normal(size=n)
+            u -= space.weights @ u
+            expr = WassersteinP(2.0, Hemimetric.pnorm(2.0), radius=float(rng.uniform(0.02, 0.2)))
+            want = transport_gauge_by_highs(expr, space, u)
+            assert gauge_value(expr, space, u) == pytest.approx(want, abs=1e-6 * (1.0 + want))
+
     def test_shortcuts_make_no_solve(self, solves):
         expr = WassersteinP(1.0, ABS1, radius=0.5)
         assert gauge_value(expr, BASE, [1.0, 0.0, 0.0, 0.0]) == float("inf")
