@@ -9,8 +9,10 @@ The solver is the primal-dual interior-point method of CVXOPT's conelp
 Mehrotra predictor-corrector steps with Nesterov-Todd scaling on the
 homogeneous self-dual embedding, whose rays give infeasibility and
 unboundedness certificates as in ECOS (Domahidi, Chu & Boyd, ECC 2013). An
-iteration factors one reduced system, G' W^-2 G over the cone rows bordered
-by the zero rows, of the size of the variables plus the zero rows. Zero rows
+iteration factors one reduced system, A' W^-2 A over the cone rows bordered
+by the zero rows, of the size of the variables plus the zero rows; its
+nonnegative rows add up from the products of nonzeros of A that share a row,
+so their cost follows the nonzeros, not the dense matrix. Zero rows
 may be rank-deficient (flow-balance rows sum to zero), so the factored matrix
 carries a static regularisation and each solve is refined against the
 unregularised system. All PSD blocks of one side are handled as one batch.
@@ -196,13 +198,15 @@ def _project_psd(z: np.ndarray, side: int) -> np.ndarray:
 class _ConePlan:
     """Row indices of a cone product grouped by kind, so a cone operation is a
     few array ops: index arrays for the zero and the nonnegative rows, a slice
-    per second-order block and a (blocks x rows) index array per PSD side.
-    unit is the identity element of the cone rows and cone their 0/1 mask.
+    per second-order block and a (blocks x rows) index array per PSD side,
+    with curved the index array of both. unit is the identity element of the
+    cone rows and cone their 0/1 mask.
     """
 
     def __init__(self, cones):
         kinds = np.repeat(np.array([cone.kind for cone in cones], dtype=str), [cone.rows for cone in cones])
         self.zero, self.nonneg = np.flatnonzero(kinds == ZERO), np.flatnonzero(kinds == NONNEG)
+        self.curved = np.flatnonzero((kinds == SOC) | (kinds == PSD))
         self.cone = (kinds != ZERO).astype(float)
         self.soc, psd, at = [], {}, 0
         for cone in cones:
@@ -264,7 +268,8 @@ def _soc_det(x: np.ndarray) -> float:
 class _Scaling:
     """Nesterov-Todd scaling W z = W^-T s = lam of an interior pair (s, z) on
     the cone rows (Vandenberghe 2010, section 4), the identity on zero rows.
-    Nonnegative rows keep the diagonal d, a second-order block the symmetric
+    Nonnegative rows scale by d (held as the row scales d and 1 / d, which
+    are 1 off those rows), a second-order block by the symmetric
     W = beta (2 v v' - J) and its inverse, and PSD blocks of one side factors
     r and rti = r^-T of W(u) = r' u r from a batched SVD, so lam is diagonal.
     """
@@ -273,7 +278,9 @@ class _Scaling:
         self.plan = plan
         self.lam = np.zeros_like(s)
         sn, zn = s[plan.nonneg], z[plan.nonneg]
-        self.d = np.sqrt(sn / zn)
+        self.d = np.ones_like(s)
+        self.d[plan.nonneg] = np.sqrt(sn / zn)
+        self.dinv = 1.0 / self.d
         self.lam[plan.nonneg] = np.sqrt(sn * zn)
         self.soc = []
         for blk in plan.soc:
@@ -297,9 +304,8 @@ class _Scaling:
     def apply(self, v: np.ndarray, inverse: bool = False, transpose: bool = False) -> np.ndarray:
         """W v, W' v, W^-1 v or W^-T v for a vector or an (m x k) matrix of columns."""
         plan = self.plan
-        out = v.copy()
-        d = 1.0 / self.d if inverse else self.d
-        out[plan.nonneg] *= d.reshape(d.shape + (1,) * (v.ndim - 1))
+        d = self.dinv if inverse else self.d
+        out = v * d.reshape(d.shape + (1,) * (v.ndim - 1))
         for blk, (fwd, inv) in zip(plan.soc, self.soc):
             out[blk] = (inv if inverse else fwd) @ v[blk]
         for (side, idx), (r, rti, _) in zip(plan.psd, self.psd):
@@ -345,25 +351,61 @@ class _Scaling:
         return t
 
 
+def _pairs(program: ConicProgram, a: np.ndarray, nonneg: np.ndarray):
+    """The products of the nonzeros of A that share a nonnegative row, as
+    arrays (row, flat, prod) over the pairs of entries (row, p), (row, q)
+    with p <= q. The entries are a's, duplicate triplets summed; flat is
+    p n + q, so A_N' diag(w) A_N is the bincount of flat weighted by
+    prod w[row], mirrored below the diagonal. Built once per solve.
+    """
+    n = program.num_vars
+    on = np.zeros(program.num_rows, dtype=bool)
+    on[nonneg] = True
+    sel = on[program.a_rows]
+    rows, cols = np.divmod(np.unique(program.a_rows[sel] * n + program.a_cols[sel]), n)
+    vals = a[rows, cols]
+    nz = vals != 0.0
+    rows, cols, vals = rows[nz], cols[nz], vals[nz]
+    # entries are sorted by row, then column; each pairs with itself and
+    # the later entries of its row
+    count = np.searchsorted(rows, rows, side="right") - np.arange(len(rows))
+    first = np.repeat(np.arange(len(rows)), count)
+    second = first + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
+    return rows[first], cols[first] * n + cols[second], vals[first] * vals[second]
+
+
+def _gram(g: np.ndarray, pairs, scaling: _Scaling) -> np.ndarray:
+    """H = G_K' G_K for G = W^-T A: A_N' W_N^-2 A_N over the nonnegative rows
+    from the products that _pairs lists, plus G_C' G_C over the second-order
+    and PSD rows C."""
+    n = g.shape[1]
+    row, flat, prod = pairs
+    w = scaling.dinv[row]
+    upper = np.bincount(flat, weights=prod * w * w, minlength=n * n).reshape(n, n)
+    h = upper + upper.T
+    h.flat[::n + 1] = upper.flat[::n + 1]
+    curved = g[scaling.plan.curved]
+    return h + curved.T @ curved
+
+
 class _ReducedSystem:
     """Solves K [ux; uw] = [bx; bw], K = [[0, G'], [G, -I_K]], G = W^-T A,
     with I_K the identity on the cone rows: uw is W uz on the cone rows and
     the free duals on the zero rows E. Eliminating the cone rows leaves
     [[H, E'], [E, 0]] with H = G_K' G_K; it is factored once with reg (1 + H_ii)
     added on the H diagonal and -reg on the E block, and each solve is refined
-    against K itself.
+    against K itself. H comes from _gram.
     """
 
-    def __init__(self, a: np.ndarray, scaling: _Scaling):
-        zero, self.cone = scaling.plan.zero, scaling.plan.cone
-        self.zero = zero
+    def __init__(self, a: np.ndarray, pairs, scaling: _Scaling):
+        self.zero, self.cone = scaling.plan.zero, scaling.plan.cone
         self.g = scaling.apply(a, inverse=True, transpose=True)
-        n, p = a.shape[1], len(zero)
+        n, p = a.shape[1], len(self.zero)
         mat = np.zeros((n + p, n + p))
-        mat[:n, :n] = self.g.T @ (self.g * self.cone[:, None])
+        mat[:n, :n] = _gram(self.g, pairs, scaling)
         mat.flat[::n + p + 1] += _STATIC_REG * np.concatenate([1.0 + np.diag(mat)[:n], -np.ones(p)])
-        mat[:n, n:] = a[zero].T
-        mat[n:, :n] = a[zero]
+        mat[:n, n:] = a[self.zero].T
+        mat[n:, :n] = a[self.zero]
         self.lu, self.piv, info = lapack.dgetrf(mat)
         if info:
             raise np.linalg.LinAlgError("singular reduced system")
@@ -393,10 +435,14 @@ class _ReducedSystem:
 
 def residuals(program: ConicProgram, sol: Solution):
     """Recompute (primal, dual, gap) residuals from the raw program data."""
-    a = program.dense_matrix()
-    x, y, s = sol.x, sol.y, sol.s
-    if len(x) != program.num_vars or len(y) != program.num_rows or len(s) != program.num_rows:
+    if len(sol.x) != program.num_vars or len(sol.y) != program.num_rows or len(sol.s) != program.num_rows:
         raise DimensionError("solution dimensions do not match the program")
+    return _residuals(program, program.dense_matrix(), sol)
+
+
+def _residuals(program: ConicProgram, a: np.ndarray, sol: Solution):
+    """residuals, with a the program's dense matrix."""
+    x, y, s = sol.x, sol.y, sol.s
     rp = float(np.linalg.norm(a @ x + s - program.b))
     rd = float(np.linalg.norm(a.T @ y + program.c))
     gap = float(abs(program.c @ x + program.b @ y))
@@ -423,9 +469,10 @@ def solve(program: ConicProgram, settings: SolveSettings | None = None) -> Solut
     a = program.dense_matrix()
     b, c = program.b, program.c
     plan = _ConePlan(program.cones)
+    pairs = _pairs(program, a, plan.nonneg)
     bnorm, cnorm = np.linalg.norm(b), np.linalg.norm(c)
 
-    start = _ReducedSystem(a, _Scaling(plan, plan.unit, plan.unit))
+    start = _ReducedSystem(a, pairs, _Scaling(plan, plan.unit, plan.unit))
     x, w = start.solve(np.zeros_like(c), b)
     s = _interior(plan, -w * plan.cone)
     y = _interior(plan, start.solve(-c, np.zeros_like(b))[1])
@@ -451,16 +498,16 @@ def solve(program: ConicProgram, settings: SolveSettings | None = None) -> Solut
                 break
             try:
                 x, y, s, tau, kappa = _newton_step(
-                    a, b, c, _Scaling(plan, s, y), x, y, s, tau, kappa, rx, rm, kappa + cx + by)
+                    a, pairs, b, c, _Scaling(plan, s, y), x, y, s, tau, kappa, rx, rm, kappa + cx + by)
             except (np.linalg.LinAlgError, FloatingPointError):
                 status = "inaccurate"
                 break
     x, y, s = x / tau, y / tau, s / tau
     sol = Solution(x, y, s, status, float(c @ x), (), it)
-    return replace(sol, residuals=residuals(program, sol))
+    return replace(sol, residuals=_residuals(program, a, sol))
 
 
-def _newton_step(a, b, c, scaling, x, y, s, tau, kappa, rx, rm, rt):
+def _newton_step(a, pairs, b, c, scaling, x, y, s, tau, kappa, rx, rm, rt):
     """One Mehrotra predictor-corrector step of the embedding. With ~ for W^-T
     and dw = W dy, the direction solves  G'dw + c dtau = -eta rx,
     G dx + ds~ - b~ dtau = -eta rm~,  dkappa + c'dx + b~'dw = -eta rt,
@@ -468,7 +515,7 @@ def _newton_step(a, b, c, scaling, x, y, s, tau, kappa, rx, rm, rt):
     kappa dtau + tau dkappa = dk_target, as [dx; dw] = v1 + dtau v2 with
     K v2 = [-c; b~]; it goes _STEP of the way to the cone boundary."""
     plan, lam = scaling.plan, scaling.lam
-    system = _ReducedSystem(a, scaling)
+    system = _ReducedSystem(a, pairs, scaling)
     bt, rmt = scaling.apply(np.stack([b, rm], axis=1), inverse=True, transpose=True).T
     mu = (lam @ lam + tau * kappa) / (plan.unit @ plan.unit + 1.0)
     v2x, v2w = system.solve(-c, bt)
@@ -516,13 +563,17 @@ class ProgramBuilder:
     of them append their rows in cone-block order through _append, which
     writes  expr + s = 0  with the slack s in the cone. So le(expr) means
     expr <= 0, while soc and psd negate their expressions to put the
-    expressions themselves in the cone. Consecutive zero rows, and
-    consecutive nonnegative rows, share one cone block.
+    expressions themselves in the cone. le_rows appends a block of le rows
+    given as arrays, for programs with many rows of a few terms. Consecutive
+    zero rows, and consecutive nonnegative rows, share one cone block.
     """
 
     def __init__(self):
         self._obj: dict[int, float] = {}
-        self._rows: list[dict[int, float]] = []
+        # the triplets (row, col, value) of A in row order, and b
+        self._a_rows: list[int] = []
+        self._a_cols: list[int] = []
+        self._a_vals: list[float] = []
         self._rhs: list[float] = []
         self._cones: list[Cone] = []
         self._nvars = 0
@@ -541,11 +592,17 @@ class ProgramBuilder:
 
     def _append(self, kind: str, exprs: list, dim: int):
         """One row per expression, with slack equal to minus the expression,
-        forming the cone (kind, dim); zero and nonnegative rows join a
-        preceding block of their kind."""
+        forming the cone (kind, dim)."""
         for e in exprs:
-            self._rows.append(dict(e.terms))
+            self._a_rows.extend([len(self._rhs)] * len(e.terms))
+            self._a_cols.extend(e.terms)
+            self._a_vals.extend(e.terms.values())
             self._rhs.append(-e.const)
+        self._close(kind, dim)
+
+    def _close(self, kind: str, dim: int):
+        """The cone (kind, dim) of the rows just appended; zero and
+        nonnegative rows join a preceding block of their kind."""
         if kind in (ZERO, NONNEG) and self._cones and self._cones[-1].kind == kind:
             dim += self._cones.pop().dim
         self._cones.append(Cone(kind, dim))
@@ -559,6 +616,26 @@ class ProgramBuilder:
     def le(self, expr):
         """expr <= 0"""
         self._append(NONNEG, [LinExpr.of(expr)], 1)
+
+    def le_rows(self, cols, coefs, consts):
+        """sum_k coefs[r, k] x_{cols[r, k]} + consts[r] <= 0 for each row r,
+        from (rows x k) arrays of columns and coefficients and the constants:
+        the rows that le would append one at a time, with their terms in k
+        order. Zero coefficients add no term, as in LinExpr.var; a column
+        repeated in a row gives repeated triplets, which the program sums."""
+        consts = np.asarray(consts, dtype=float).ravel()
+        cols, coefs = np.broadcast_arrays(np.asarray(cols, dtype=int), np.asarray(coefs, dtype=float))
+        if cols.ndim != 2 or len(cols) != len(consts):
+            raise DimensionError(f"terms of shape {cols.shape} for {len(consts)} constants")
+        if not len(consts):
+            return
+        keep = coefs != 0.0
+        rows = np.arange(len(self._rhs), len(self._rhs) + len(consts))
+        self._a_rows.extend(np.broadcast_to(rows[:, None], keep.shape)[keep].tolist())
+        self._a_cols.extend(cols[keep].tolist())
+        self._a_vals.extend(coefs[keep].tolist())
+        self._rhs.extend((-consts).tolist())
+        self._close(NONNEG, len(consts))
 
     def eq(self, expr):
         """expr = 0"""
@@ -580,20 +657,14 @@ class ProgramBuilder:
         self._append(PSD, exprs, side)
 
     def build(self) -> ConicProgram:
-        rows, cols, vals = [], [], []
-        for i, row in enumerate(self._rows):
-            for j, val in row.items():
-                rows.append(i)
-                cols.append(j)
-                vals.append(val)
         c = np.zeros(self._nvars)
         for j, val in self._obj.items():
             c[j] = val
         return ConicProgram(
             c=c,
-            a_rows=np.asarray(rows, dtype=int),
-            a_cols=np.asarray(cols, dtype=int),
-            a_vals=np.asarray(vals, dtype=float),
+            a_rows=np.asarray(self._a_rows, dtype=int),
+            a_cols=np.asarray(self._a_cols, dtype=int),
+            a_vals=np.asarray(self._a_vals, dtype=float),
             b=np.asarray(self._rhs, dtype=float),
             cones=tuple(self._cones),
         )

@@ -171,10 +171,9 @@ def build_envelope_program(
             f"samples have dimension {pts.shape[1]}, "
             f"support has {problem.space.points.shape[1]}"
         )
-    if len(pts) <= 64:
-        findings = hemimetric_check(metric, pts)
-        if findings:
-            raise ParameterError(f"hemimetric fails on the samples: {findings[0]}")
+    findings = hemimetric_check(metric, pts)
+    if findings:
+        raise ParameterError(f"hemimetric fails on the samples: {findings[0]}")
     m = len(pts)
     f = problem.cost
     cost_mat = metric.matrix(problem.space.points, pts)
@@ -188,14 +187,13 @@ def build_envelope_program(
         rms = int(b.add_vars(1, obj=gh.delta)[0])
         b.nonneg_var(s)
         b.soc([LinExpr.var(rms)] + [LinExpr.var(int(col), 1.0 / np.sqrt(m)) for col in s])
-    for j in range(problem.space.size):
-        for i in range(m):
-            b.le(
-                f[j]
-                - LinExpr.var(alpha)
-                - LinExpr.var(int(s[i]))
-                - LinExpr.var(gamma, cost_mat[j, i])
-            )
+    # f_j - alpha - s_i - gamma c(j, i) <= 0, row j * m + i
+    nj = problem.space.size
+    b.le_rows(
+        np.stack(np.broadcast_arrays(alpha, np.tile(s, nj), gamma), axis=1),
+        np.stack(np.broadcast_arrays(-1.0, -1.0, -cost_mat.ravel()), axis=1),
+        np.repeat(f, m),
+    )
     return EnvelopeProgram(
         problem=problem,
         samples=pts,
@@ -220,7 +218,7 @@ def _objective(ep: EnvelopeProgram, gamma: float, alpha: float, s: np.ndarray) -
 def solve_envelope(ep: EnvelopeProgram, settings: SolveSettings | None = None) -> EnvelopeSolution:
     """Solve the built program and unpack (gamma, alpha, s)."""
     sol = conic.accepted(conic.solve(ep.program, settings), "envelope solve")
-    s = np.array([sol.x[i] for i in ep.s])
+    s = sol.x[list(ep.s)]
     return EnvelopeSolution(
         value=float(sol.value),
         gamma=float(sol.x[ep.gamma]),

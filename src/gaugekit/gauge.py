@@ -120,12 +120,9 @@ def hemimetric_check(metric: Hemimetric, points) -> list:
     """Report hemimetric violations on a point list (empty list = clean).
 
     Checks nonnegativity, a zero diagonal, and all triangle inequalities.
-    Limited to 64 points; the scan builds an (m, m, m) array.
+    The scan takes one intermediate point k at a time, in O(m^2) memory.
     """
     pts = _as_points(points)
-    m = len(pts)
-    if m > 64:
-        raise ParameterError(f"triangle scan limited to 64 points, got {m}")
     c = metric.matrix(pts, pts)
     findings = []
     neg = np.argwhere(c < -1e-12)
@@ -134,14 +131,16 @@ def hemimetric_check(metric: Hemimetric, points) -> list:
     bad_diag = np.where(np.abs(np.diag(c)) > 1e-12)[0]
     for i in bad_diag[:5]:
         findings.append(f"nonzero diagonal c({i},{i}) = {c[i, i]:.6g}")
-    via = c[:, :, None] + c[None, :, :]  # via[i, k, j] = c(i, k) + c(k, j)
-    gap = c - np.min(via, axis=1)
+    best = c[:, :1] + c[:1, :]  # min over k of c(i, k) + c(k, j)
+    for k in range(1, len(c)):
+        np.minimum(best, c[:, k, None] + c[None, k, :], out=best)
+    gap = c - best
     bad = gap > 1e-12
     count = int(np.count_nonzero(bad))
     if count:
         # the first worst pair in row-major order, through its first best stop
         i, j = np.unravel_index(int(np.argmax(np.where(bad, gap, -_INF))), gap.shape)
-        k = int(np.argmin(via[i, :, j]))
+        k = int(np.argmin(c[i, :] + c[:, j]))
         findings.append(
             f"{count} triangle violations; worst c({i},{j}) - c({i},{k}) - c({k},{j}) = {gap[i, j]:.6g}"
         )

@@ -60,7 +60,7 @@ def _coincident_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     near = cKDTree(a[ra]).sparse_distance_matrix(cKDTree(b[rb]), 2.0 * tol, output_type="ndarray")
     near.sort(order=("i", "j"))
     ii, jj = ra[near["i"]], rb[near["j"]]
-    keep = np.array([np.linalg.norm(a[i] - b[j]) <= tol for i, j in zip(ii, jj)], dtype=bool)
+    keep = np.linalg.norm(a[ii] - b[jj], axis=1) <= tol
     return ii[keep], jj[keep]
 
 

@@ -339,6 +339,33 @@ class TestBuilderRowPath:
         # the le row and the nonnegative rows around it share one block
         assert array.cones == single.cones == (Cone("zero", 1), Cone("nonneg", 5))
 
+    def test_le_rows_match_le_row_by_row(self):
+        cols = np.array([[0, 2, 1], [1, 2, 3], [3, 0, 2]])
+        coefs = np.array([[-1.0, 0.0, 2.5], [1.0, -0.5, 0.0], [0.25, -1.0, 4.0]])
+        consts = np.array([0.0, -2.0, 1.5])
+
+        def build(array_form):
+            b = ProgramBuilder()
+            x = b.add_vars(4, obj=1.0)
+            b.nonneg_var(x[0])
+            if array_form:
+                b.le_rows(cols, coefs, consts)
+                b.le_rows(np.zeros((0, 3), dtype=int), np.zeros((0, 3)), [])
+            else:
+                for col, coef, const in zip(cols, coefs, consts):
+                    b.le(LinExpr.sum(LinExpr.var(k, v) for k, v in zip(col, coef)) + const)
+            b.eq(LinExpr.var(x[2]) - 1.0)
+            return b.build()
+
+        rows, array = build(False), build(True)
+        for want, got in zip(_program_arrays(rows), _program_arrays(array)):
+            assert want.dtype == got.dtype
+            np.testing.assert_array_equal(want, got)
+        assert np.signbit(array.b).tolist() == np.signbit(rows.b).tolist()
+        assert array.cones == (Cone("nonneg", 4), Cone("zero", 1))
+        with pytest.raises(DimensionError):
+            ProgramBuilder().le_rows(cols, coefs, consts[:2])
+
     def test_empty_array_adds_no_rows(self):
         b = ProgramBuilder()
         b.add_vars(2)
@@ -354,6 +381,61 @@ class TestBuilderRowPath:
         with pytest.raises(DimensionError):
             b.psd(2, [LinExpr.var(t), LinExpr.var(t)])
         assert b.build().num_rows == 0
+
+
+class TestReducedSystemAssembly:
+    """H built from the sparsity of A against the dense (W^-T A)_K' (W^-T A)_K."""
+
+    @staticmethod
+    def random_program(rng, cones):
+        rows = sum(cone.rows for cone in cones)
+        n = int(rng.integers(1, 9))
+        nnz = int(rng.integers(0, 3 * rows + 1))
+        r, c = rng.integers(0, rows, nnz), rng.integers(0, n, nnz)
+        v = rng.normal(size=nnz) * (rng.random(nnz) < 0.9)  # some explicit zeros
+        # repeat some triplets, so duplicate (row, col) entries are summed
+        dup = rng.integers(0, max(nnz, 1), int(rng.integers(0, 4))) if nnz else np.zeros(0, int)
+        return ConicProgram(c=np.zeros(n), a_rows=np.r_[r, r[dup]], a_cols=np.r_[c, c[dup]],
+                            a_vals=np.r_[v, rng.normal(size=len(dup))], b=np.zeros(rows),
+                            cones=cones)
+
+    @staticmethod
+    def interior(rng, cones):
+        out = []
+        for cone in cones:
+            if cone.kind in ("zero", "nonneg"):
+                out.append(rng.uniform(0.1, 3.0, cone.dim))
+            elif cone.kind == "soc":
+                rest = rng.normal(size=cone.dim - 1)
+                out.append(np.r_[np.linalg.norm(rest) + rng.uniform(0.1, 1.0), rest])
+            else:
+                f = rng.normal(size=(cone.dim, cone.dim))
+                out.append(svec(f @ f.T + 0.1 * np.eye(cone.dim)))
+        return np.concatenate(out)
+
+    def test_pattern_assembly_matches_the_dense_product(self):
+        rng = np.random.default_rng(21)
+        kinds = [lambda: Cone("zero", int(rng.integers(1, 4))),
+                 lambda: Cone("nonneg", int(rng.integers(1, 7))),
+                 lambda: Cone("soc", int(rng.integers(2, 5))),
+                 lambda: Cone("psd", int(rng.integers(2, 4)))]
+        for trial in range(60):
+            picks = rng.integers(0, 4, int(rng.integers(1, 6)))
+            if trial % 4 == 0:
+                picks = picks[picks != 1]  # no nonnegative block
+            cones = tuple(kinds[k]() for k in picks) or (Cone("soc", 3),)
+            prog = self.random_program(rng, cones)
+            a = prog.dense_matrix()
+            plan = conic._ConePlan(cones)
+            s, z = self.interior(rng, cones), self.interior(rng, cones)
+            scaling = conic._Scaling(plan, s, z)
+            g = np.column_stack([scaling.apply(col, inverse=True, transpose=True) for col in a.T])
+            g[plan.nonneg] = a[plan.nonneg] * np.sqrt(z[plan.nonneg] / s[plan.nonneg])[:, None]
+            gk = g[plan.cone == 1.0]
+            want = gk.T @ gk
+            got = conic._gram(scaling.apply(a, inverse=True, transpose=True),
+                              conic._pairs(prog, a, plan.nonneg), scaling)
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), f"trial {trial}"
 
 
 class TestProgramChecks:

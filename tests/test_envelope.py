@@ -19,6 +19,7 @@ from gaugekit.envelope import (
     make_nonredundant,
     solve_envelope,
 )
+from gaugekit.conic import LinExpr, ProgramBuilder
 from gaugekit.errors import (
     ContractError,
     DimensionError,
@@ -164,6 +165,15 @@ class TestBuildProgram:
         with pytest.raises(ParameterError):
             build_envelope_program(prob, pts, ID_GH)
 
+    def test_rejects_a_broken_hemimetric_beyond_64_samples(self):
+        pts = np.arange(65.0)
+        table = np.abs(pts[:, None] - pts[None, :])
+        table[0, 64] = 100.0
+        bad = Hemimetric.from_table(pts, table)
+        prob = problem(W1Ball(bad), 0.5, cost=np.zeros(65), space=uniform_space(pts))
+        with pytest.raises(ParameterError, match="1 triangle violations"):
+            build_envelope_program(prob, pts, ID_GH)
+
     def test_transform_guards(self):
         with pytest.raises(ParameterError):
             PostTransform("squash")
@@ -171,6 +181,51 @@ class TestBuildProgram:
             PostTransform.case_study(-0.1)
         with pytest.raises(ParameterError):
             PostTransform.case_study(0.1, w_bound=0.0)
+
+
+def linexpr_envelope(space, f, samples, metric, price, gh):
+    """The envelope program written one LinExpr row at a time: alpha, gamma
+    >= 0, the levels s (nonnegative with an rms cone for the case-study
+    kind), then f_j - alpha - s_i - gamma c(j, i) <= 0 in row j * m + i."""
+    b = ProgramBuilder()
+    alpha = int(b.add_vars(1, obj=1.0)[0])
+    gamma = int(b.add_vars(1, obj=price)[0])
+    b.nonneg_var(gamma)
+    m = len(samples)
+    s = b.add_vars(m, obj=1.0 / m)
+    if gh.kind == "case-study":
+        rms = int(b.add_vars(1, obj=gh.delta)[0])
+        b.nonneg_var(s)
+        b.soc([LinExpr.var(rms)] + [LinExpr.var(int(col), 1.0 / np.sqrt(m)) for col in s])
+    cost = metric.matrix(space.points, samples)
+    for j in range(space.size):
+        for i in range(m):
+            b.le(f[j] - LinExpr.var(alpha) - LinExpr.var(int(s[i])) - LinExpr.var(gamma, cost[j, i]))
+    return b.build()
+
+
+class TestProgramPin:
+    # the costs have a zero and both signs; the samples meet the support,
+    # so some pairs have zero cost and their rows no gamma term
+    COST = np.array([0.0, -1.25, 2.0, 3.5])
+
+    @pytest.mark.parametrize("gauge, metric, price, samples, gh", [
+        (W1Ball(ABS1), ABS1, 0.5, [0.0, 1.5, 3.0], ID_GH),
+        (TotalVariation(), IND, 0.25, [3.0, 1.0, 2.0, 0.0, 0.5], ID_GH),
+        (W1Ball(ABS1), ABS1, 0.5, [2.0, 0.25, 1.0], PostTransform.case_study(0.3)),
+        (TotalVariation(), IND, 0.25, [1.0, 3.0], PostTransform.case_study(0.0)),
+    ])
+    def test_program_matches_the_linexpr_rows(self, gauge, metric, price, samples, gh):
+        samples = np.asarray(samples).reshape(-1, 1)
+        got = build_envelope_program(problem(gauge, 0.5, cost=self.COST), samples, gh).program
+        want = linexpr_envelope(BASE, self.COST, samples, metric, price, gh)
+        assert got.cones == want.cones
+        for g, w in zip((got.c, got.a_rows, got.a_cols, got.a_vals, got.b),
+                        (want.c, want.a_rows, want.a_cols, want.a_vals, want.b)):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        assert np.signbit(got.b).tolist() == np.signbit(want.b).tolist()
+        assert np.count_nonzero(got.a_vals == 0.0) == 0
 
 
 class TestMakeNonredundant:

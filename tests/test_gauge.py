@@ -547,9 +547,13 @@ class TestGroundCosts:
             with pytest.raises(DimensionError):
                 Hemimetric.from_table(pts, np.zeros((2, 2)))
 
-    def test_scan_size_limit(self):
-        with pytest.raises(ParameterError):
-            hemimetric_check(Hemimetric.pnorm(2.0), np.arange(65.0))
+    def test_scan_reports_a_planted_violation_beyond_64_points(self):
+        pts = np.arange(65.0)
+        assert hemimetric_check(Hemimetric.pnorm(2.0), pts) == []
+        table = np.abs(pts[:, None] - pts[None, :])
+        table[0, 64] = 100.0  # every stop k in 1..63 gives 64; k = 1 is the first
+        assert hemimetric_check(Hemimetric.from_table(pts, table), pts) == [
+            "1 triangle violations; worst c(0,64) - c(0,1) - c(1,64) = 36"]
 
     def test_table_lookup_rejects_unknown_points(self):
         m = Hemimetric.from_table([0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
