@@ -282,8 +282,8 @@ def build_case_funcparam_sdp(instance: CaseInstance,
     When nothing prices a district's curvature (its radius and the
     reweighting scale both zero) the best quadratic can chase the
     distance cone without ever attaining it, so the infimum may not be
-    attained and the splitting solver can stop at its iteration cap near
-    the limiting value instead of reporting optimal.
+    attained and the interior-point solver can end inaccurate near the
+    limiting value instead of reporting optimal.
     """
     m = len(instance.samples)
     nregions = len(instance.region_lower)

@@ -610,21 +610,28 @@ def write_csv(path, command, columns, rows):
 # commands
 
 
+def _two_routes(problem, settings):
+    """Solve the primal and the dual program of the problem. Returns the
+    primal value (negated, since the primal program minimizes the negated
+    worst case), the dual value, both statuses, and the gap rule's tolerance
+    1e-6 * (1 + |dual|). Raises EncodingError when a route has no program."""
+    dual = conic.solve(build_dual(problem), settings)
+    primal = conic.solve(build_primal(problem), settings)
+    value = float(dual.value)
+    return -float(primal.value), value, primal.status, dual.status, 1e-6 * (1.0 + abs(value))
+
+
 def cmd_duality_check(doc, settings, seed):
     problem = _build_problem(doc, seed)
     try:
-        dual = conic.solve(build_dual(problem), settings)
-        primal = conic.solve(build_primal(problem), settings)
+        primal, dual, primal_status, dual_status, bound = _two_routes(problem, settings)
     except EncodingError as exc:
         raise ConfigError(f"duality-check: {exc}")
-    primal_value = -float(primal.value)
-    gap = abs(primal_value - float(dual.value))
-    bound = 1e-6 * (1.0 + abs(float(dual.value)))
-    ok = (dual.status == "optimal" and primal.status == "optimal"
-          and gap <= bound)
+    gap = abs(primal - dual)
+    ok = dual_status == "optimal" and primal_status == "optimal" and gap <= bound
     rows = [
-        ("primal", primal_value, primal.status),
-        ("dual", float(dual.value), dual.status),
+        ("primal", primal, primal_status),
+        ("dual", dual, dual_status),
         ("gap", gap, "ok" if ok else "breach"),
     ]
     columns = ("route", "value", "status")
@@ -671,7 +678,7 @@ def cmd_envelope_sweep(doc, settings, seed):
     def sampler(count, sample_seed):
         return sample_uniform_box(lower, upper, count, sample_seed)
 
-    rows = convergence_sweep(sampler, cost_fn, metric, epsilon, sizes, seed, target)
+    rows = convergence_sweep(sampler, cost_fn, metric, epsilon, sizes, seed, target, settings)
     table = [(r.m, r.seed, r.z_m, r.w1_bound, r.gap, r.status) for r in rows]
     ok = all(r.status in ("ok", "surrogate") for r in rows)
     columns = ("m", "seed", "z_m", "w1_bound", "gap", "status")
@@ -716,17 +723,14 @@ def cmd_verify(doc, settings, seed):
 
     dual_value = None
     try:
-        dual = conic.solve(build_dual(problem), settings)
-        primal = conic.solve(build_primal(problem), settings)
-        if dual.status != "optimal" or primal.status != "optimal":
+        primal, dual, primal_status, dual_status, bound = _two_routes(problem, settings)
+        if dual_status != "optimal" or primal_status != "optimal":
             ok = False
-            rows.append(("primal-vs-dual", -float(primal.value),
-                         float(dual.value), float("nan"), 0.0,
-                         f"{primal.status}/{dual.status}"))
+            rows.append(("primal-vs-dual", primal, dual, float("nan"), 0.0,
+                         f"{primal_status}/{dual_status}"))
         else:
-            dual_value = float(dual.value)
-            add("primal-vs-dual", -float(primal.value), dual_value,
-                1e-6 * (1.0 + abs(dual_value)))
+            dual_value = dual
+            add("primal-vs-dual", primal, dual, bound)
     except EncodingError:
         pass
 

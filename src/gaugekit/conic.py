@@ -21,7 +21,6 @@ unregularised system. All PSD blocks of one side are handled as one batch.
 from __future__ import annotations
 
 import functools
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -130,7 +129,7 @@ class Solution:
 
 
 # ---------------------------------------------------------------------------
-# svec / cone projections
+# svec and cone row plans
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,27 +173,6 @@ def unsvec(vec: np.ndarray, side: int) -> np.ndarray:
     return mat
 
 
-def _project_soc(z: np.ndarray) -> np.ndarray:
-    t, rest = z[0], z[1:]
-    nr = np.linalg.norm(rest)
-    if nr <= t:
-        return z
-    if nr <= -t:
-        return np.zeros_like(z)
-    coef = (t + nr) / 2.0
-    out = np.empty_like(z)
-    out[0] = coef
-    out[1:] = rest * (coef / nr)
-    return out
-
-
-def _project_psd(z: np.ndarray, side: int) -> np.ndarray:
-    """Project a (blocks x rows) stack of svec'd PSD blocks with one batched eigh."""
-    vals, vecs = np.linalg.eigh(unsvec(z, side))
-    np.maximum(vals, 0.0, out=vals)
-    return svec((vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2))
-
-
 class _ConePlan:
     """Row indices of a cone product grouped by kind, so a cone operation is a
     few array ops: index arrays for the zero and the nonnegative rows, a slice
@@ -222,17 +200,6 @@ class _ConePlan:
         for side, idx in self.psd:
             self.unit[idx] = svec(np.eye(side))
 
-    def project(self, z: np.ndarray, dual: bool) -> np.ndarray:
-        out = z.copy()
-        if not dual:
-            out[self.zero] = 0.0
-        out[self.nonneg] = np.maximum(z[self.nonneg], 0.0)
-        for blk in self.soc:
-            out[blk] = _project_soc(z[blk])
-        for side, idx in self.psd:
-            out[idx] = _project_psd(z[idx], side)
-        return out
-
     def circ(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Jordan product u o v on the cone rows (zero on zero rows)."""
         out = np.zeros_like(u)
@@ -244,15 +211,6 @@ class _ConePlan:
             um, vm = unsvec(u[idx], side), unsvec(v[idx], side)
             out[idx] = svec(0.5 * (um @ vm + vm @ um))
         return out
-
-
-def project_cone(z: np.ndarray, cones, dual: bool) -> np.ndarray:
-    """Project onto K (dual=False) or onto K* (dual=True), blockwise.
-
-    The dual of the zero cone is the free space; every other cone here is
-    self-dual, so only the zero block distinguishes the two cases.
-    """
-    return _ConePlan(cones).project(z, dual)
 
 
 # ---------------------------------------------------------------------------
@@ -746,27 +704,3 @@ class LinExpr:
         return LinExpr._clean(terms, s * self.const)
 
     __rmul__ = __mul__
-
-
-def dump_program(program: ConicProgram) -> str:
-    """Plain-text sparse dump: dims, cone list, then c/b/A triplets.
-
-    Lines: `vars N`, `rows M`, `cone KIND DIM` per block (psd DIM is the side),
-    `c j v`, `b i v`, `A i j v` for nonzeros; indices are zero-based.
-    """
-    out = io.StringIO()
-    out.write("# gaugekit conic program v1\n")
-    out.write("# minimize c'x  subject to  A x + s = b,  s in K\n")
-    out.write(f"vars {program.num_vars}\n")
-    out.write(f"rows {program.num_rows}\n")
-    for cone in program.cones:
-        out.write(f"cone {cone.kind} {cone.dim}\n")
-    for j, val in enumerate(program.c):
-        if val != 0.0:
-            out.write(f"c {j} {val!r}\n")
-    for i, val in enumerate(program.b):
-        if val != 0.0:
-            out.write(f"b {i} {val!r}\n")
-    for i, j, val in zip(program.a_rows, program.a_cols, program.a_vals):
-        out.write(f"A {i} {j} {val!r}\n")
-    return out.getvalue()

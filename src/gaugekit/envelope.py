@@ -263,6 +263,7 @@ def convergence_sweep(
     sizes,
     seed: int,
     z_star: float | None = None,
+    settings: SolveSettings | None = None,
 ) -> list:
     """Envelope values on growing i.i.d. samples, with transport bounds.
 
@@ -272,7 +273,8 @@ def convergence_sweep(
     size). Each row records the envelope value z_m, the transport bound
     l_g * l_h * gamma_m * W1(empirical, reference), and the gap to z_star.
     Without an analytic z_star the gap is taken against the largest size's
-    value and the row is labeled "surrogate".
+    value and the row is labeled "surrogate". settings go to each envelope
+    solve.
     """
     from .gauge import W1Ball
 
@@ -289,7 +291,7 @@ def convergence_sweep(
         f = np.array([float(cost_fn(pt)) for pt in space.points])
         problem = ReweightingProblem(space, f, W1Ball(metric), epsilon)
         ep = build_envelope_program(problem, space.points, gh)
-        sol = solve_envelope(ep)
+        sol = solve_envelope(ep, settings)
         w1 = w1_distance(
             space.points, space.weights, reference.points, reference.weights, metric
         )

@@ -120,9 +120,13 @@ def hemimetric_check(metric: Hemimetric, points) -> list:
     """Report hemimetric violations on a point list (empty list = clean).
 
     Checks nonnegativity, a zero diagonal, and all triangle inequalities.
-    The scan takes one intermediate point k at a time, in O(m^2) memory.
+    The scan takes one intermediate point k at a time, in O(m^2) memory. A
+    pnorm metric is a norm of x - y and passes by construction; scanning it
+    would only read rounding at large coordinates as violations.
     """
     pts = _as_points(points)
+    if metric.kind == "pnorm":
+        return []
     c = metric.matrix(pts, pts)
     findings = []
     neg = np.argwhere(c < -1e-12)
@@ -211,17 +215,6 @@ def _flow_arcs(b: ProgramBuilder, space: DiscreteSpace, metric: Hemimetric, u, p
     for k in range(n):
         b.eq(u[k] * (-space.weights[k]) + LinExpr.sum(balance[k]))
     return arcs, cost
-
-
-def _plan(b: ProgramBuilder, space: DiscreteSpace, obj: np.ndarray) -> np.ndarray:
-    """Nonnegative plan columns plan[i, j] (mass moved from old point j to new
-    point i) with objective obj[i, j] and old marginal equal to the weights."""
-    n = space.size
-    plan = b.add_vars(n * n, obj=obj.ravel()).reshape(n, n)
-    b.nonneg_var(plan.ravel())
-    for j in range(n):
-        b.eq(LinExpr.sum(map(LinExpr.var, plan[:, j])) - space.weights[j])
-    return plan
 
 
 def _min_over_epigraph(expr: "GaugeExpr", space: DiscreteSpace, w: np.ndarray, level: float) -> float:
@@ -601,9 +594,10 @@ class WassersteinP(GaugeExpr):
     plan and s: a nonnegative plan whose column sums are the weights p, whose
     row i sums to p_i (1 + s u_i), and whose cost sum c^power * plan is at
     most radius^power. The gauge is 1/s_max, inf when s_max = 0 and 0 when
-    the LP is unbounded. The program holds the plan off its diagonal as the
-    arcs of _flow_arcs, each old point's outflow capped by its weight (the
-    diagonal is what stays), and the budget row scaled to one.
+    the LP is unbounded. _ball writes the rows that the support shares: the
+    plan off its diagonal as the arcs of _flow_arcs, the budget row scaled to
+    one, and each old point's outflow capped by its weight (the diagonal is
+    what stays).
     """
 
     power: float
@@ -616,6 +610,15 @@ class WassersteinP(GaugeExpr):
         if not (self.radius > 0.0):
             raise ParameterError("transport radius must be positive")
 
+    def _ball(self, b: ProgramBuilder, space: DiscreteSpace, u: list):
+        """Rows for "u lies in the ball", u a list of affine expressions."""
+        # arc (i, j) moves mass from old point j to new point i
+        arcs, cost = _flow_arcs(b, space, self.metric, u, priced=False)
+        b.le(LinExpr.dot(arcs, cost ** self.power / self.radius ** self.power) - 1.0)
+        _, old = np.nonzero(~np.eye(space.size, dtype=bool))
+        for j in range(space.size):
+            b.le(LinExpr.sum(map(LinExpr.var, arcs[old == j])) - space.weights[j])
+
     def _gauge(self, space, u):
         shortcut = _balance_shortcut(space, u)
         if shortcut is not None:
@@ -623,12 +626,7 @@ class WassersteinP(GaugeExpr):
         b = ProgramBuilder()
         s = int(b.add_vars(1, obj=-1.0)[0])
         b.nonneg_var(s)
-        # arc (i, j) moves mass from old point j to new point i
-        arcs, cost = _flow_arcs(b, space, self.metric, [LinExpr.var(s, x) for x in u], priced=False)
-        b.le(LinExpr.dot(arcs, cost ** self.power / self.radius ** self.power) - 1.0)
-        _, old = np.nonzero(~np.eye(space.size, dtype=bool))
-        for j in range(space.size):
-            b.le(LinExpr.sum(map(LinExpr.var, arcs[old == j])) - space.weights[j])
+        self._ball(b, space, [LinExpr.var(s, x) for x in u])
         # the density floor 1 + s u >= 0; the rows above imply it, but as its
         # own row it lets the solver settle a floor-bound gauge quickly
         b.le(LinExpr.var(s, float(np.max(-u))) - 1.0)
@@ -636,16 +634,11 @@ class WassersteinP(GaugeExpr):
         return 1.0 / s_max if s_max > 0.0 else _INF
 
     def _support(self, space, w):
-        # max sum_ij plan[i, j] w_i over plans within the transport budget
-        n = space.size
-        cost = self.metric.matrix(space.points, space.points) ** self.power
+        # max <w, u>_P over the ball, with u free
         b = ProgramBuilder()
-        plan = _plan(b, space, np.repeat(-w[:, None], n, axis=1))
-        b.le(LinExpr.dot(plan.ravel(), cost.ravel()) - self.radius ** self.power)
-        val = _solve_value(b)
-        if np.isinf(val):
-            return _INF
-        return float(-val - space.weights @ w)
+        u = b.add_vars(space.size, obj=-space.weights * w)
+        self._ball(b, space, [LinExpr.var(col) for col in u])
+        return -_solve_value(b)
 
     def _encode(self, b, space, u, t):
         raise EncodingError("transport balls have no conic epigraph; use wasserstein_p_dual_value")
@@ -909,12 +902,12 @@ class Polar(GaugeExpr):
             levels = []
             for beta, child in inner.terms:
                 lv = b.add_vars(1)[0]
-                polar_or_raise(child)._encode(b, space, u, LinExpr.var(lv))
+                polar(child)._encode(b, space, u, LinExpr.var(lv))
                 levels.append((beta, lv))
             b.le(LinExpr.sum(LinExpr.var(lv, beta) for beta, lv in levels) - t)
         elif isinstance(inner, Scale):  # factor zero: the polar of a recession cone
             rho = b.add_vars(1)[0]
-            polar_or_raise(inner.child)._encode(b, space, u, LinExpr.var(rho))
+            polar(inner.child)._encode(b, space, u, LinExpr.var(rho))
             b.le(-t)
         else:
             raise EncodingError(f"no conic epigraph for the polar of {type(inner).__name__}")
@@ -978,13 +971,6 @@ def encode_epigraph(b: ProgramBuilder, expr: GaugeExpr, space: DiscreteSpace, u,
     if len(u) != space.size:
         raise DimensionError(f"deviation has {len(u)} entries for {space.size} points")
     expr._encode(b, space, u, LinExpr.of(t))
-
-
-def polar_or_raise(expr: GaugeExpr) -> GaugeExpr:
-    out = polar(expr)
-    if isinstance(out, Polar) and not isinstance(out.child, (MinkowskiSum, Scale)):
-        raise EncodingError(f"polar of {type(expr).__name__} has no conic form")
-    return out
 
 
 def support_value_by_program(expr: GaugeExpr, space: DiscreteSpace, w) -> float:

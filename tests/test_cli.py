@@ -1,8 +1,10 @@
 """Command-line driver: gauge grammar, config validation, reports, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,6 +321,12 @@ class TestEnvelopeSweep:
         rows = out.read_text().splitlines()[2:]
         assert [row.split(",")[5] for row in rows] == ["surrogate", "surrogate"]
 
+    def test_solver_block_reaches_the_envelope_solves(self, tmp_path, capsys):
+        doc = dict(SWEEP_DOC, solver={"max-iter": 1})
+        code = main(["envelope-sweep", "--config", write_config(tmp_path, doc)])
+        assert code == 2
+        assert "max_iter" in capsys.readouterr().err
+
     def test_needs_a_transport_gauge(self, tmp_path, capsys):
         doc = dict(SWEEP_DOC, gauge="tv")
         code = main(["envelope-sweep", "--config", write_config(tmp_path, doc)])
@@ -435,9 +443,12 @@ class TestVerify:
 class TestScript:
     def test_module_entry_point(self, tmp_path):
         cfg = write_config(tmp_path, BASE_DOC)
+        # the child finds the package where this process imported it from
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "gaugekit.cli", "duality-check",
              "--config", cfg],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
         assert result.returncode == 0
         assert "dual" in result.stdout

@@ -1,4 +1,4 @@
-"""Conic solver: cone projections, statuses, residuals, LP reference agreement."""
+"""Conic solver: statuses, residuals, LP and SDP solves, svec, program building."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from gaugekit.conic import (
     LinExpr,
     ProgramBuilder,
     SolveSettings,
-    dump_program,
-    project_cone,
     residuals,
     solve,
     svec,
@@ -64,6 +62,21 @@ class TestTrivialPrograms:
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(1.0, abs=1e-6)
 
+    def test_side_eleven_sdp_finds_the_largest_eigenvalue(self):
+        # min t st t I - S >> 0 -> t = lambda_max(S)
+        rng = np.random.default_rng(8)
+        side = 11
+        s = rng.normal(size=(side, side))
+        s = 0.5 * (s + s.T)
+        b = ProgramBuilder()
+        t = b.add_vars(1, obj=1.0)[0]
+        neg = svec(-s)
+        b.psd(side, [LinExpr.var(t) + neg[k] if i == j else LinExpr.of(neg[k])
+                     for k, (i, j) in enumerate(conic.svec_indices(side))])
+        sol = solve(b.build())
+        assert sol.status == "optimal"
+        assert sol.value == pytest.approx(np.linalg.eigvalsh(s)[-1], abs=1e-6)
+
     def test_infeasible_detected(self):
         # x >= 1 and x <= 0
         b = ProgramBuilder()
@@ -107,35 +120,6 @@ class TestResiduals:
         assert pr == pytest.approx(np.linalg.norm(prog.b), abs=1e-12)
 
 
-class TestConeProjections:
-    def test_projection_idempotent_and_complementary(self):
-        rng = np.random.default_rng(0)
-        cones = (Cone("zero", 3), Cone("nonneg", 4), Cone("soc", 5), Cone("psd", 3))
-        rows = 3 + 4 + 5 + 6
-        for _ in range(50):
-            v = rng.normal(scale=3.0, size=rows)
-            for dual in (False, True):
-                pv = project_cone(v, cones, dual=dual)
-                again = project_cone(pv, cones, dual=dual)
-                np.testing.assert_allclose(again, pv, atol=1e-9)
-                # Moreau: v = proj_K(v) + (v - proj_K(v)), the second part in -K*
-                rest = v - pv
-                rest_in_polar = project_cone(-rest, cones, dual=not dual)
-                np.testing.assert_allclose(rest_in_polar, -rest, atol=1e-9)
-                assert abs(pv @ rest) <= 1e-9 * (1 + v @ v)
-
-    def test_psd_projection_matches_eigh(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            m = rng.normal(size=(4, 4))
-            m = 0.5 * (m + m.T)
-            v = svec(m)
-            proj = project_cone(v, (Cone("psd", 4),), dual=False)
-            lam, q = np.linalg.eigh(m)
-            want = q @ np.diag(np.maximum(lam, 0.0)) @ q.T
-            np.testing.assert_allclose(unsvec(proj, 4), want, atol=1e-9)
-
-
 class TestSvec:
     def test_round_trip(self):
         rng = np.random.default_rng(2)
@@ -151,79 +135,6 @@ class TestSvec:
         b = rng.normal(size=(4, 4))
         b = 0.5 * (b + b.T)
         assert svec(a) @ svec(b) == pytest.approx(np.sum(a * b), rel=1e-12)
-
-
-class TestBatchedPsdProjection:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(4)
-        for side in (2, 3, 6, 10):
-            mats = rng.normal(size=(3, side, side))
-            mats = 0.5 * (mats + np.swapaxes(mats, 1, 2))
-            rows = side * (side + 1) // 2
-            proj = project_cone(np.concatenate([svec(m) for m in mats]),
-                                (Cone("psd", side),) * 3, dual=False)
-            for blk, m in enumerate(mats):
-                lam, q = np.linalg.eigh(m)
-                want = (q * np.maximum(lam, 0.0)) @ q.T
-                got = unsvec(proj[blk * rows:(blk + 1) * rows], side)
-                np.testing.assert_allclose(got, want, atol=1e-8)
-
-    def test_side_beyond_ten(self):
-        rng = np.random.default_rng(7)
-        m = rng.normal(size=(12, 12))
-        m = 0.5 * (m + m.T)
-        lam, q = np.linalg.eigh(m)
-        want = (q * np.maximum(lam, 0.0)) @ q.T
-        proj = project_cone(svec(m), (Cone("psd", 12),), dual=False)
-        np.testing.assert_allclose(unsvec(proj, 12), want, atol=1e-9)
-
-    def test_side_eleven_sdp_finds_the_largest_eigenvalue(self):
-        # min t st t I - S >> 0 -> t = lambda_max(S)
-        rng = np.random.default_rng(8)
-        side = 11
-        s = rng.normal(size=(side, side))
-        s = 0.5 * (s + s.T)
-        b = ProgramBuilder()
-        t = b.add_vars(1, obj=1.0)[0]
-        neg = svec(-s)
-        b.psd(side, [LinExpr.var(t) + neg[k] if i == j else LinExpr.of(neg[k])
-                     for k, (i, j) in enumerate(conic.svec_indices(side))])
-        sol = solve(b.build())
-        assert sol.status == "optimal"
-        assert sol.value == pytest.approx(np.linalg.eigvalsh(s)[-1], abs=1e-6)
-
-
-class TestConePlan:
-    CONES = (Cone("zero", 2), Cone("psd", 2), Cone("nonneg", 3), Cone("soc", 4),
-             Cone("psd", 3), Cone("zero", 1), Cone("psd", 2), Cone("soc", 3),
-             Cone("nonneg", 2), Cone("psd", 3), Cone("psd", 2))
-
-    @staticmethod
-    def reference(z, cones, dual):
-        out = []
-        at = 0
-        for cone in cones:
-            blk = z[at:at + cone.rows]
-            if cone.kind == "zero":
-                out.append(blk if dual else np.zeros_like(blk))
-            elif cone.kind == "nonneg":
-                out.append(np.maximum(blk, 0.0))
-            elif cone.kind == "soc":
-                out.append(conic._project_soc(blk))
-            else:
-                lam, q = np.linalg.eigh(unsvec(blk, cone.dim))
-                out.append(svec((q * np.maximum(lam, 0.0)) @ q.T))
-            at += cone.rows
-        return np.concatenate(out)
-
-    def test_interleaved_blocks_match_per_block_reference(self):
-        rng = np.random.default_rng(9)
-        rows = sum(cone.rows for cone in self.CONES)
-        for _ in range(20):
-            z = rng.normal(scale=2.0, size=rows)
-            for dual in (False, True):
-                np.testing.assert_allclose(project_cone(z, self.CONES, dual=dual),
-                                           self.reference(z, self.CONES, dual), atol=1e-12)
 
 
 @pytest.mark.usefixtures("within_50_iterations")
@@ -454,15 +365,3 @@ class TestProgramChecks:
         b = solve(prog, SolveSettings())
         np.testing.assert_array_equal(a.x, b.x)
         assert a.value == b.value
-
-
-class TestDump:
-    def test_header_and_triplets(self):
-        prog = lp_min_x_geq_1()
-        text = dump_program(prog)
-        lines = text.strip().splitlines()
-        assert lines[0] == "# gaugekit conic program v1"
-        assert any(line.startswith("cone") for line in lines)
-        assert any(line.startswith("A ") for line in lines)
-        # round numbers appear with full precision
-        assert "1" in text

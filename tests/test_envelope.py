@@ -174,6 +174,14 @@ class TestBuildProgram:
         with pytest.raises(ParameterError, match="1 triangle violations"):
             build_envelope_program(prob, pts, ID_GH)
 
+    def test_large_coordinates_pass_the_norm_check(self):
+        # a pnorm cost is a norm, so rounding at 1e6 is no triangle violation
+        space = sample_uniform_box([0.0], [1e6], 32, 3)
+        prob = problem(W1Ball(ABS1), 1e-6, cost=np.sin(space.points[:, 0] / 1e5), space=space)
+        sol = solve_envelope(build_envelope_program(prob, space.points, ID_GH))
+        want = dual_solution(prob).value
+        assert sol.value == pytest.approx(want, abs=1e-6 * (1.0 + abs(want)))
+
     def test_transform_guards(self):
         with pytest.raises(ParameterError):
             PostTransform("squash")

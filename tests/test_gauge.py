@@ -370,8 +370,23 @@ def transport_gauge_by_highs(expr, space, u):
     return 1.0 / res.x[-1]
 
 
+def transport_support_by_highs(expr, space, w):
+    """max sum_ij plan[i, j] w_i - <w, 1>_P over plans with column sums p and
+    moving cost within radius ** power, solved by HiGHS."""
+    n, p = space.size, space.weights
+    cost = expr.metric.matrix(space.points, space.points) ** expr.power
+    cols = np.zeros((n, n * n))
+    for j in range(n):
+        cols[j, j:n * n:n] = 1.0
+    res = linprog(-np.repeat(w, n), A_ub=cost.ravel()[None, :], b_ub=[expr.radius ** expr.power],
+                  A_eq=cols, b_eq=p, method="highs")
+    assert res.status == 0
+    return -res.fun - p @ w
+
+
 class TestTransportGaugeLp:
-    """WassersteinP's gauge is one conic LP over (plan, s = 1/t)."""
+    """WassersteinP's gauge is one conic LP over (plan, s = 1/t), and its
+    support one LP over the same arcs; HiGHS plan LPs are the references."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -411,6 +426,17 @@ class TestTransportGaugeLp:
             expr = WassersteinP(2.0, Hemimetric.pnorm(2.0), radius=float(rng.uniform(0.02, 0.2)))
             want = transport_gauge_by_highs(expr, space, u)
             assert gauge_value(expr, space, u) == pytest.approx(want, abs=1e-6 * (1.0 + want))
+
+    def test_support_matches_the_plan_lp(self):
+        rng = np.random.default_rng(43)
+        for k in range(48):
+            n = int(rng.integers(2, 9))
+            space = DiscreteSpace(rng.uniform(0.0, 3.0, (n, 1 + k % 2)), rng.dirichlet(np.ones(n)))
+            power = float(1 + (k // 2) % 2)
+            expr = WassersteinP(power, Hemimetric.pnorm(power), radius=float(rng.uniform(0.05, 2.0)))
+            w = rng.normal(size=n)
+            want = transport_support_by_highs(expr, space, w)
+            assert support_value(expr, space, w) == pytest.approx(want, abs=1e-6 * (1.0 + abs(want)))
 
     def test_shortcuts_make_no_solve(self, solves):
         expr = WassersteinP(1.0, ABS1, radius=0.5)
@@ -504,6 +530,9 @@ class TestGroundCosts:
     def test_clean_metric_scans_empty(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, -1.0]])
         assert hemimetric_check(Hemimetric.pnorm(2.0), pts) == []
+        # c(i, j) - c(i, k) - c(k, j) rounds to about 1e-11 at 1e5
+        line = np.random.default_rng(0).uniform(0.0, 1e5, 64)
+        assert hemimetric_check(Hemimetric.pnorm(1.0), line) == []
 
     def test_triangle_violation_is_reported(self):
         m = Hemimetric.from_table([0.0, 1.0, 2.0], [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
