@@ -12,12 +12,13 @@ hooks, each with a default, and a class overrides only the ones it knows:
 - ``_gauge(space, u)``: by default the least t that ``_encode`` admits,
   found by a small conic solve;
 - ``_support(space, w)``: by default the gauge of the polar;
-- ``_member(space, u, t)``: by default the gauge compared with t;
+- ``_slack(space, u, t)``: a value convex in u that is <= 0 exactly when u
+  lies in t * set, closure-tolerant; by default the gauge minus the level;
 - ``_encode(b, space, u, t)``: by default no epigraph (EncodingError).
 
 A new atom overrides ``_polar`` and ``_encode`` where they exist and
 ``_gauge`` where a closed form beats the default program. The functions
-polar, gauge_value, support_value, membership and encode_epigraph check
+polar, gauge_value, support_value, slack, membership and encode_epigraph check
 their arguments once and hand over to the class. Combinators (scaling,
 intersection, convex union, Minkowski sum, polarity) are classes too: they
 rewrite structurally where an exact rule exists and split the argument
@@ -119,27 +120,29 @@ class Hemimetric:
 def hemimetric_check(metric: Hemimetric, points) -> list:
     """Report hemimetric violations on a point list (empty list = clean).
 
-    Checks nonnegativity, a zero diagonal, and all triangle inequalities.
-    The scan takes one intermediate point k at a time, in O(m^2) memory. A
-    pnorm metric is a norm of x - y and passes by construction; scanning it
-    would only read rounding at large coordinates as violations.
+    Checks nonnegativity, a zero diagonal, and all triangle inequalities,
+    each to 1e-12 of the largest cost (at least 1e-12), so rounding at large
+    coordinates is not read as a violation. The scan takes one intermediate
+    point k at a time, in O(m^2) memory. A pnorm metric is a norm of x - y
+    and passes by construction.
     """
     pts = _as_points(points)
     if metric.kind == "pnorm":
         return []
     c = metric.matrix(pts, pts)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(c), initial=0.0)))
     findings = []
-    neg = np.argwhere(c < -1e-12)
+    neg = np.argwhere(c < -tol)
     for i, j in neg[:5]:
         findings.append(f"negative cost c({i},{j}) = {c[i, j]:.6g}")
-    bad_diag = np.where(np.abs(np.diag(c)) > 1e-12)[0]
+    bad_diag = np.where(np.abs(np.diag(c)) > tol)[0]
     for i in bad_diag[:5]:
         findings.append(f"nonzero diagonal c({i},{i}) = {c[i, i]:.6g}")
     best = c[:, :1] + c[:1, :]  # min over k of c(i, k) + c(k, j)
     for k in range(1, len(c)):
         np.minimum(best, c[:, k, None] + c[None, k, :], out=best)
     gap = c - best
-    bad = gap > 1e-12
+    bad = gap > tol
     count = int(np.count_nonzero(bad))
     if count:
         # the first worst pair in row-major order, through its first best stop
@@ -313,9 +316,9 @@ class GaugeExpr:
             raise ParameterError(f"no support rule for {type(self).__name__}")
         return rewritten._gauge(space, w)
 
-    def _member(self, space: DiscreteSpace, u: np.ndarray, t: float) -> bool:
-        """Closure-tolerant test u in t * set."""
-        return self._gauge(space, u) <= t * (1.0 + settings.closure_rel_tol)
+    def _slack(self, space: DiscreteSpace, u: np.ndarray, t: float) -> float:
+        """Convex in u and <= 0 exactly when u lies in t * set, closure-tolerant."""
+        return self._gauge(space, u) - t * (1.0 + settings.closure_rel_tol)
 
     def _encode(self, b: ProgramBuilder, space: DiscreteSpace, u: list, t: LinExpr):
         """Append rows constraining gauge(u) <= t."""
@@ -570,13 +573,14 @@ class PhiDivergence(GaugeExpr):
                               options={"xatol": 1e-12, "maxiter": 500})
         return float(min(objective(lo), objective(hi), float(res.fun)))
 
-    def _member(self, space, u, t):
+    def _slack(self, space, u, t):
         if self.kind != "kl":
-            return super()._member(space, u, t)
+            return super()._slack(space, u, t)
         # one divergence evaluation at the requested level instead of the
-        # gauge bisection; the divergence shrinks as the level grows, so the
-        # two tests agree
-        return self._kl(space, 1.0 + u / (t * (1.0 + settings.closure_rel_tol))) <= self.budget
+        # gauge bisection: the divergence of 1 + u/s is convex in u and
+        # shrinks as the level s grows, so it is within budget exactly when
+        # the gauge is within the level
+        return self._kl(space, 1.0 + u / (t * (1.0 + settings.closure_rel_tol))) - self.budget
 
     def _encode(self, b, space, u, t):
         if self.kind == "kl":
@@ -953,11 +957,20 @@ def support_value(expr: GaugeExpr, space: DiscreteSpace, w) -> float:
     return expr._support(space, _deviation(space, w, "argument"))
 
 
-def membership(expr: GaugeExpr, space: DiscreteSpace, u, t: float) -> bool:
-    """Closure-tolerant test u in t * set (t must be positive)."""
+def slack(expr: GaugeExpr, space: DiscreteSpace, u, t: float) -> float:
+    """Closure-tolerant slack of u against t * set (t must be positive).
+
+    Convex in u and <= 0 exactly when membership holds: the gauge minus
+    t (1 + closure_rel_tol) by default, inf where the gauge is.
+    """
     if not (t > 0.0):
         raise ParameterError("membership level t must be positive")
-    return expr._member(space, _deviation(space, u), t)
+    return expr._slack(space, _deviation(space, u), t)
+
+
+def membership(expr: GaugeExpr, space: DiscreteSpace, u, t: float) -> bool:
+    """Closure-tolerant test u in t * set (t must be positive)."""
+    return slack(expr, space, u, t) <= 0.0
 
 
 def encode_epigraph(b: ProgramBuilder, expr: GaugeExpr, space: DiscreteSpace, u, t):

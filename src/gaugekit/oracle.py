@@ -1,11 +1,12 @@
 """Independent reference evaluators for worst-case reweighting values.
 
 Everything here works directly on sorted arrays, greedy mass moves, small
-scipy LPs, or a membership-only Frank-Wolfe loop. None of it goes through the
-dual reformulations, so these values can be frozen as fixtures and compared
-against the conic pipeline. The walk tests transport balls with
-w1_flow_gauge (an exact formula on the line, a HiGHS flow LP elsewhere) and
-other gauges with gauge.membership.
+scipy LPs, or a Frank-Wolfe loop that sees the set only through a slack (or
+a membership test). None of it goes through the dual reformulations, so
+these values can be frozen as fixtures and compared against the conic
+pipeline. The walk prices transport balls with w1_flow_gauge (an exact
+formula on the line, a HiGHS flow LP elsewhere) and other gauges with
+gauge.slack.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def w1_flow_gauge(space: DiscreteSpace, u, metric) -> float:
     """Minimal transport cost realizing the signed mass change p * u.
 
     Infinite when the change is unbalanced. Exact on the line under a pnorm
-    cost, a HiGHS flow LP elsewhere; the walk's transport-ball membership test.
+    cost, a HiGHS flow LP elsewhere; the walk's transport-ball slack.
     """
     u = np.asarray(u, dtype=float).ravel()
     p = space.weights
@@ -189,6 +190,51 @@ def chi2_closed_form(space: DiscreteSpace, cost, eps: float):
     return mu + eps * sigma
 
 
+def _largest_root_below(g, lam_hi: float, g_lo: float) -> float:
+    """Largest lam in [0, lam_hi] with g(lam) <= 0, to 2^-40 lam_hi or finer.
+
+    g is convex with g(0) = g_lo, and 0 is the bracket's feasible end even
+    when g_lo reads a rounding-level positive. Illinois regula falsi: each
+    step tries the secant root between the bracket's ends and halves the
+    value kept at an end that survives twice. It bisects instead whenever
+    the secant point leaves the bracket, a value is infinite, or the last
+    three steps have not halved the bracket. Steps keep a quarter of the
+    resolution away from the ends, so the secant cannot stall on one, and an
+    exact zero of g is the boundary. From the center g is affine in lam, so
+    the first secant lands on the boundary.
+    """
+    g_hi = g(lam_hi)
+    if g_hi <= 0.0:
+        return lam_hi
+    resolution = lam_hi * 2.0 ** -40
+    lo, hi = 0.0, lam_hi
+    g_lo = min(g_lo, 0.0)
+    moved = 0  # +1 when the last step moved lo, -1 when it moved hi
+    widths = [_INF] * 3  # the bracket's widths three, two and one steps back
+    while hi - lo > resolution:
+        lam = 0.5 * (lo + hi)
+        if np.isfinite(g_hi) and 2.0 * (hi - lo) <= widths[0]:
+            secant = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+            if lo <= secant <= hi:
+                lam = secant
+        lam = min(max(lam, lo + 0.25 * resolution), hi - 0.25 * resolution)
+        widths = widths[1:] + [hi - lo]
+        value = g(lam)
+        if value == 0.0:
+            return lam
+        if value < 0.0:
+            lo, g_lo = lam, value
+            if moved > 0:
+                g_hi *= 0.5
+            moved = 1
+        else:
+            hi, g_hi = lam, value
+            if moved < 0:
+                g_lo *= 0.5
+            moved = -1
+    return lo
+
+
 @dataclass(frozen=True)
 class FwResult:
     value: float
@@ -202,25 +248,30 @@ def frank_wolfe_primal(problem=None, tol: float = 1e-3, membership=None,
                        objective=None, max_iter: int = 100_000,
                        space: DiscreteSpace | None = None, cost=None,
                        epsilon: float | None = None) -> FwResult:
-    """Maximize over the feasible reweightings using only a membership test.
+    """Maximize over the feasible reweightings using only a slack or a
+    membership test.
 
     The search set is {nu >= 0, E[nu] = 1, deviation nu - 1 inside the scaled
     gauge set}. Each round scans chords toward the distribution's extreme
     points, pairwise mass transfers, and radial boundary points (the uniform
     center pushed along the balanced gradient, and the current deviation tilted
-    toward it, each bisected to the boundary through the membership callable),
-    then takes a golden-section step along the best chord. The reported gap is
-    the best linearized improvement over the scanned candidates at the final
-    iterate; it vanishes at an optimum on polytope-type sets, and the tilted
-    radial family makes the walk follow curved boundaries, where a local
-    maximum of a linear objective is already global.
+    toward it, each walked out to the boundary), then takes a golden-section
+    step along the best chord. The reported gap is the best linearized
+    improvement over the scanned candidates at the final iterate; it vanishes
+    at an optimum on polytope-type sets, and the tilted radial family makes
+    the walk follow curved boundaries, where a local maximum of a linear
+    objective is already global.
 
     Accepts either a problem object carrying space / cost / gauge / epsilon or
-    those pieces directly. A transport ball (polar a Lipschitz set) is tested
-    by w1_flow_gauge with the closure slack, with no conic solve, any other
-    gauge by gauge.membership. membership(u, t) overrides either test;
-    objective(nu) -> (value, gradient) overrides the linear default.
+    those pieces directly. Given a problem, the walk finds each boundary
+    point by a safeguarded secant on a convex slack, which is <= 0 exactly on
+    the closure-tolerant set: for a transport ball (polar a Lipschitz set)
+    w1_flow_gauge minus the level, with no conic solve, for any other gauge
+    gauge.slack. A boolean membership(u, t) overrides the slack, and the walk
+    then bisects on it. objective(nu) -> (value, gradient) overrides the
+    linear default.
     """
+    slack = None
     if problem is not None:
         space = problem.space
         cost = problem.cost
@@ -231,12 +282,12 @@ def frank_wolfe_primal(problem=None, tol: float = 1e-3, membership=None,
             expr = problem.gauge
             metric = _gauge.transport_metric(expr)
 
-            def membership(u, t, _expr=expr, _space=space, _metric=metric):
+            def slack(u, t, _expr=expr, _space=space, _metric=metric):
                 if _metric is not None:
-                    return w1_flow_gauge(_space, u, _metric) <= t * (1.0 + settings.closure_rel_tol)
-                return _gauge.membership(_expr, _space, u, t)
+                    return w1_flow_gauge(_space, u, _metric) - t * (1.0 + settings.closure_rel_tol)
+                return _gauge.slack(_expr, _space, u, t)
 
-    if space is None or membership is None or epsilon is None:
+    if space is None or (membership is None and slack is None) or epsilon is None:
         raise ParameterError("need a problem or explicit space/cost/epsilon/membership")
     f = _as_cost(cost) if cost is not None else None
     p = space.weights
@@ -249,12 +300,22 @@ def frank_wolfe_primal(problem=None, tol: float = 1e-3, membership=None,
         def objective(nu):
             return float(p @ (nu * f)), f
 
-    def feasible_step(x, d, lam_hi):
-        """Largest lam in [0, lam_hi] keeping x + lam d inside, by bisection."""
+    def base_slack(x):
+        """The slack at x, the low end of every chord from x; None when bisecting."""
+        return None if slack is None or epsilon <= 0.0 else slack(x - 1.0, epsilon)
+
+    def feasible_step(x, d, lam_hi, at_x):
+        """Largest lam in [0, lam_hi] keeping x + lam d inside, to 2^-40 lam_hi.
+
+        Secant on the slack, whose value at x is at_x; bisection on a boolean
+        membership.
+        """
         if lam_hi <= 1e-14:
             return 0.0
         if epsilon <= 0.0:
             return 0.0
+        if slack is not None:
+            return _largest_root_below(lambda lam: slack(x + lam * d - 1.0, epsilon), lam_hi, at_x)
         if membership(x + lam_hi * d - 1.0, epsilon):
             return lam_hi
         lo, hi = 0.0, lam_hi
@@ -267,6 +328,8 @@ def frank_wolfe_primal(problem=None, tol: float = 1e-3, membership=None,
         return lo
 
     x = np.ones(n)
+    center = np.ones(n)
+    at_center = base_slack(center)
     value, grad = objective(x)
     gap = _INF
     iterations = 0
@@ -299,17 +362,18 @@ def frank_wolfe_primal(problem=None, tol: float = 1e-3, membership=None,
             rays.append((float(p @ (grad_at * d)), d, lam_hi))
 
         best_gain, best_point = 0.0, None
+        at_x = base_slack(x)
         for rate, d, lam_hi in rays:
             if rate <= 1e-15:
                 continue
-            lam = feasible_step(x, d, lam_hi)
+            lam = feasible_step(x, d, lam_hi, at_x)
             if lam <= 1e-14:
                 continue
             lin_gain = lam * rate
             if lin_gain > best_gain:
                 best_gain = lin_gain
                 best_point = x + lam * d
-        # radial boundary candidates, bisected from the uniform center: the
+        # radial boundary candidates, walked out from the uniform center: the
         # balanced gradient direction, and the current deviation tilted toward
         # it at several strengths (a boundary walk for curved sets)
         g_bal = grad_at - float(p @ grad_at)
@@ -334,7 +398,7 @@ def frank_wolfe_primal(problem=None, tol: float = 1e-3, membership=None,
             for d in dirs:
                 neg = d < -1e-14
                 cap = float(np.min(1.0 / -d[neg])) if np.any(neg) else 1e9
-                lam = feasible_step(np.ones(n), d, cap)
+                lam = feasible_step(center, d, cap, at_center)
                 if lam <= 1e-14:
                     continue
                 s = 1.0 + lam * d

@@ -48,6 +48,7 @@ from gaugekit.gauge import (
     hemimetric_check,
     membership,
     polar,
+    slack,
     support_value,
     support_value_by_program,
     transport_metric,
@@ -534,6 +535,23 @@ class TestGroundCosts:
         line = np.random.default_rng(0).uniform(0.0, 1e5, 64)
         assert hemimetric_check(Hemimetric.pnorm(1.0), line) == []
 
+    def test_large_table_metric_scans_empty(self):
+        # the same line as a table: its triangle gaps round to about 1.5e-11
+        line = np.random.default_rng(0).uniform(0.0, 1e5, 64)
+        table = Hemimetric.from_table(line, np.abs(line[:, None] - line[None, :]))
+        assert hemimetric_check(table, line) == []
+
+    def test_large_table_violations_are_reported(self):
+        line = np.sort(np.random.default_rng(0).uniform(0.0, 1e5, 64))
+        costs = np.abs(line[:, None] - line[None, :])
+        costs[0, 63] += 1.0  # the points between 0 and 63 make a shorter route
+        assert hemimetric_check(Hemimetric.from_table(line, costs), line) == [
+            "1 triangle violations; worst c(0,63) - c(0,5) - c(5,63) = 1"]
+        costs[0, 63] -= 1.0
+        costs[5, 5] = 1.0
+        assert hemimetric_check(Hemimetric.from_table(line, costs), line) == [
+            "nonzero diagonal c(5,5) = 1"]
+
     def test_triangle_violation_is_reported(self):
         m = Hemimetric.from_table([0.0, 1.0, 2.0], [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
         findings = hemimetric_check(m, [0.0, 1.0, 2.0])
@@ -634,6 +652,53 @@ class TestMembershipAndGuards:
     def test_membership_level_must_be_positive(self):
         with pytest.raises(ParameterError):
             membership(L2Ball(), BASE, [0.0, 0.0, 0.0, 0.0], 0.0)
+        with pytest.raises(ParameterError):
+            slack(L2Ball(), BASE, [0.0, 0.0, 0.0, 0.0], 0.0)
+        with pytest.raises(DimensionError):
+            slack(L2Ball(), BASE, [0.0, 0.0], 1.0)
+
+    # the catalogue of test_duality_gap_suite and the three divergence balls
+    SLACK_CATALOGUE = [
+        L2Ball(),
+        CvarGauge(0.5),
+        CvarGauge(0.8),
+        TotalVariation(),
+        Polar(Lipschitz(ABS1)),
+        Scale(0.7, L2Ball()),
+        Intersect((L2Ball(), Scale(0.5, TotalVariation()))),
+        MinkowskiSum([(0.5, L2Ball()), (0.5, TotalVariation())]),
+        PhiDivergence("kl", 0.2),
+        PhiDivergence("chi2", 0.25),
+        PhiDivergence("tv", 0.5),
+    ]
+
+    @staticmethod
+    def _balanced(rng):
+        u = rng.normal(size=BASE.size)
+        return u - BASE.weights @ u
+
+    @pytest.mark.parametrize("expr", SLACK_CATALOGUE, ids=repr)
+    def test_membership_is_the_sign_of_the_slack(self, expr):
+        rng = np.random.default_rng(21)
+        for _ in range(2):
+            u = self._balanced(rng)
+            rho = gauge_value(expr, BASE, u)
+            for t in (0.5, 1.0):
+                for scale in (1.0 - 1e-6, 1.0, 1.0 + 1e-6):
+                    v = u * (t * scale / rho)
+                    inside = membership(expr, BASE, v, t)
+                    assert inside == (slack(expr, BASE, v, t) <= 0.0)
+                    if scale != 1.0:
+                        assert inside == (scale < 1.0)
+
+    @pytest.mark.parametrize("expr", SLACK_CATALOGUE, ids=repr)
+    def test_slack_is_convex_along_chords(self, expr):
+        rng = np.random.default_rng(22)
+        for _ in range(3):
+            a, b = self._balanced(rng), self._balanced(rng)
+            ends = slack(expr, BASE, a, 1.0) + slack(expr, BASE, b, 1.0)
+            mid = slack(expr, BASE, 0.5 * (a + b), 1.0)
+            assert mid <= 0.5 * ends + 1e-7 * (1.0 + abs(ends))
 
     def test_deviation_shape_and_finiteness(self):
         with pytest.raises(DimensionError):

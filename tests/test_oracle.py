@@ -19,16 +19,20 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 
 from gaugekit import conic, oracle
+from gaugekit import gauge as gauge_module
 from gaugekit.errors import DimensionError
 from gaugekit.gauge import (
     CvarGauge,
     Hemimetric,
     L2Ball,
     Lipschitz,
+    PhiDivergence,
     Polar,
     Scale,
+    TotalVariation,
     W1Ball,
     gauge_value,
+    membership,
 )
 from gaugekit.oracle import (
     chi2_closed_form,
@@ -41,7 +45,7 @@ from gaugekit.oracle import (
     w1_transport,
 )
 from gaugekit.reformulate import ReweightingProblem
-from gaugekit.space import DiscreteSpace, uniform_space
+from gaugekit.space import DiscreteSpace, settings, uniform_space
 
 BASE = uniform_space([0.0, 1.0, 2.0, 3.0])
 F = np.array([0.0, 1.0, 2.0, 3.0])
@@ -340,3 +344,73 @@ class TestTransportWalk:
         prob = ReweightingProblem(BASE, F, W1Ball(ABS1), 0.5)
         res = frank_wolfe_primal(prob, tol=1e-4, membership=lambda u, t: False)
         assert res.value == pytest.approx(1.5, abs=1e-12)
+
+
+class TestWalkRoutes:
+    """Given a problem the walk runs a secant on the set's slack; given a
+    boolean membership it bisects. Both find the same boundary points."""
+
+    @pytest.mark.parametrize("expr, eps", [
+        (CvarGauge(0.5), 1.0),
+        (TotalVariation(), 0.5),
+        (Scale(0.4, L2Ball()), 1.0),
+        (PhiDivergence("kl", 0.1), 1.0),
+        (W1Ball(ABS1), 0.5),
+    ], ids=lambda x: type(x).__name__ if not isinstance(x, float) else str(x))
+    def test_boolean_membership_walk_matches_the_slack_walk(self, expr, eps):
+        if isinstance(expr, W1Ball):
+            # the transport ball's own test as a boolean: gauge.membership
+            # would make a conic solve per test, about 2000 of them
+            def member(u, t):
+                return w1_flow_gauge(BASE, u, ABS1) <= t * (1.0 + settings.closure_rel_tol)
+        else:
+            def member(u, t):
+                return membership(expr, BASE, u, t)
+        prob = ReweightingProblem(BASE, F, expr, eps)
+        by_slack = frank_wolfe_primal(prob, tol=1e-4)
+        by_bisection = frank_wolfe_primal(prob, tol=1e-4, membership=member)
+        assert by_slack.converged and by_bisection.converged
+        assert abs(by_slack.value - by_bisection.value) <= 1e-6 * (1.0 + abs(by_bisection.value))
+
+    def test_oracle_pairs_take_few_slack_evaluations(self, monkeypatch):
+        calls = []
+
+        def counted(name, inner):
+            def count(*args):
+                calls.append(name)
+                return inner(*args)
+            return count
+
+        monkeypatch.setattr(gauge_module, "slack", counted("slack", gauge_module.slack))
+        monkeypatch.setattr(oracle, "w1_flow_gauge", counted("flow", oracle.w1_flow_gauge))
+        for expr, eps in [(CvarGauge(0.5), 1.0), (TotalVariation(), 0.5),
+                          (Polar(Lipschitz(ABS1)), 0.5), (Scale(0.4, L2Ball()), 1.0)]:
+            assert frank_wolfe_primal(ReweightingProblem(BASE, F, expr, eps), tol=1e-4).converged
+        # bisecting on membership, the same four walks made 7872 tests
+        assert "slack" in calls and "flow" in calls
+        assert len(calls) < 1000
+
+    def test_root_finder_returns_the_feasible_end(self):
+        lam_hi = 3.0
+        resolution = lam_hi * 2.0 ** -40
+        cases = [
+            (lambda lam: 2.0 * lam - 1.0, 0.5),  # affine, as along a ray from the center
+            (lambda lam: max(-1e-7, lam - 0.7), 0.7),  # flat, then a kink
+            (lambda lam: (lam - 0.2) ** 2 - 0.05, 0.2 + np.sqrt(0.05)),  # dips, then curves up
+            (lambda lam: np.inf if lam > 1.3 else lam - 1.3, 1.3),  # infinite past the root
+        ]
+        for g, root in cases:
+            seen = []
+
+            def traced(lam, g=g):
+                seen.append(lam)
+                return g(lam)
+
+            lam = oracle._largest_root_below(traced, lam_hi, g(0.0))
+            assert g(lam) <= 0.0
+            assert root - 2.0 * resolution <= lam <= root + 1e-15
+            # the bracket halves at least every three steps
+            assert len(seen) <= 1 + 3 * 40
+        seen = []
+        oracle._largest_root_below(lambda lam: seen.append(lam) or 2.0 * lam - 1.0, lam_hi, -1.0)
+        assert seen[:2] == [lam_hi, 0.5]
