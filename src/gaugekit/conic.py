@@ -16,14 +16,27 @@ so their cost follows the nonzeros, not the dense matrix. Zero rows
 may be rank-deficient (flow-balance rows sum to zero), so the factored matrix
 carries a static regularisation and each solve is refined against the
 unregularised system. All PSD blocks of one side are handled as one batch.
+
+How A and G = W^-T A are stored is picked once per solve from the size of A.
+Up to 2^15 entries (m n) both are dense arrays, and G is formed from A every
+iteration. Above, A is a CSR array and G a CSR array of fixed pattern whose
+values are refilled every iteration: A's pattern on the zero and nonnegative
+rows, and a dense block over the columns that the second-order and PSD rows
+touch. The iteration is the same on both sides; only the storage differs.
+The cut exists because a sparse product pays some microseconds of dispatch
+whatever its size: on the small programs of a duality check or a walk that
+costs more than the dense product, while a large envelope LP, with three
+nonzeros a row, is mostly zeros.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import lapack
 
 from .errors import DimensionError, ParameterError
@@ -109,6 +122,9 @@ _INFEAS_TOL = 1e-7
 _STATIC_REG = 1e-10
 _REFINE = 8
 _STEP = 0.99
+# a program whose A has more entries than this, m n, is solved with A and
+# G = W^-T A held sparse; below it they are dense (see _matrix and _Operators)
+_SPARSE_CUT = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -217,9 +233,15 @@ class _ConePlan:
 # solver
 
 
+def _norm(v: np.ndarray) -> float:
+    """The Euclidean norm of a vector: sqrt(v . v), as np.linalg.norm takes
+    it, bit for bit, without its dispatch."""
+    return math.sqrt(v @ v)
+
+
 def _soc_det(x: np.ndarray) -> float:
     """sqrt(x' J x) for x inside a second-order cone, J = diag(1, -1, ..., -1)."""
-    rest = np.linalg.norm(x[1:])
+    rest = _norm(x[1:])
     return float(np.sqrt((x[0] - rest) * (x[0] + rest)))
 
 
@@ -261,9 +283,21 @@ class _Scaling:
 
     def apply(self, v: np.ndarray, inverse: bool = False, transpose: bool = False) -> np.ndarray:
         """W v, W' v, W^-1 v or W^-T v for a vector or an (m x k) matrix of columns."""
-        plan = self.plan
         d = self.dinv if inverse else self.d
         out = v * d.reshape(d.shape + (1,) * (v.ndim - 1))
+        self._curved(v, out, self.plan, inverse, transpose)
+        return out
+
+    def inv_t_curved(self, v: np.ndarray, curved: _ConePlan) -> np.ndarray:
+        """W^-T v for an (rows x k) matrix v given on the second-order and PSD
+        rows alone, with curved the plan of those cones."""
+        out = np.empty_like(v)
+        self._curved(v, out, curved, True, True)
+        return out
+
+    def _curved(self, v, out, plan, inverse, transpose):
+        """out = W v, W' v, W^-1 v or W^-T v on the second-order and PSD
+        blocks, whose rows in v and out are those plan gives."""
         for blk, (fwd, inv) in zip(plan.soc, self.soc):
             out[blk] = (inv if inverse else fwd) @ v[blk]
         for (side, idx), (r, rti, _) in zip(plan.psd, self.psd):
@@ -274,7 +308,6 @@ class _Scaling:
             ft, mat = np.swapaxes(f, -1, -2), unsvec(block, side)
             res = svec(ft @ mat @ f if inverse == transpose else f @ mat @ ft)
             out[idx] = np.swapaxes(res, 1, 2) if v.ndim == 2 else res
-        return out
 
     def ldiv(self, rhs: np.ndarray) -> np.ndarray:
         """The u with lam o u = rhs on the cone rows (zero on zero rows)."""
@@ -301,7 +334,7 @@ class _Scaling:
             lk, dk = lam[blk] / det, delta[blk]
             y0 = lk[0] * dk[0] - lk[1:] @ dk[1:]
             y1 = dk[1:] - (dk[0] + y0) / (lk[0] + 1.0) * lk[1:]
-            t = max(t, (np.linalg.norm(y1) - y0) / det)
+            t = max(t, (_norm(y1) - y0) / det)
         for (side, idx), (_, _, sig) in zip(plan.psd, self.psd):
             root = 1.0 / np.sqrt(sig)
             rel = unsvec(delta[idx], side) * root[:, :, None] * root[:, None, :]
@@ -309,41 +342,124 @@ class _Scaling:
         return t
 
 
-def _pairs(program: ConicProgram, a: np.ndarray, nonneg: np.ndarray):
+def _matrix(program: ConicProgram):
+    """A as the solver stores it, duplicate triplets summed: a numpy array
+    when it has at most _SPARSE_CUT entries, a CSR array above."""
+    m, n = program.num_rows, program.num_vars
+    if m * n <= _SPARSE_CUT:
+        return program.dense_matrix()
+    a = sparse.csr_array((program.a_vals, (program.a_rows, program.a_cols)), shape=(m, n))
+    a.sum_duplicates()
+    return a
+
+
+def _entries(program: ConicProgram, a):
+    """A's entries (row, col, value) in row-major order, duplicate triplets
+    summed, read from a as _matrix stores it."""
+    if sparse.issparse(a):
+        return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr)), a.indices, a.data
+    n = program.num_vars
+    rows, cols = np.divmod(np.unique(program.a_rows * n + program.a_cols), n)
+    return rows, cols, a[rows, cols]
+
+
+def _pairs(program: ConicProgram, a, nonneg: np.ndarray):
     """The products of the nonzeros of A that share a nonnegative row, as
-    arrays (row, flat, prod) over the pairs of entries (row, p), (row, q)
-    with p <= q. The entries are a's, duplicate triplets summed; flat is
-    p n + q, so A_N' diag(w) A_N is the bincount of flat weighted by
-    prod w[row], mirrored below the diagonal. Built once per solve.
+    arrays (per_row, flat, prod) over the pairs of entries (row, p),
+    (row, q) with p <= q, in row order, per_row counting them by row. The
+    entries are a's, as _entries reads them; flat is p n + q, so
+    A_N' diag(w) A_N is the bincount of flat weighted by prod times w
+    repeated per_row times, mirrored below the diagonal. Built once per solve.
     """
     n = program.num_vars
     on = np.zeros(program.num_rows, dtype=bool)
     on[nonneg] = True
-    sel = on[program.a_rows]
-    rows, cols = np.divmod(np.unique(program.a_rows[sel] * n + program.a_cols[sel]), n)
-    vals = a[rows, cols]
-    nz = vals != 0.0
-    rows, cols, vals = rows[nz], cols[nz], vals[nz]
+    rows, cols, vals = _entries(program, a)
+    keep = on[rows] & (vals != 0.0)
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
     # entries are sorted by row, then column; each pairs with itself and
-    # the later entries of its row
+    # the later entries of its row (in place where it can: the pairs of a
+    # large program outnumber its entries)
     count = np.searchsorted(rows, rows, side="right") - np.arange(len(rows))
     first = np.repeat(np.arange(len(rows)), count)
-    second = first + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
-    return rows[first], cols[first] * n + cols[second], vals[first] * vals[second]
+    second = np.arange(len(first))
+    second -= np.repeat(np.cumsum(count) - count, count)
+    second += first
+    flat, prod = cols[second], vals[second]
+    del second
+    flat += cols[first] * n
+    prod *= vals[first]
+    return np.bincount(rows[first], minlength=program.num_rows), flat, prod
 
 
-def _gram(g: np.ndarray, pairs, scaling: _Scaling) -> np.ndarray:
-    """H = G_K' G_K for G = W^-T A: A_N' W_N^-2 A_N over the nonnegative rows
-    from the products that _pairs lists, plus G_C' G_C over the second-order
-    and PSD rows C."""
-    n = g.shape[1]
-    row, flat, prod = pairs
-    w = scaling.dinv[row]
-    upper = np.bincount(flat, weights=prod * w * w, minlength=n * n).reshape(n, n)
-    h = upper + upper.T
+class _Operators:
+    """A, A', the _pairs of A and the makings of G = W^-T A for one solve,
+    stored as _matrix picks. Dense, G is W^-T applied to A every iteration.
+    Sparse, G is a CSR array built once: A's pattern on the zero and
+    nonnegative rows, there d^-1 times A's values, and a dense block on the
+    second-order and PSD rows C over the columns they touch, there W^-T
+    applied to that block alone. Its values are refilled in place every
+    iteration, and G' is its transpose sharing them. Either way scaled gives
+    G, G' and G_C, the block of G that H adds on h[block].
+    """
+
+    def __init__(self, program: ConicProgram, plan: _ConePlan):
+        self.plan = plan
+        self.a = _matrix(program)
+        self.at = self.a.T
+        self.pairs = _pairs(program, self.a, plan.nonneg)
+        self.a_zero = self.a[plan.zero]
+        self.block = np.s_[:, :]
+        if not sparse.issparse(self.a):
+            return
+        self.a_zero = self.a_zero.toarray()
+        m = program.num_rows
+        rows, cols, vals = _entries(program, self.a)
+        linear = np.ones(m, dtype=bool)
+        linear[plan.curved] = False
+        linear = linear[rows]
+        touched = np.unique(cols[~linear])
+        self.a_curved = self.a[plan.curved][:, touched].toarray()
+        self.curved_plan = _ConePlan([cone for cone in program.cones if cone.kind in (SOC, PSD)])
+        self.block = np.ix_(touched, touched)
+        # G's entries, A's on the linear rows and then the curved block
+        # row-major, put in CSR order by a stable sort on (row, col); base
+        # holds A's values there (zero on the block) and at_curved the block
+        g_rows = np.r_[rows[linear], np.repeat(plan.curved, len(touched))]
+        g_cols = np.r_[cols[linear], np.tile(touched, len(plan.curved))]
+        order = np.lexsort((g_cols, g_rows))
+        self.lengths = np.bincount(g_rows, minlength=m)
+        self.base = np.r_[vals[linear], np.zeros(len(plan.curved) * len(touched))][order]
+        self.at_curved = np.flatnonzero(order >= np.count_nonzero(linear))
+        self.g = sparse.csr_array((self.base.copy(), g_cols[order], np.r_[0, np.cumsum(self.lengths)]),
+                                  shape=self.a.shape)
+        self.gt = self.g.T
+
+    def scaled(self, scaling: _Scaling):
+        """(G, G', G_C) for G = W^-T A under the scaling."""
+        if not sparse.issparse(self.a):
+            g = scaling.apply(self.a, inverse=True, transpose=True)
+            return g, g.T, g[self.plan.curved]
+        gc = scaling.inv_t_curved(self.a_curved, self.curved_plan)
+        np.multiply(np.repeat(scaling.dinv, self.lengths), self.base, out=self.g.data)
+        self.g.data[self.at_curved] = gc.ravel()
+        return self.g, self.gt, gc
+
+
+def _gram(n: int, pairs, scaling: _Scaling, gc: np.ndarray, block) -> np.ndarray:
+    """H = G_K' G_K (n x n) for G = W^-T A: A_N' W_N^-2 A_N over the
+    nonnegative rows from the products that _pairs lists, plus G_C' G_C over
+    the second-order and PSD rows C, with gc those rows of G on the columns
+    that h[block] indexes."""
+    per_row, flat, prod = pairs
+    w = np.repeat(scaling.dinv, per_row)
+    weights = prod * w
+    weights *= w
+    upper = np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
+    h = (upper + upper.T).astype(float, copy=False)  # bincount of no pairs is int
     h.flat[::n + 1] = upper.flat[::n + 1]
-    curved = g[scaling.plan.curved]
-    return h + curved.T @ curved
+    h[block] += gc.T @ gc
+    return h
 
 
 class _ReducedSystem:
@@ -352,25 +468,26 @@ class _ReducedSystem:
     the free duals on the zero rows E. Eliminating the cone rows leaves
     [[H, E'], [E, 0]] with H = G_K' G_K; it is factored once with reg (1 + H_ii)
     added on the H diagonal and -reg on the E block, and each solve is refined
-    against K itself. H comes from _gram.
+    against K itself. H comes from _gram, and G and G' from ops: dense
+    arrays below the size cut, CSR arrays above it, with the same products.
     """
 
-    def __init__(self, a: np.ndarray, pairs, scaling: _Scaling):
+    def __init__(self, ops: _Operators, scaling: _Scaling):
         self.zero, self.cone = scaling.plan.zero, scaling.plan.cone
-        self.g = scaling.apply(a, inverse=True, transpose=True)
-        n, p = a.shape[1], len(self.zero)
+        self.g, self.gt, gc = ops.scaled(scaling)
+        n, p = ops.a.shape[1], len(self.zero)
         mat = np.zeros((n + p, n + p))
-        mat[:n, :n] = _gram(self.g, pairs, scaling)
+        mat[:n, :n] = _gram(n, ops.pairs, scaling, gc, ops.block)
         mat.flat[::n + p + 1] += _STATIC_REG * np.concatenate([1.0 + np.diag(mat)[:n], -np.ones(p)])
-        mat[:n, n:] = a[self.zero].T
-        mat[n:, :n] = a[self.zero]
+        mat[:n, n:] = ops.a_zero.T
+        mat[n:, :n] = ops.a_zero
         self.lu, self.piv, info = lapack.dgetrf(mat)
         if info:
             raise np.linalg.LinAlgError("singular reduced system")
 
     def _reduced(self, bx: np.ndarray, bw: np.ndarray):
         n = len(bx)
-        rhs = np.concatenate([bx + self.g.T @ (self.cone * bw), bw[self.zero]])
+        rhs = np.concatenate([bx + self.gt @ (self.cone * bw), bw[self.zero]])
         u = lapack.dgetrs(self.lu, self.piv, rhs)[0]
         uw = self.g @ u[:n] - bw
         uw[self.zero] = u[n:]
@@ -379,10 +496,10 @@ class _ReducedSystem:
     def solve(self, bx: np.ndarray, bw: np.ndarray):
         """Refined until K's residual is at rounding level or stops falling."""
         ux, uw = self._reduced(bx, bw)
-        floor, last = 1e-14 * (1.0 + np.linalg.norm(bx) + np.linalg.norm(bw)), np.inf
+        floor, last = 1e-14 * (1.0 + _norm(bx) + _norm(bw)), np.inf
         for _ in range(_REFINE):
-            rx, rw = bx - self.g.T @ uw, bw - self.g @ ux + self.cone * uw
-            err = np.linalg.norm(rx) + np.linalg.norm(rw)
+            rx, rw = bx - self.gt @ uw, bw - self.g @ ux + self.cone * uw
+            err = _norm(rx) + _norm(rw)
             if err <= floor or err >= last:
                 break
             last = err
@@ -395,14 +512,14 @@ def residuals(program: ConicProgram, sol: Solution):
     """Recompute (primal, dual, gap) residuals from the raw program data."""
     if len(sol.x) != program.num_vars or len(sol.y) != program.num_rows or len(sol.s) != program.num_rows:
         raise DimensionError("solution dimensions do not match the program")
-    return _residuals(program, program.dense_matrix(), sol)
+    return _residuals(program, _matrix(program), sol)
 
 
-def _residuals(program: ConicProgram, a: np.ndarray, sol: Solution):
-    """residuals, with a the program's dense matrix."""
+def _residuals(program: ConicProgram, a, sol: Solution):
+    """residuals, with a the program's matrix as _matrix stores it."""
     x, y, s = sol.x, sol.y, sol.s
-    rp = float(np.linalg.norm(a @ x + s - program.b))
-    rd = float(np.linalg.norm(a.T @ y + program.c))
+    rp = _norm(a @ x + s - program.b)
+    rd = _norm(a.T @ y + program.c)
     gap = float(abs(program.c @ x + program.b @ y))
     return rp, rd, gap
 
@@ -411,7 +528,7 @@ def _interior(plan: _ConePlan, v: np.ndarray) -> np.ndarray:
     """v shifted along the unit into the interior of the cone rows when it is
     not well inside, as in conelp's starting point."""
     t = _Scaling(plan, plan.unit, plan.unit).max_step(v)
-    return v + (1.0 + t) * plan.unit if t >= -1e-8 * max(np.linalg.norm(v), 1.0) else v
+    return v + (1.0 + t) * plan.unit if t >= -1e-8 * max(_norm(v), 1.0) else v
 
 
 def solve(program: ConicProgram, settings: SolveSettings | None = None) -> Solution:
@@ -424,13 +541,13 @@ def solve(program: ConicProgram, settings: SolveSettings | None = None) -> Solut
     return (x, y, s) / tau with its residuals.
     """
     st = settings or SolveSettings()
-    a = program.dense_matrix()
     b, c = program.b, program.c
     plan = _ConePlan(program.cones)
-    pairs = _pairs(program, a, plan.nonneg)
-    bnorm, cnorm = np.linalg.norm(b), np.linalg.norm(c)
+    ops = _Operators(program, plan)
+    a, at = ops.a, ops.at
+    bnorm, cnorm = _norm(b), _norm(c)
 
-    start = _ReducedSystem(a, pairs, _Scaling(plan, plan.unit, plan.unit))
+    start = _ReducedSystem(ops, _Scaling(plan, plan.unit, plan.unit))
     x, w = start.solve(np.zeros_like(c), b)
     s = _interior(plan, -w * plan.cone)
     y = _interior(plan, start.solve(-c, np.zeros_like(b))[1])
@@ -439,24 +556,24 @@ def solve(program: ConicProgram, settings: SolveSettings | None = None) -> Solut
     status = "max_iter"
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         for it in range(st.max_iter + 1):
-            rx, rm = a.T @ y + c * tau, a @ x + s - b * tau
+            rx, rm = at @ y + c * tau, a @ x + s - b * tau
             cx, by = c @ x, b @ y
-            if (np.linalg.norm(rm) <= st.tol * (1.0 + bnorm) * tau
-                    and np.linalg.norm(rx) <= st.tol * (1.0 + cnorm) * tau
+            if (_norm(rm) <= st.tol * (1.0 + bnorm) * tau
+                    and _norm(rx) <= st.tol * (1.0 + cnorm) * tau
                     and abs(cx + by) <= st.tol * (tau + abs(cx) + abs(by))):
                 status = "optimal"
                 break
-            if by < 0.0 and np.linalg.norm(a.T @ y) <= _INFEAS_TOL * max(1.0, cnorm) * -by:
+            if by < 0.0 and _norm(at @ y) <= _INFEAS_TOL * max(1.0, cnorm) * -by:
                 return Solution(np.full_like(c, np.nan), y / -by, np.full_like(b, np.nan),
                                 "infeasible", float("nan"), (float("nan"),) * 3, it)
-            if cx < 0.0 and np.linalg.norm(a @ x + s) <= _INFEAS_TOL * max(1.0, bnorm) * -cx:
+            if cx < 0.0 and _norm(a @ x + s) <= _INFEAS_TOL * max(1.0, bnorm) * -cx:
                 return Solution(x / -cx, np.full_like(b, np.nan), np.full_like(b, np.nan),
                                 "unbounded", float("-inf"), (float("nan"),) * 3, it)
             if it == st.max_iter:
                 break
             try:
                 x, y, s, tau, kappa = _newton_step(
-                    a, pairs, b, c, _Scaling(plan, s, y), x, y, s, tau, kappa, rx, rm, kappa + cx + by)
+                    ops, b, c, _Scaling(plan, s, y), x, y, s, tau, kappa, rx, rm, kappa + cx + by)
             except (np.linalg.LinAlgError, FloatingPointError):
                 status = "inaccurate"
                 break
@@ -465,7 +582,7 @@ def solve(program: ConicProgram, settings: SolveSettings | None = None) -> Solut
     return replace(sol, residuals=_residuals(program, a, sol))
 
 
-def _newton_step(a, pairs, b, c, scaling, x, y, s, tau, kappa, rx, rm, rt):
+def _newton_step(ops, b, c, scaling, x, y, s, tau, kappa, rx, rm, rt):
     """One Mehrotra predictor-corrector step of the embedding. With ~ for W^-T
     and dw = W dy, the direction solves  G'dw + c dtau = -eta rx,
     G dx + ds~ - b~ dtau = -eta rm~,  dkappa + c'dx + b~'dw = -eta rt,
@@ -473,7 +590,7 @@ def _newton_step(a, pairs, b, c, scaling, x, y, s, tau, kappa, rx, rm, rt):
     kappa dtau + tau dkappa = dk_target, as [dx; dw] = v1 + dtau v2 with
     K v2 = [-c; b~]; it goes _STEP of the way to the cone boundary."""
     plan, lam = scaling.plan, scaling.lam
-    system = _ReducedSystem(a, pairs, scaling)
+    system = _ReducedSystem(ops, scaling)
     bt, rmt = scaling.apply(np.stack([b, rm], axis=1), inverse=True, transpose=True).T
     mu = (lam @ lam + tau * kappa) / (plan.unit @ plan.unit + 1.0)
     v2x, v2w = system.solve(-c, bt)

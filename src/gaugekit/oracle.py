@@ -196,12 +196,17 @@ def _largest_root_below(g, lam_hi: float, g_lo: float) -> float:
     g is convex with g(0) = g_lo, and 0 is the bracket's feasible end even
     when g_lo reads a rounding-level positive. Illinois regula falsi: each
     step tries the secant root between the bracket's ends and halves the
-    value kept at an end that survives twice. It bisects instead whenever
-    the secant point leaves the bracket, a value is infinite, or the last
-    three steps have not halved the bracket. Steps keep a quarter of the
-    resolution away from the ends, so the secant cannot stall on one, and an
-    exact zero of g is the boundary. From the center g is affine in lam, so
-    the first secant lands on the boundary.
+    value kept at an end that survives twice. By convexity the line through
+    two infeasible points meets zero at or above the root; when the last
+    step that moved lo did not halve g there, the next step tries the root
+    of the latest such line instead. That is the kink of a slack that is flat
+    and then kinks, as a polyhedral set's is along a chord that starts on a
+    face, where the secant from the flat side only creeps. It bisects
+    instead whenever the trial point leaves the bracket, a value is
+    infinite, or the last three steps have not halved the bracket. Steps
+    keep a quarter of the resolution away from the ends, so the secant
+    cannot stall on one, and an exact zero of g is the boundary. From the
+    center g is affine in lam, so the first secant lands on the boundary.
     """
     g_hi = g(lam_hi)
     if g_hi <= 0.0:
@@ -209,12 +214,17 @@ def _largest_root_below(g, lam_hi: float, g_lo: float) -> float:
     resolution = lam_hi * 2.0 ** -40
     lo, hi = 0.0, lam_hi
     g_lo = min(g_lo, 0.0)
+    f_lo, f_hi = g_lo, g_hi  # g at the ends, which the Illinois halving leaves alone
+    upper = None  # the root of the line through the last two infeasible points
+    flat = False  # the last step that moved lo did not halve g there
     moved = 0  # +1 when the last step moved lo, -1 when it moved hi
     widths = [_INF] * 3  # the bracket's widths three, two and one steps back
     while hi - lo > resolution:
         lam = 0.5 * (lo + hi)
         if np.isfinite(g_hi) and 2.0 * (hi - lo) <= widths[0]:
             secant = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+            if flat and upper is not None:
+                secant, upper = upper, None
             if lo <= secant <= hi:
                 lam = secant
         lam = min(max(lam, lo + 0.25 * resolution), hi - 0.25 * resolution)
@@ -223,12 +233,15 @@ def _largest_root_below(g, lam_hi: float, g_lo: float) -> float:
         if value == 0.0:
             return lam
         if value < 0.0:
-            lo, g_lo = lam, value
+            flat = value <= 0.5 * f_lo
+            lo, g_lo, f_lo = lam, value, value
             if moved > 0:
                 g_hi *= 0.5
             moved = 1
         else:
-            hi, g_hi = lam, value
+            if value < f_hi < _INF:
+                upper = lam - value * (hi - lam) / (f_hi - value)
+            hi, g_hi, f_hi = lam, value, value
             if moved < 0:
                 g_lo *= 0.5
             moved = -1

@@ -1,7 +1,10 @@
 """Conic solver: statuses, residuals, LP and SDP solves, svec, program building."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gaugekit import conic
 from gaugekit.conic import (
@@ -15,8 +18,12 @@ from gaugekit.conic import (
     svec,
     unsvec,
 )
+from gaugekit.envelope import PostTransform, build_envelope_program
 from gaugekit.errors import DimensionError, ParameterError
+from gaugekit.gauge import Hemimetric, W1Ball
 from gaugekit.oracle import reference_lp
+from gaugekit.reformulate import ReweightingProblem
+from gaugekit.space import sample_uniform_box
 
 
 def lp_min_x_geq_1():
@@ -311,6 +318,32 @@ class TestReducedSystemAssembly:
                             cones=cones)
 
     @staticmethod
+    def large_program(rng):
+        """A program above the sparse cut: zero and nonnegative rows of at most
+        three entries (some rows empty, some triplets repeated), and
+        second-order and PSD blocks that touch a few columns each."""
+        n = int(rng.integers(45, 60))
+        cones = (Cone("zero", 30), Cone("nonneg", int(rng.integers(700, 900))), Cone("soc", 4),
+                 Cone("psd", 3), Cone("nonneg", 5), Cone("soc", 3), Cone("psd", 2))
+        r, c, at = [], [], 0
+        for cone in cones:
+            if cone.kind in ("soc", "psd"):
+                cols = rng.choice(n, int(rng.integers(1, 5)), replace=False)
+                r.append(np.repeat(np.arange(at, at + cone.rows), len(cols)))
+                c.append(np.tile(cols, cone.rows))
+            else:
+                per = rng.integers(0, 4, cone.rows)
+                r.append(np.repeat(np.arange(at, at + cone.rows), per))
+                c.append(rng.integers(0, n, int(per.sum())))
+            at += cone.rows
+        r, c = np.concatenate(r), np.concatenate(c)
+        v = rng.normal(size=len(r)) * (rng.random(len(r)) < 0.9)  # some explicit zeros
+        dup = rng.integers(0, len(r), 40)
+        return ConicProgram(c=np.zeros(n), a_rows=np.r_[r, r[dup]], a_cols=np.r_[c, c[dup]],
+                            a_vals=np.r_[v, rng.normal(size=len(dup))], b=np.zeros(at),
+                            cones=cones)
+
+    @staticmethod
     def interior(rng, cones):
         out = []
         for cone in cones:
@@ -344,9 +377,55 @@ class TestReducedSystemAssembly:
             g[plan.nonneg] = a[plan.nonneg] * np.sqrt(z[plan.nonneg] / s[plan.nonneg])[:, None]
             gk = g[plan.cone == 1.0]
             want = gk.T @ gk
-            got = conic._gram(scaling.apply(a, inverse=True, transpose=True),
-                              conic._pairs(prog, a, plan.nonneg), scaling)
+            got = conic._gram(a.shape[1], conic._pairs(prog, a, plan.nonneg), scaling,
+                              scaling.apply(a, inverse=True, transpose=True)[plan.curved],
+                              np.s_[:, :])
             assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), f"trial {trial}"
+
+    def test_sparse_side_matches_the_dense_product(self):
+        rng = np.random.default_rng(22)
+        for trial in range(6):
+            prog = self.large_program(rng)
+            a = prog.dense_matrix()
+            assert a.size > conic._SPARSE_CUT
+            plan = conic._ConePlan(prog.cones)
+            ops = conic._Operators(prog, plan)
+            assert sparse.issparse(ops.a) and sparse.issparse(ops.g)
+            for refill in range(2):  # G's values are refilled in place
+                s, z = self.interior(rng, prog.cones), self.interior(rng, prog.cones)
+                scaling = conic._Scaling(plan, s, z)
+                g = scaling.apply(a, inverse=True, transpose=True)
+                gk = g[plan.cone == 1.0]
+                g_sparse, gt_sparse, gc = ops.scaled(scaling)
+                u, w = rng.normal(size=a.shape[1]), rng.normal(size=a.shape[0])
+                for got, want in [(g_sparse @ u, g @ u), (gt_sparse @ w, g.T @ w),
+                                  (ops.a @ u, a @ u), (ops.at @ w, a.T @ w),
+                                  (conic._gram(a.shape[1], ops.pairs, scaling, gc, ops.block),
+                                   gk.T @ gk)]:
+                    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), \
+                        f"trial {trial}, refill {refill}"
+
+
+class TestAboveTheCut:
+    def test_envelope_program_is_solved_without_a_dense_matrix(self):
+        """The 64-sample envelope LP, 4097 x 66, has the closed form
+        min(mean + eps, max) for an identity cost under an absolute-difference
+        transport ball; its solve peaks below one dense copy of A."""
+        space = sample_uniform_box(0.0, 3.0, 64, 11)
+        x = space.points[:, 0]
+        problem = ReweightingProblem(space, x, W1Ball(Hemimetric.pnorm(1.0)), 0.5)
+        prog = build_envelope_program(problem, space.points, PostTransform.identity()).program
+        assert (prog.num_rows, prog.num_vars) == (4097, 66)
+        tracemalloc.start()
+        try:
+            sol = solve(prog)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = min(float(x.mean()) + 0.5, float(x.max()))
+        assert sol.status == "optimal"
+        assert abs(sol.value - want) <= 1e-6 * (1.0 + abs(want))
+        assert peak < 8 * prog.num_rows * prog.num_vars  # 2.16 MB
 
 
 class TestProgramChecks:

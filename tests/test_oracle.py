@@ -393,9 +393,13 @@ class TestWalkRoutes:
     def test_root_finder_returns_the_feasible_end(self):
         lam_hi = 3.0
         resolution = lam_hi * 2.0 ** -40
+        flat_then_kink = [
+            (lambda lam: max(-1e-7, lam - 0.7), 0.7),
+            (lambda lam: max(-1e-7, lam - 1e-3), 1e-3),
+        ]
         cases = [
             (lambda lam: 2.0 * lam - 1.0, 0.5),  # affine, as along a ray from the center
-            (lambda lam: max(-1e-7, lam - 0.7), 0.7),  # flat, then a kink
+            *flat_then_kink,
             (lambda lam: (lam - 0.2) ** 2 - 0.05, 0.2 + np.sqrt(0.05)),  # dips, then curves up
             (lambda lam: np.inf if lam > 1.3 else lam - 1.3, 1.3),  # infinite past the root
         ]
@@ -411,6 +415,10 @@ class TestWalkRoutes:
             assert root - 2.0 * resolution <= lam <= root + 1e-15
             # the bracket halves at least every three steps
             assert len(seen) <= 1 + 3 * 40
+            if (g, root) in flat_then_kink:
+                # no more than bisection: the line through two infeasible
+                # points finds the kink
+                assert len(seen) <= 42
         seen = []
         oracle._largest_root_below(lambda lam: seen.append(lam) or 2.0 * lam - 1.0, lam_hi, -1.0)
         assert seen[:2] == [lam_hi, 0.5]
