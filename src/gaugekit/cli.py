@@ -349,8 +349,15 @@ def compile_cost(text, field="cost.expression"):
         if not isinstance(sub, _COST_NODES):
             raise ConfigError(
                 f"{field}: {type(sub).__name__} is not allowed")
-        if isinstance(sub, ast.Constant) and not isinstance(sub.value, (int, float)):
-            raise ConfigError(f"{field}: only numeric constants are allowed")
+        if isinstance(sub, ast.Constant):
+            if not isinstance(sub.value, (int, float)):
+                raise ConfigError(f"{field}: only numeric constants are allowed")
+            # float arithmetic overflows at once where int ** would build
+            # ever larger exact integers
+            try:
+                sub.value = float(sub.value)
+            except OverflowError:
+                raise ConfigError(f"{field}: a constant is too large for a float")
         if isinstance(sub, ast.Call):
             if (not isinstance(sub.func, ast.Name)
                     or sub.func.id not in _COST_FUNCS or sub.keywords):
@@ -370,7 +377,7 @@ def compile_cost(text, field="cost.expression"):
             return float(eval(code, {"__builtins__": {}}, env))
         except NameError as exc:
             raise ConfigError(f"{field}: {exc}")
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"{field}: evaluation failed: {exc}")
 
     return at
@@ -798,7 +805,7 @@ def cmd_verify(doc, settings, seed):
                 raise ConfigError(f"stages[{i}]: needs gauge and epsilon")
             stages.append((parse_gauge(item["gauge"], f"stages[{i}].gauge"),
                            _as_number(item["epsilon"], f"stages[{i}].epsilon")))
-        composed, _ = composed_dual(space, cost, stages)
+        composed, _ = composed_dual(space, cost, stages, settings)
         outer = ReweightingProblem(space, cost, stages[0][0], stages[0][1])
         outer_value = conic.solve(build_dual(outer), settings).value
         if len(stages) == 1:
@@ -806,7 +813,7 @@ def cmd_verify(doc, settings, seed):
                 1e-6 * (1.0 + abs(composed)))
         else:
             zeroed, _ = composed_dual(
-                space, cost, [stages[0]] + [(g, 0.0) for g, _ in stages[1:]])
+                space, cost, [stages[0]] + [(g, 0.0) for g, _ in stages[1:]], settings)
             add("collapsed-vs-outer", zeroed, float(outer_value),
                 1e-6 * (1.0 + abs(zeroed)))
             good = composed >= zeroed - 1e-7
@@ -816,7 +823,7 @@ def cmd_verify(doc, settings, seed):
 
     if "tau" in doc:
         tau = _get_number(doc, "tau")
-        slope = satisficing_dual(problem, tau)
+        slope = satisficing_dual(problem, tau, settings)
         if slope is None:
             good = tau < expectation(space, cost) + 1e-9
             ok = ok and good

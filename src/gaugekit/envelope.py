@@ -23,7 +23,7 @@ import numpy as np
 from . import conic
 from .conic import ConicProgram, LinExpr, ProgramBuilder, SolveSettings
 from .errors import ContractError, DimensionError, EncodingError, ParameterError
-from .gauge import Hemimetric, Oscillation, hemimetric_check, polar, transport_metric
+from .gauge import Hemimetric, Oscillation, W1Ball, hemimetric_check, polar, transport_metric
 from .oracle import w1_distance
 from .reformulate import ReweightingProblem
 from .space import _as_points
@@ -276,8 +276,6 @@ def convergence_sweep(
     value and the row is labeled "surrogate". settings go to each envelope
     solve.
     """
-    from .gauge import W1Ball
-
     sizes = [int(m) for m in sizes]
     if not sizes:
         raise ParameterError("need at least one sample size")

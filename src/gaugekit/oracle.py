@@ -1,12 +1,11 @@
 """Independent reference evaluators for worst-case reweighting values.
 
 Everything here works directly on sorted arrays, greedy mass moves, small
-scipy LPs, or a Frank-Wolfe loop that sees the set only through a slack (or
-a membership test). None of it goes through the dual reformulations, so
-these values can be frozen as fixtures and compared against the conic
-pipeline. The walk prices transport balls with w1_flow_gauge (an exact
-formula on the line, a HiGHS flow LP elsewhere) and other gauges with
-gauge.slack.
+scipy LPs, or a Frank-Wolfe loop that sees the set only through a slack.
+None of it goes through the dual reformulations, so these values can be
+frozen as fixtures and compared against the conic pipeline. The walk prices
+transport balls with w1_flow_gauge (an exact formula on the line, a HiGHS
+flow LP elsewhere) and other gauges with gauge.slack.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from . import gauge as gauges
 from .errors import DimensionError, ParameterError
 from .space import DiscreteSpace, _as_points, settings
 
@@ -257,12 +257,9 @@ class FwResult:
     converged: bool
 
 
-def frank_wolfe_primal(problem=None, tol: float = 1e-3, membership=None,
-                       objective=None, max_iter: int = 100_000,
-                       space: DiscreteSpace | None = None, cost=None,
-                       epsilon: float | None = None) -> FwResult:
-    """Maximize over the feasible reweightings using only a slack or a
-    membership test.
+def frank_wolfe_primal(problem, tol: float = 1e-3, objective=None,
+                       max_iter: int = 100_000) -> FwResult:
+    """Maximize over a problem's feasible reweightings using only a slack.
 
     The search set is {nu >= 0, E[nu] = 1, deviation nu - 1 inside the scaled
     gauge set}. Each round scans chords toward the distribution's extreme
@@ -275,75 +272,43 @@ def frank_wolfe_primal(problem=None, tol: float = 1e-3, membership=None,
     the walk follow curved boundaries, where a local maximum of a linear
     objective is already global.
 
-    Accepts either a problem object carrying space / cost / gauge / epsilon or
-    those pieces directly. Given a problem, the walk finds each boundary
-    point by a safeguarded secant on a convex slack, which is <= 0 exactly on
-    the closure-tolerant set: for a transport ball (polar a Lipschitz set)
-    w1_flow_gauge minus the level, with no conic solve, for any other gauge
-    gauge.slack. A boolean membership(u, t) overrides the slack, and the walk
-    then bisects on it. objective(nu) -> (value, gradient) overrides the
-    linear default.
+    The walk finds each boundary point by a safeguarded secant on a convex
+    slack, which is <= 0 exactly on the closure-tolerant set: for a transport
+    ball (polar a Lipschitz set) w1_flow_gauge minus the level, with no conic
+    solve, for any other gauge gauge.slack. objective(nu) -> (value,
+    gradient) overrides the linear default E[nu * cost].
     """
-    slack = None
-    if problem is not None:
-        space = problem.space
-        cost = problem.cost
-        epsilon = problem.epsilon
-        if membership is None:
-            from . import gauge as _gauge
-
-            expr = problem.gauge
-            metric = _gauge.transport_metric(expr)
-
-            def slack(u, t, _expr=expr, _space=space, _metric=metric):
-                if _metric is not None:
-                    return w1_flow_gauge(_space, u, _metric) - t * (1.0 + settings.closure_rel_tol)
-                return _gauge.slack(_expr, _space, u, t)
-
-    if space is None or (membership is None and slack is None) or epsilon is None:
-        raise ParameterError("need a problem or explicit space/cost/epsilon/membership")
-    f = _as_cost(cost) if cost is not None else None
+    space, expr, epsilon = problem.space, problem.gauge, problem.epsilon
     p = space.weights
     n = space.size
+    metric = gauges.transport_metric(expr)
+    level = epsilon * (1.0 + settings.closure_rel_tol)
+
+    def slack(x):
+        """The slack of the reweighting x against the epsilon-scaled set."""
+        if metric is not None:
+            return w1_flow_gauge(space, x - 1.0, metric) - level
+        return gauges.slack(expr, space, x - 1.0, epsilon)
 
     if objective is None:
-        if f is None:
-            raise ParameterError("a cost vector is required for the linear objective")
+        f = _as_cost(problem.cost)
 
         def objective(nu):
             return float(p @ (nu * f)), f
 
-    def base_slack(x):
-        """The slack at x, the low end of every chord from x; None when bisecting."""
-        return None if slack is None or epsilon <= 0.0 else slack(x - 1.0, epsilon)
-
     def feasible_step(x, d, lam_hi, at_x):
-        """Largest lam in [0, lam_hi] keeping x + lam d inside, to 2^-40 lam_hi.
-
-        Secant on the slack, whose value at x is at_x; bisection on a boolean
-        membership.
-        """
+        """Largest lam in [0, lam_hi] keeping x + lam d inside, to 2^-40 lam_hi,
+        given the slack at_x at x."""
         if lam_hi <= 1e-14:
             return 0.0
-        if epsilon <= 0.0:
-            return 0.0
-        if slack is not None:
-            return _largest_root_below(lambda lam: slack(x + lam * d - 1.0, epsilon), lam_hi, at_x)
-        if membership(x + lam_hi * d - 1.0, epsilon):
-            return lam_hi
-        lo, hi = 0.0, lam_hi
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if membership(x + mid * d - 1.0, epsilon):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return _largest_root_below(lambda lam: slack(x + lam * d), lam_hi, at_x)
 
     x = np.ones(n)
     center = np.ones(n)
-    at_center = base_slack(center)
     value, grad = objective(x)
+    if epsilon <= 0.0:  # the set is the center alone
+        return FwResult(value=value, gap=0.0, nu=x, iterations=1, converged=True)
+    at_center = slack(center)
     gap = _INF
     iterations = 0
     verts = [np.zeros(n) for _ in range(n)]
@@ -375,7 +340,7 @@ def frank_wolfe_primal(problem=None, tol: float = 1e-3, membership=None,
             rays.append((float(p @ (grad_at * d)), d, lam_hi))
 
         best_gain, best_point = 0.0, None
-        at_x = base_slack(x)
+        at_x = slack(x)
         for rate, d, lam_hi in rays:
             if rate <= 1e-15:
                 continue

@@ -260,7 +260,7 @@ def _stage_band(expr, eps: float):
         f"LinfBall, or Scale/Intersect of those); got {type(expr).__name__}")
 
 
-def composed_dual(space: DiscreteSpace, cost, stages):
+def composed_dual(space: DiscreteSpace, cost, stages, settings: SolveSettings | None = None):
     """Value of nested worst-case stages, outermost first.
 
     stages is a sequence of (gauge_expr, epsilon). Stage k > 0 reweights the
@@ -310,7 +310,7 @@ def composed_dual(space: DiscreteSpace, cost, stages):
         b.le(exprs[i] - LinExpr.var(alpha0) - LinExpr.var(w0[i]))
     gauges.encode_epigraph(b, gauges.polar(gauge0), space,
                            [LinExpr.var(c) for c in w0], LinExpr.var(level))
-    sol = conic.accepted(conic.solve(b.build()), "composed dual")
+    sol = conic.accepted(conic.solve(b.build(), settings), "composed dual")
 
     def at(expr):
         return expr.const + sum(coef * sol.x[col] for col, coef in expr.terms.items())
@@ -321,7 +321,8 @@ def composed_dual(space: DiscreteSpace, cost, stages):
     return float(sol.value), report
 
 
-def satisficing_dual(problem: ReweightingProblem, tau: float):
+def satisficing_dual(problem: ReweightingProblem, tau: float,
+                     settings: SolveSettings | None = None):
     """Smallest polar-gauge level whose certificate keeps the guaranteed value
     at or below tau; None when tau is unreachable (below the base mean)."""
     sp, f = problem.space, problem.cost
@@ -335,7 +336,7 @@ def satisficing_dual(problem: ReweightingProblem, tau: float):
     b.le(LinExpr.var(alpha) + LinExpr.dot(w, sp.weights) - tau)
     gauges.encode_epigraph(b, gauges.polar(problem.gauge), sp,
                            [LinExpr.var(c) for c in w], LinExpr.var(t))
-    sol = conic.solve(b.build())
+    sol = conic.solve(b.build(), settings)
     if sol.status == "infeasible":
         return None
     return float(conic.accepted(sol, "satisficing dual").value)

@@ -350,10 +350,6 @@ def test_stage_composition():
     nested, _ = composed_dual(
         BASE, F, [(Polar(Lipschitz(ABS1)), 0.5), (CvarGauge(0.5), 1.0)])
 
-    def outer_member(u, t):
-        from gaugekit.gauge import membership
-        return membership(W1Ball(ABS1), BASE, u, t)
-
     def capped_tail(nu):
         m = BASE.weights * nu
         order = np.argsort(-F)
@@ -366,8 +362,7 @@ def test_stage_composition():
         grad = 2.0 * np.clip(F - alpha, 0.0, None)
         return alpha + float(m @ grad), grad
 
-    fw = frank_wolfe_primal(space=BASE, epsilon=0.5, membership=outer_member,
-                            objective=capped_tail, tol=1e-6)
+    fw = frank_wolfe_primal(problem(W1Ball(ABS1), 0.5), objective=capped_tail, tol=1e-6)
     assert fw.value <= nested + 1e-7 * (1.0 + abs(nested))
     assert nested - fw.value <= 1e-3 * (1.0 + abs(nested)) + fw.gap
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,20 @@ class TestCostExpressions:
         fn = compile_cost("x3")
         with pytest.raises(ConfigError):
             fn([0.0])
+
+    def test_tower_of_powers_fails_at_once(self):
+        # integer ** would build a 4.6e6-digit integer before failing
+        fn = compile_cost("9**9**7")
+        start = time.monotonic()
+        with pytest.raises(ConfigError):
+            fn([0.0])
+        assert time.monotonic() - start < 1.0
+        with pytest.raises(ConfigError):
+            compile_cost("1" + "0" * 400)
+
+    def test_complex_result_is_a_config_error(self):
+        with pytest.raises(ConfigError):
+            compile_cost("(x0 - 2) ** 0.5")([1.0])
 
 
 class TestConfigLoading:
@@ -438,6 +453,23 @@ class TestVerify:
         byname = {row[0]: row for row in rows}
         assert byname["composed-vs-dual"][5] == "ok"
         assert byname["composed-vs-dual"][1] == pytest.approx(2.0, abs=1e-5)
+
+    def test_every_solve_takes_the_tolerance_flag(self, tmp_path, monkeypatch, capsys):
+        tols = []
+        solve = cli.conic.solve
+
+        def recorded(program, settings=None):
+            tols.append(None if settings is None else settings.tol)
+            return solve(program, settings)
+
+        monkeypatch.setattr(cli.conic, "solve", recorded)
+        doc = dict(BASE_DOC, tau=1.5, stages=[{"gauge": "tv", "epsilon": 0.5},
+                                              {"gauge": "(cvar 0.5)", "epsilon": 1.0}])
+        code = main(["verify", "--config", write_config(tmp_path, doc), "--tol", "1e-7"])
+        assert code == 0
+        names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert "stages-monotone" in names and "threshold-sensitivity" in names
+        assert tols and set(tols) == {1e-7}
 
 
 class TestScript:

@@ -32,7 +32,6 @@ from gaugekit.gauge import (
     TotalVariation,
     W1Ball,
     gauge_value,
-    membership,
 )
 from gaugekit.oracle import (
     chi2_closed_form,
@@ -44,8 +43,8 @@ from gaugekit.oracle import (
     w1_flow_gauge,
     w1_transport,
 )
-from gaugekit.reformulate import ReweightingProblem
-from gaugekit.space import DiscreteSpace, settings, uniform_space
+from gaugekit.reformulate import ReweightingProblem, divergence_dual_value
+from gaugekit.space import DiscreteSpace, uniform_space
 
 BASE = uniform_space([0.0, 1.0, 2.0, 3.0])
 F = np.array([0.0, 1.0, 2.0, 3.0])
@@ -326,29 +325,60 @@ class TestFrankWolfe:
         assert res.gap > 0
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("the walk called the conic solver")
+
+
+def capped_tail(nu):
+    """Worst mean over densities in [0, 2] against the measure p * nu, with
+    its supergradient in nu: the inner stage of the composition checks."""
+    m = BASE.weights * nu
+    order = np.argsort(-F)
+    cum, alpha = 0.0, float(F[order[-1]])
+    for i in order:
+        cum += 2.0 * m[i]
+        if cum >= 1.0 - 1e-14:
+            alpha = float(F[i])
+            break
+    grad = 2.0 * np.clip(F - alpha, 0.0, None)
+    return alpha + float(m @ grad), grad
+
+
 class TestTransportWalk:
-    @pytest.mark.parametrize("expr", [W1Ball(ABS1), Polar(Lipschitz(ABS1))])
+    @pytest.mark.parametrize("expr", [
+        W1Ball(ABS1), Polar(Lipschitz(ABS1)),
+        CvarGauge(0.5), PhiDivergence("chi2", 0.16), PhiDivergence("kl", 0.1)])
     def test_walk_makes_no_conic_solve(self, monkeypatch, expr):
-        want = w1_transport(BASE, F, 0.5, ABS1)
-        prob = ReweightingProblem(BASE, F, expr, 0.5)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the transport walk called the conic solver")
-
+        # every set verify walks on; a divergence carries its radius in the
+        # budget, as verify requires of kl
+        if isinstance(expr, PhiDivergence):
+            prob = ReweightingProblem(BASE, F, expr, 1.0)
+            want = divergence_dual_value(prob)
+        elif isinstance(expr, CvarGauge):
+            prob = ReweightingProblem(BASE, F, expr, 1.0)
+            want = cvar_sorted(BASE, F, 0.5)
+        else:
+            prob = ReweightingProblem(BASE, F, expr, 0.5)
+            want = w1_transport(BASE, F, 0.5, ABS1)
         monkeypatch.setattr(conic, "solve", refuse)
         res = frank_wolfe_primal(prob, tol=1e-4)
         assert abs(res.value - want) <= 1e-3
         assert res.value <= want + res.gap
 
-    def test_explicit_membership_wins(self):
-        prob = ReweightingProblem(BASE, F, W1Ball(ABS1), 0.5)
-        res = frank_wolfe_primal(prob, tol=1e-4, membership=lambda u, t: False)
-        assert res.value == pytest.approx(1.5, abs=1e-12)
+    @pytest.mark.parametrize("outer", [W1Ball(ABS1), TotalVariation()])
+    def test_capped_tail_walk_makes_no_conic_solve(self, monkeypatch, outer):
+        # the stage-composition checks walk a nested objective over the outer
+        # ball; both compositions are worth 3
+        monkeypatch.setattr(conic, "solve", refuse)
+        res = frank_wolfe_primal(ReweightingProblem(BASE, F, outer, 0.5),
+                                 objective=capped_tail, tol=1e-6)
+        assert res.converged
+        assert abs(res.value - 3.0) <= 1e-3 + res.gap
 
 
 class TestWalkRoutes:
-    """Given a problem the walk runs a secant on the set's slack; given a
-    boolean membership it bisects. Both find the same boundary points."""
+    """The walk runs a secant on the set's slack. Bisecting on the slack's
+    sign, which is a boolean membership test, finds the same boundary points."""
 
     @pytest.mark.parametrize("expr, eps", [
         (CvarGauge(0.5), 1.0),
@@ -357,18 +387,24 @@ class TestWalkRoutes:
         (PhiDivergence("kl", 0.1), 1.0),
         (W1Ball(ABS1), 0.5),
     ], ids=lambda x: type(x).__name__ if not isinstance(x, float) else str(x))
-    def test_boolean_membership_walk_matches_the_slack_walk(self, expr, eps):
-        if isinstance(expr, W1Ball):
-            # the transport ball's own test as a boolean: gauge.membership
-            # would make a conic solve per test, about 2000 of them
-            def member(u, t):
-                return w1_flow_gauge(BASE, u, ABS1) <= t * (1.0 + settings.closure_rel_tol)
-        else:
-            def member(u, t):
-                return membership(expr, BASE, u, t)
+    def test_boolean_membership_walk_matches_the_slack_walk(self, monkeypatch, expr, eps):
+        def bisect(g, lam_hi, g_lo):
+            # 40 halvings, each asking only whether g <= 0
+            if g(lam_hi) <= 0.0:
+                return lam_hi
+            lo, hi = 0.0, lam_hi
+            for _ in range(40):
+                mid = 0.5 * (lo + hi)
+                if g(mid) <= 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            return lo
+
         prob = ReweightingProblem(BASE, F, expr, eps)
         by_slack = frank_wolfe_primal(prob, tol=1e-4)
-        by_bisection = frank_wolfe_primal(prob, tol=1e-4, membership=member)
+        monkeypatch.setattr(oracle, "_largest_root_below", bisect)
+        by_bisection = frank_wolfe_primal(prob, tol=1e-4)
         assert by_slack.converged and by_bisection.converged
         assert abs(by_slack.value - by_bisection.value) <= 1e-6 * (1.0 + abs(by_bisection.value))
 

@@ -269,16 +269,10 @@ class TestComposedStages:
             BASE, F, [(Polar(Lipschitz(ABS1)), 0.5), (CvarGauge(0.5), 1.0)])
         assert value == pytest.approx(3.0, abs=1e-6)
 
-        from gaugekit.gauge import W1Ball as _W1, membership as member
-
-        def outer_member(u, t):
-            return member(_W1(ABS1), BASE, u, t)
-
         def objective(nu):
             return capped_tail_mean(F, BASE.weights * nu, 2.0)
 
-        fw = frank_wolfe_primal(space=BASE, epsilon=0.5, membership=outer_member,
-                                objective=objective, tol=1e-6)
+        fw = frank_wolfe_primal(problem(W1Ball(ABS1), 0.5), objective=objective, tol=1e-6)
         assert fw.value <= value + 1e-7 * (1.0 + abs(value))
         assert value - fw.value <= 1e-3 * (1.0 + abs(value)) + fw.gap
 
@@ -286,15 +280,10 @@ class TestComposedStages:
         value, _ = composed_dual(BASE, F, [(TotalVariation(), 0.5), (CvarGauge(0.5), 1.0)])
         assert value == pytest.approx(3.0, abs=1e-6)
 
-        def outer_member(u, t):
-            from gaugekit.gauge import membership as member
-            return member(TotalVariation(), BASE, u, t)
-
         def objective(nu):
             return capped_tail_mean(F, BASE.weights * nu, 2.0)
 
-        fw = frank_wolfe_primal(space=BASE, epsilon=0.5, membership=outer_member,
-                                objective=objective, tol=1e-6)
+        fw = frank_wolfe_primal(problem(TotalVariation(), 0.5), objective=objective, tol=1e-6)
         assert value - fw.value <= 1e-3 * (1.0 + abs(value)) + fw.gap
 
     def test_three_stage_consistency_at_zero_radii(self):
