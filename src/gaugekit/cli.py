@@ -8,28 +8,31 @@ Commands
 --------
 duality-check
     Solve the worst-case reweighting problem along both routes (direct
-    program and majorant certificate), print both values and the gap.
-    Exit 0 when both solves are optimal and the gap is at most
-    1e-6 * (1 + |value|).
+    program and majorant certificate), print both values and the gap,
+    which must be at most 1e-6 * (1 + |value|).
 envelope-sweep
     Draw growing i.i.d. samples from the configured box, solve the
     sample envelope program at each size, and report the value, the
     transport deviation bound, and the gap to the analytic target when
-    one is given. Exit 0 when every row passes its bound check.
+    one is given, which must lie within the bound.
 case-study
     Solve the facility-placement instance along the envelope route and
-    the quadratic-certificate route. Exit 0 when both are optimal and
-    the quadratic value dominates. With all budgets at zero a grid
-    sweep row is appended and the envelope value must match it.
+    the quadratic-certificate route; the quadratic row reads breach when
+    its value falls below the envelope value by more than 1e-6. With all
+    budgets at zero a grid-cvar row is appended, which reads ok when the
+    envelope value matches the grid sweep to 1e-4 and breach otherwise.
 verify
     Pair every applicable independent oracle with every applicable
     reformulation path for the configured problem (sorted tail
     averages, greedy swaps, transport plans, closed forms, boundary
     walks, scalar duals, restricted bases, composition stages,
-    threshold radii). Exit 0 when every pairing agrees.
+    threshold radii), one row per pairing.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical
-failure (solver status or tolerance breach).
+failure. Every command prints a table with a status column, and that
+column is the verdict: the command exits 2 exactly when some row's
+status is not optimal, ok or surrogate. A numerical error raised before
+the table is complete also exits 2, with its message on stderr.
 
 Configuration
 -------------
@@ -40,11 +43,11 @@ A single JSON object. Keys:
     solver          {"tol": float > 0, "max-iter": int >= 1}
     space           {"points": [...], "weights": [...]} (weights optional,
                     uniform by default) or
-                    {"sampler": {"lower": ..., "upper": ..., "count": n}}
+                    {"sampler": {"lower": ..., "upper": ..., "count": n >= 1}}
     cost            {"values": [...]} or {"expression": "abs(x0 - 1.5)"}
     gauge           a gauge expression string, see below
     epsilon         nonnegative float
-    samples         envelope-sweep block: {"sizes": [...], "target": float?}
+    samples         envelope-sweep block: {"sizes": [m >= 1, ...], "target": float?}
     basis           verify block: {"kind": ..., "boxes"/"order"/"points"/"nonneg"}
     stages          verify block: [{"gauge": ..., "epsilon": ...}, ...],
                     outermost first
@@ -124,6 +127,8 @@ from .reformulate import (
     build_primal,
     composed_dual,
     divergence_dual_value,
+    dual_solution,
+    primal_solution,
     satisficing_dual,
 )
 from .space import DiscreteSpace, expectation, sample_uniform_box, uniform_space
@@ -422,6 +427,13 @@ def _as_integer(value, field):
     return int(value)
 
 
+def _as_count(value, field):
+    count = _as_integer(value, field)
+    if count < 1:
+        raise ConfigError(f"{field}: must be at least 1")
+    return count
+
+
 def _as_array(value, field):
     try:
         return np.asarray(value, dtype=float)
@@ -451,7 +463,7 @@ def _build_space(doc, seed):
                 raise ConfigError(f"space.sampler.{key}: required")
         return sample_uniform_box(_as_array(sub["lower"], "space.sampler.lower"),
                                   _as_array(sub["upper"], "space.sampler.upper"),
-                                  _as_integer(sub["count"], "space.sampler.count"), seed)
+                                  _as_count(sub["count"], "space.sampler.count"), seed)
     if "points" not in block:
         raise ConfigError("space.points: required")
     points = _as_array(block["points"], "space.points")
@@ -504,9 +516,7 @@ def _solver_settings(doc, tol_flag):
     if "tol" in block:
         kwargs["tol"] = _positive_tol(_as_number(block["tol"], "solver.tol"), "solver.tol")
     if "max-iter" in block:
-        kwargs["max_iter"] = _as_integer(block["max-iter"], "solver.max-iter")
-        if kwargs["max_iter"] < 1:
-            raise ConfigError("solver.max-iter: must be at least 1")
+        kwargs["max_iter"] = _as_count(block["max-iter"], "solver.max-iter")
     if tol_flag is not None:
         kwargs["tol"] = _positive_tol(float(tol_flag), "--tol")
     return SolveSettings(**kwargs) if kwargs else None
@@ -617,6 +627,13 @@ def write_csv(path, command, columns, rows):
 # commands
 
 
+def _verdict(columns, rows):
+    """The one exit rule: 2 when some row's status is not a passing one."""
+    at = columns.index("status")
+    code = 0 if all(row[at] in ("optimal", "ok", "surrogate") for row in rows) else 2
+    return columns, rows, code
+
+
 def _two_routes(problem, settings):
     """Solve the primal and the dual program of the problem. Returns the
     primal value (negated, since the primal program minimizes the negated
@@ -635,14 +652,12 @@ def cmd_duality_check(doc, settings, seed):
     except EncodingError as exc:
         raise ConfigError(f"duality-check: {exc}")
     gap = abs(primal - dual)
-    ok = dual_status == "optimal" and primal_status == "optimal" and gap <= bound
     rows = [
         ("primal", primal, primal_status),
         ("dual", dual, dual_status),
-        ("gap", gap, "ok" if ok else "breach"),
+        ("gap", gap, "ok" if gap <= bound else "breach"),
     ]
-    columns = ("route", "value", "status")
-    return columns, rows, (0 if ok else 2)
+    return _verdict(("route", "value", "status"), rows)
 
 
 def cmd_envelope_sweep(doc, settings, seed):
@@ -677,7 +692,7 @@ def cmd_envelope_sweep(doc, settings, seed):
     sizes = block.get("sizes")
     if not isinstance(sizes, list) or not sizes:
         raise ConfigError("samples.sizes: required, a nonempty list")
-    sizes = [_as_integer(m, f"samples.sizes[{k}]") for k, m in enumerate(sizes)]
+    sizes = [_as_count(m, f"samples.sizes[{k}]") for k, m in enumerate(sizes)]
     target = block.get("target")
     if target is not None:
         target = _as_number(target, "samples.target")
@@ -687,9 +702,7 @@ def cmd_envelope_sweep(doc, settings, seed):
 
     rows = convergence_sweep(sampler, cost_fn, metric, epsilon, sizes, seed, target, settings)
     table = [(r.m, r.seed, r.z_m, r.w1_bound, r.gap, r.status) for r in rows]
-    ok = all(r.status in ("ok", "surrogate") for r in rows)
-    columns = ("m", "seed", "z_m", "w1_bound", "gap", "status")
-    return columns, table, (0 if ok else 2)
+    return _verdict(("m", "seed", "z_m", "w1_bound", "gap", "status"), table)
 
 
 def cmd_case_study(doc, settings, seed):
@@ -698,19 +711,19 @@ def cmd_case_study(doc, settings, seed):
         raise ConfigError("case-instance: required")
     instance = _build_case_instance(block)
     lp, sdp = solve_case(instance, solver=settings)
+    # the quadratic route can only be more conservative than the envelope
+    sdp_status = sdp.status
+    if lp.status == sdp.status == "optimal" and sdp.value < lp.value - 1e-6:
+        sdp_status = "breach"
     rows = [
         (lp.method, lp.value, lp.x[0], lp.x[1], lp.status, lp.residual),
-        (sdp.method, sdp.value, sdp.x[0], sdp.x[1], sdp.status, sdp.residual),
+        (sdp.method, sdp.value, sdp.x[0], sdp.x[1], sdp_status, sdp.residual),
     ]
-    ok = (lp.status == "optimal" and sdp.status == "optimal"
-          and sdp.value >= lp.value - 1e-6)
     if float(instance.delta) == 0.0 and not np.any(np.asarray(instance.radii) > 0.0):
         value, spot = grid_cvar_value(instance)
-        rows.append(("grid-cvar", value, spot[0], spot[1], "optimal", 0.0))
-        if abs(value - lp.value) > 1e-4:
-            ok = False
-    columns = ("method", "value", "x0", "x1", "status", "residual")
-    return columns, rows, (0 if ok else 2)
+        match = "ok" if abs(value - lp.value) <= 1e-4 else "breach"
+        rows.append(("grid-cvar", value, spot[0], spot[1], match, 0.0))
+    return _verdict(("method", "value", "x0", "x1", "status", "residual"), rows)
 
 
 def cmd_verify(doc, settings, seed):
@@ -718,21 +731,19 @@ def cmd_verify(doc, settings, seed):
     space, cost, expr = problem.space, problem.cost, problem.gauge
     eps = problem.epsilon
     rows = []
-    ok = True
+
+    def row(check, reference, candidate, diff, tol, good):
+        rows.append((check, reference, candidate, diff, tol, "ok" if good else "breach"))
 
     def add(check, reference, candidate, tol):
-        nonlocal ok
-        diff = abs(float(reference) - float(candidate))
-        good = diff <= tol
-        ok = ok and good
-        rows.append((check, float(reference), float(candidate), diff, tol,
-                     "ok" if good else "breach"))
+        reference, candidate = float(reference), float(candidate)
+        diff = abs(reference - candidate)
+        row(check, reference, candidate, diff, tol, diff <= tol)
 
     dual_value = None
     try:
         primal, dual, primal_status, dual_status, bound = _two_routes(problem, settings)
         if dual_status != "optimal" or primal_status != "optimal":
-            ok = False
             rows.append(("primal-vs-dual", primal, dual, float("nan"), 0.0,
                          f"{primal_status}/{dual_status}"))
         else:
@@ -788,11 +799,8 @@ def cmd_verify(doc, settings, seed):
         basis = _build_basis(doc["basis"])
         restricted = param_dual_value(problem, basis, solver=settings)
         if dual_value is not None:
-            good = restricted >= dual_value - 1e-7
-            ok = ok and good
-            rows.append(("restricted-dominates", dual_value, restricted,
-                         restricted - dual_value, 1e-7,
-                         "ok" if good else "breach"))
+            row("restricted-dominates", dual_value, restricted,
+                restricted - dual_value, 1e-7, restricted >= dual_value - 1e-7)
 
     if "stages" in doc:
         stages_doc = doc["stages"]
@@ -807,45 +815,36 @@ def cmd_verify(doc, settings, seed):
                            _as_number(item["epsilon"], f"stages[{i}].epsilon")))
         composed, _ = composed_dual(space, cost, stages, settings)
         outer = ReweightingProblem(space, cost, stages[0][0], stages[0][1])
-        outer_value = conic.solve(build_dual(outer), settings).value
         if len(stages) == 1:
-            add("composed-vs-dual", composed, float(outer_value),
+            # one stage is build_dual(outer) itself, so check it on the primal
+            add("composed-vs-primal", composed, primal_solution(outer, settings)[0],
                 1e-6 * (1.0 + abs(composed)))
         else:
             zeroed, _ = composed_dual(
                 space, cost, [stages[0]] + [(g, 0.0) for g, _ in stages[1:]], settings)
-            add("collapsed-vs-outer", zeroed, float(outer_value),
+            add("collapsed-vs-outer", zeroed, dual_solution(outer, settings).value,
                 1e-6 * (1.0 + abs(zeroed)))
-            good = composed >= zeroed - 1e-7
-            ok = ok and good
-            rows.append(("stages-monotone", zeroed, composed,
-                         composed - zeroed, 1e-7, "ok" if good else "breach"))
+            row("stages-monotone", zeroed, composed, composed - zeroed, 1e-7,
+                composed >= zeroed - 1e-7)
 
     if "tau" in doc:
         tau = _get_number(doc, "tau")
         slope = satisficing_dual(problem, tau, settings)
         if slope is None:
-            good = tau < expectation(space, cost) + 1e-9
-            ok = ok and good
-            rows.append(("threshold-unreachable", tau,
-                         expectation(space, cost), float("nan"), 0.0,
-                         "ok" if good else "breach"))
+            mean = expectation(space, cost)
+            row("threshold-unreachable", tau, mean, float("nan"), 0.0, tau < mean + 1e-9)
         else:
             # the certificate promises worst(radius) <= tau + slope * radius
             for probe in (0.25, 1.0):
                 shifted = ReweightingProblem(space, cost, expr, probe)
-                worst = float(conic.solve(build_dual(shifted), settings).value)
+                worst = dual_solution(shifted, settings).value
                 cap = tau + slope * probe
                 tol = 1e-5 * (1.0 + abs(tau))
-                good = worst <= cap + tol
-                ok = ok and good
-                rows.append(("threshold-sensitivity", cap, worst,
-                             worst - cap, tol, "ok" if good else "breach"))
+                row("threshold-sensitivity", cap, worst, worst - cap, tol, worst <= cap + tol)
 
     if not rows:
         raise ConfigError("verify: no applicable checks for this configuration")
-    columns = ("check", "reference", "candidate", "diff", "tol", "status")
-    return columns, rows, (0 if ok else 2)
+    return _verdict(("check", "reference", "candidate", "diff", "tol", "status"), rows)
 
 
 _HANDLERS = {
@@ -894,13 +893,7 @@ def main(argv=None):
         if not 0 <= seed < 2**64:
             raise ConfigError(f"{source}: must lie in [0, 2**64), got {seed}")
         settings = _solver_settings(doc, args.tol)
-        handler = _HANDLERS[args.command]
-    except ConfigError as exc:
-        print(f"gaugekit: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        columns, rows, code = handler(doc, settings, seed)
+        columns, rows, code = _HANDLERS[args.command](doc, settings, seed)
     except ConfigError as exc:
         print(f"gaugekit: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,6 @@
 """Command-line driver: gauge grammar, config validation, reports, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -43,6 +44,16 @@ SWEEP_DOC = {
     "gauge": "(polar (lipschitz abs))",
     "epsilon": 0.5,
     "samples": {"sizes": [4, 16, 64], "target": 2.0},
+}
+
+# every budget at zero, so a grid-cvar row is appended; both routes end optimal
+ZERO_CASE_DOC = {
+    "case-instance": {
+        "lower": [0, 0], "upper": [1, 1],
+        "region-lower": [[0.0, 0.0]], "region-upper": [[1.0, 1.0]],
+        "samples": [[0.1, 0.2], [0.3, 0.8], [0.5, 0.5], [0.7, 0.1]],
+        "delta": 0.0, "radii": [0.0], "beta": 0.5,
+    },
 }
 
 CASE_DOC = {
@@ -210,6 +221,8 @@ class TestConfigLoading:
          "case-instance.radii"),
         ("case-study", {"case-instance": dict(CASE_DOC["case-instance"], samples="many")},
          "case-instance.samples"),
+        ("envelope-sweep", dict(SWEEP_DOC, samples={"sizes": [0, 4]}), "samples.sizes[0]"),
+        ("envelope-sweep", dict(SWEEP_DOC, samples={"sizes": [-3]}), "samples.sizes[0]"),
     ])
     def test_non_numeric_value_names_its_key(self, tmp_path, capsys, command, doc, key):
         code = main([command, "--config", write_config(tmp_path, doc)])
@@ -231,6 +244,8 @@ class TestConfigLoading:
         (BASE_DOC, ["--tol", "0"], None, "--tol"),
         (BASE_DOC, ["--tol", "inf"], None, "--tol"),
         (dict(BASE_DOC, solver={"tol": 1e-6}), ["--tol", "nan"], None, "--tol"),
+        (dict(SAMPLED_DOC, space={"sampler": {"lower": 0.0, "upper": 3.0, "count": 0}}),
+         [], None, "space.sampler.count"),
     ])
     def test_out_of_range_setting_names_its_source(self, tmp_path, capsys, monkeypatch,
                                                    doc, flags, env_seed, key):
@@ -388,6 +403,43 @@ class TestCaseStudyCommand:
         assert lp[2] == pytest.approx(0.3, abs=1e-6)
         assert lp[3] == pytest.approx(0.7, abs=1e-6)
 
+    def test_zero_budget_instance_passes(self):
+        _, rows, code = cli.cmd_case_study(ZERO_CASE_DOC, None, 0)
+        assert code == 0
+        assert [(row[0], row[4]) for row in rows] == [
+            ("envelope-lp", "optimal"), ("funcparam-sdp", "optimal"), ("grid-cvar", "ok")]
+
+    def test_grid_mismatch_is_a_breach_row(self, tmp_path, capsys, monkeypatch):
+        grid = cli.grid_cvar_value
+
+        def shifted(instance):
+            value, spot = grid(instance)
+            return value + 1e-3, spot
+
+        monkeypatch.setattr(cli, "grid_cvar_value", shifted)
+        code = main(["case-study", "--config", write_config(tmp_path, ZERO_CASE_DOC)])
+        assert code == 2
+        statuses = {line.split()[0]: line.split()[4]
+                    for line in capsys.readouterr().out.splitlines()[1:]}
+        assert statuses == {"envelope-lp": "optimal", "funcparam-sdp": "optimal",
+                            "grid-cvar": "breach"}
+
+    def test_quadratic_value_below_the_envelope_is_a_breach_row(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        solve = cli.solve_case
+
+        def undercut(instance, solver=None):
+            lp, sdp = solve(instance, solver)
+            return lp, dataclasses.replace(sdp, value=lp.value - 1e-3)
+
+        monkeypatch.setattr(cli, "solve_case", undercut)
+        code = main(["case-study", "--config", write_config(tmp_path, ZERO_CASE_DOC)])
+        assert code == 2
+        statuses = {line.split()[0]: line.split()[4]
+                    for line in capsys.readouterr().out.splitlines()[1:]}
+        assert statuses == {"envelope-lp": "optimal", "funcparam-sdp": "breach",
+                            "grid-cvar": "ok"}
+
     def test_instance_errors_exit_one(self, tmp_path, capsys):
         doc = {"case-instance": dict(CASE_DOC["case-instance"], beta=1.5)}
         code = main(["case-study", "--config", write_config(tmp_path, doc)])
@@ -432,6 +484,22 @@ class TestVerify:
         assert len(sens) == 2
         assert all(row[5] == "ok" for row in sens)
 
+    def test_truncated_threshold_probe_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the radius probes' duals: alpha, four weights, then the probe radius
+        solve = cli.conic.solve
+
+        def truncated(program, settings=None):
+            sol = solve(program, settings)
+            if program.c[0] == 1.0 and program.c[5] in (0.25, 1.0):
+                return dataclasses.replace(sol, status="max_iter")
+            return sol
+
+        monkeypatch.setattr(cli.conic, "solve", truncated)
+        doc = dict(BASE_DOC, tau=1.5)
+        code = main(["verify", "--config", write_config(tmp_path, doc)])
+        assert code == 2
+        assert "max_iter" in capsys.readouterr().err
+
     def test_unreachable_threshold(self):
         doc = dict(BASE_DOC, tau=1.0)
         _, rows, code = cli.cmd_verify(doc, None, 0)
@@ -451,8 +519,8 @@ class TestVerify:
         _, rows, code = cli.cmd_verify(doc, None, 0)
         assert code == 0
         byname = {row[0]: row for row in rows}
-        assert byname["composed-vs-dual"][5] == "ok"
-        assert byname["composed-vs-dual"][1] == pytest.approx(2.0, abs=1e-5)
+        assert byname["composed-vs-primal"][5] == "ok"
+        assert byname["composed-vs-primal"][1] == pytest.approx(2.0, abs=1e-5)
 
     def test_every_solve_takes_the_tolerance_flag(self, tmp_path, monkeypatch, capsys):
         tols = []
