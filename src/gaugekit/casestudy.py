@@ -158,6 +158,18 @@ def _nonneg_pair(b: ProgramBuilder):
     return cols[:2], cols[2:]
 
 
+def _placement_rows(b: ProgramBuilder, instance: CaseInstance, x, a2, eta) -> None:
+    """The rows both programs share: x inside the city box, and each tail
+    excess eta_j above the distance from x to sample j less the threshold."""
+    for i in range(2):
+        b.le(LinExpr.var(int(x[i])) - instance.upper[i])
+        b.le(LinExpr.of(instance.lower[i]) - LinExpr.var(int(x[i])))
+    for j, xi in enumerate(instance.samples):
+        for d in _DIRECTIONS:
+            b.le(LinExpr.dot(x, d) - float(d @ xi)
+                 - LinExpr.var(a2) - LinExpr.var(int(eta[j])))
+
+
 def build_case_envelope_lp(instance: CaseInstance) -> conic.ConicProgram:
     """Envelope reformulation: linear rows plus one second-order cone.
 
@@ -187,14 +199,7 @@ def build_case_envelope_lp(instance: CaseInstance) -> conic.ConicProgram:
     if instance.delta > 0.0:
         rms = b.add_vars(1, obj=instance.delta / np.sqrt(m))[0]
         b.soc([LinExpr.var(rms)] + [LinExpr.var(int(col)) for col in s])
-    for i in range(2):
-        b.le(LinExpr.var(int(x[i])) - instance.upper[i])
-        b.le(LinExpr.of(instance.lower[i]) - LinExpr.var(int(x[i])))
-    for j in range(m):
-        xi = instance.samples[j]
-        for d in _DIRECTIONS:
-            b.le(LinExpr.dot(x, d) - float(d @ xi)
-                 - LinExpr.var(a2) - LinExpr.var(int(eta[j])))
+    _placement_rows(b, instance, x, a2, eta)
     for k in range(nregions):
         lo, hi = instance.region_lower[k], instance.region_upper[k]
         for j in members[k]:
@@ -230,30 +235,17 @@ def _feature_rows(points: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(len(points)), points, quad])
 
 
-def _region_second_moments(instance: CaseInstance, supplied) -> list:
-    members = instance.members()
-    if supplied is None:
-        out = []
-        for idx in members:
-            if len(idx):
-                rows = _feature_rows(instance.samples[idx])
-                out.append(rows.T @ rows / len(idx))
-            else:
-                out.append(np.zeros((6, 6)))
-        return out
-    mats = [np.asarray(mat, dtype=float) for mat in supplied]
-    if len(mats) != len(instance.region_lower):
-        raise DimensionError(f"{len(mats)} moment matrices for "
-                             f"{len(instance.region_lower)} districts")
-    for mat in mats:
-        if mat.shape != (6, 6) or not np.all(np.isfinite(mat)):
-            raise InstanceError("moment matrices must be finite and 6 x 6")
-        if np.max(np.abs(mat - mat.T)) > 1e-9 * max(1.0, np.max(np.abs(mat))):
-            raise InstanceError("moment matrices must be symmetric")
-        floor = -1e-9 * max(1.0, float(np.max(np.abs(mat))))
-        if float(np.min(np.linalg.eigvalsh(0.5 * (mat + mat.T)))) < floor:
-            raise InstanceError("moment matrices must be positive semidefinite")
-    return mats
+def _region_second_moments(instance: CaseInstance) -> list:
+    """Sample average of (1, z, svec(z z')) (1, z, svec(z z'))' per district;
+    a district without samples gets the zero matrix."""
+    out = []
+    for idx in instance.members():
+        if len(idx):
+            rows = _feature_rows(instance.samples[idx])
+            out.append(rows.T @ rows / len(idx))
+        else:
+            out.append(np.zeros((6, 6)))
+    return out
 
 
 def _matrix_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -261,16 +253,15 @@ def _matrix_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def build_case_funcparam_sdp(instance: CaseInstance,
-                             region_moments=None) -> conic.ConicProgram:
+def build_case_funcparam_sdp(instance: CaseInstance) -> conic.ConicProgram:
     """Quadratic-majorant reformulation: a small semidefinite program.
 
     One quadratic (constant, gradient, matrix) is fitted per district;
     its matrix block is kept positive semidefinite, domination over each
     district box is dualized through a Schur complement, and the slope
-    budget bounds the worst-case gradient sup-norm row by row.  Second
-    moments per district default to sample averages (ridge-stabilized);
-    supplied matrices must be symmetric positive semidefinite.
+    budget bounds the worst-case gradient sup-norm row by row.  The
+    reweighting norm uses each district's sample second moments,
+    ridge-stabilized.
 
     Variables in order: x (2), base level, tail threshold, six quadratic
     coefficients per district, one slope per district with a positive
@@ -289,7 +280,7 @@ def build_case_funcparam_sdp(instance: CaseInstance,
     nregions = len(instance.region_lower)
     members = instance.members()
     ratio = instance.beta / (1.0 - instance.beta)
-    second = _region_second_moments(instance, region_moments)
+    second = _region_second_moments(instance)
     root2 = np.sqrt(2.0)
     b = ProgramBuilder()
     x = b.add_vars(2)
@@ -312,14 +303,7 @@ def build_case_funcparam_sdp(instance: CaseInstance,
             for r in range(6):
                 rows.append(LinExpr.dot(quads[k], half[r]))
         b.soc([LinExpr.var(norm)] + rows)
-    for i in range(2):
-        b.le(LinExpr.var(int(x[i])) - instance.upper[i])
-        b.le(LinExpr.of(instance.lower[i]) - LinExpr.var(int(x[i])))
-    for j in range(m):
-        xi = instance.samples[j]
-        for d in _DIRECTIONS:
-            b.le(LinExpr.dot(x, d) - float(d @ xi)
-                 - LinExpr.var(a2) - LinExpr.var(int(eta[j])))
+    _placement_rows(b, instance, x, a2, eta)
     for k in range(nregions):
         lo, hi = instance.region_lower[k], instance.region_upper[k]
         q = quads[k]

@@ -42,7 +42,7 @@ A single JSON object. Keys:
                     --seed overrides both
     solver          {"tol": float > 0, "max-iter": int >= 1}
     space           {"points": [...], "weights": [...]} (weights optional,
-                    uniform by default) or
+                    positive, uniform by default) or
                     {"sampler": {"lower": ..., "upper": ..., "count": n >= 1}}
     cost            {"values": [...]} or {"expression": "abs(x0 - 1.5)"}
     gauge           a gauge expression string, see below
@@ -470,8 +470,8 @@ def _build_space(doc, seed):
     if "weights" not in block:
         return uniform_space(points)
     weights = _as_array(block["weights"], "space.weights").ravel()
-    if np.any(weights < -1e-12):
-        raise ConfigError("space.weights: must be nonnegative")
+    if np.any(weights <= 0.0):
+        raise ConfigError("space.weights: must be positive")
     total = float(weights.sum())
     if abs(total - 1.0) > 1e-9:
         raise ConfigError(f"space.weights: must sum to one, got {total:.6g}")
@@ -781,6 +781,8 @@ def cmd_verify(doc, settings, seed):
                     add("closed-vs-scalar", closed, scalar, 1e-4)
             elif dual_value is not None:
                 add("walk-vs-dual", fw.value, dual_value, 1e-3)
+                if scalar is not None:
+                    add("scalar-vs-dual", scalar, dual_value, 1e-4)
         if expr.kind == "kl":
             if eps != 1.0:
                 raise ConfigError(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import conic
-from .conic import ConicProgram, LinExpr, ProgramBuilder, SolveSettings
+from .conic import ConicProgram, ProgramBuilder, SolveSettings
 from .errors import ContractError, DimensionError, EncodingError, ParameterError
 from .gauge import Hemimetric, Oscillation, W1Ball, hemimetric_check, polar, transport_metric
 from .oracle import w1_distance
@@ -29,7 +29,6 @@ from .reformulate import ReweightingProblem
 from .space import _as_points
 
 __all__ = [
-    "PostTransform",
     "EnvelopeProgram",
     "EnvelopeSolution",
     "SweepRow",
@@ -44,45 +43,6 @@ _REFERENCE_SIZE = 2048
 
 
 @dataclass(frozen=True)
-class PostTransform:
-    """Outer/inner transform pair applied to the sample average of s.
-
-    kind "identity" leaves the average alone; kind "case-study" averages
-    (s_i, s_i^2) and pays mean + delta * sqrt(mean of squares), with s
-    restricted to be nonnegative so the composite stays monotone. l_g and
-    l_h record Lipschitz constants of the two layers on the declared
-    domain (w in [0, w_bound] for the case-study kind).
-    """
-
-    kind: str
-    delta: float = 0.0
-    l_g: float = 1.0
-    l_h: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "case-study"):
-            raise ParameterError(f"unknown transform kind {self.kind!r}")
-        if self.delta < 0.0:
-            raise ParameterError("delta must be nonnegative")
-
-    @staticmethod
-    def identity() -> "PostTransform":
-        return PostTransform("identity")
-
-    @staticmethod
-    def case_study(delta: float, w_bound: float = 1.0) -> "PostTransform":
-        """Mean plus delta times the root mean square, on w in [0, w_bound]."""
-        if w_bound <= 0.0:
-            raise ParameterError("w_bound must be positive")
-        return PostTransform(
-            "case-study",
-            delta=float(delta),
-            l_g=1.0 + float(delta),
-            l_h=1.0 + 2.0 * float(w_bound),
-        )
-
-
-@dataclass(frozen=True)
 class EnvelopeProgram:
     """A built envelope program plus the bookkeeping to read it back.
 
@@ -94,8 +54,6 @@ class EnvelopeProgram:
     problem: ReweightingProblem
     samples: np.ndarray
     metric: Hemimetric
-    gh: PostTransform
-    epsilon: float
     price: float
     program: ConicProgram
     gamma: int
@@ -152,15 +110,12 @@ def _polar_hemimetric(problem: ReweightingProblem):
     )
 
 
-def build_envelope_program(
-    problem: ReweightingProblem, samples, gh: PostTransform
-) -> EnvelopeProgram:
+def build_envelope_program(problem: ReweightingProblem, samples) -> EnvelopeProgram:
     """Assemble the finite envelope program for the problem's dual.
 
     Domination rows are imposed at the problem's support points; the
-    objective averages the transformed levels over the samples with equal
-    weight. With samples equal to the support this reproduces the dual
-    value exactly.
+    objective averages the levels over the samples with equal weight. With
+    samples equal to the support this reproduces the dual value exactly.
     """
     metric, price = _polar_hemimetric(problem)
     pts = _as_points(samples)
@@ -183,10 +138,6 @@ def build_envelope_program(
     gamma = int(b.add_vars(1, obj=price)[0])
     b.nonneg_var(gamma)
     s = b.add_vars(m, obj=1.0 / m)
-    if gh.kind == "case-study":
-        rms = int(b.add_vars(1, obj=gh.delta)[0])
-        b.nonneg_var(s)
-        b.soc([LinExpr.var(rms)] + [LinExpr.var(int(col), 1.0 / np.sqrt(m)) for col in s])
     # f_j - alpha - s_i - gamma c(j, i) <= 0, row j * m + i
     nj = problem.space.size
     b.le_rows(
@@ -198,21 +149,12 @@ def build_envelope_program(
         problem=problem,
         samples=pts,
         metric=metric,
-        gh=gh,
-        epsilon=problem.epsilon,
         price=price,
         program=b.build(),
         gamma=gamma,
         alpha=alpha,
         s=tuple(int(col) for col in s),
     )
-
-
-def _objective(ep: EnvelopeProgram, gamma: float, alpha: float, s: np.ndarray) -> float:
-    base = alpha + float(np.mean(s)) + ep.price * gamma
-    if ep.gh.kind == "case-study":
-        base += ep.gh.delta * float(np.sqrt(np.mean(s * s)))
-    return base
 
 
 def solve_envelope(ep: EnvelopeProgram, settings: SolveSettings | None = None) -> EnvelopeSolution:
@@ -252,7 +194,7 @@ def make_nonredundant(ep: EnvelopeProgram, sol: EnvelopeSolution) -> EnvelopeSol
         if np.max(np.abs(lowered - s)) <= 1e-12 * scale:
             break
         s = lowered
-    return replace(sol, s=s, value=_objective(ep, gamma, sol.alpha, s))
+    return replace(sol, s=s, value=sol.alpha + float(np.mean(s)) + ep.price * gamma)
 
 
 def convergence_sweep(
@@ -271,7 +213,7 @@ def convergence_sweep(
     per-size seeds are the entries of SeedSequence(seed).generate_state
     (index 0 feeds the 2048-point reference sample, index k+1 the k-th
     size). Each row records the envelope value z_m, the transport bound
-    l_g * l_h * gamma_m * W1(empirical, reference), and the gap to z_star.
+    gamma_m * W1(empirical, reference), and the gap to z_star.
     Without an analytic z_star the gap is taken against the largest size's
     value and the row is labeled "surrogate". settings go to each envelope
     solve.
@@ -279,7 +221,6 @@ def convergence_sweep(
     sizes = [int(m) for m in sizes]
     if not sizes:
         raise ParameterError("need at least one sample size")
-    gh = PostTransform.identity()
     state = np.random.SeedSequence(seed).generate_state(len(sizes) + 1)
     reference = sampler(_REFERENCE_SIZE, int(state[0]))
 
@@ -288,22 +229,19 @@ def convergence_sweep(
         space = sampler(m, int(state[idx + 1]))
         f = np.array([float(cost_fn(pt)) for pt in space.points])
         problem = ReweightingProblem(space, f, W1Ball(metric), epsilon)
-        ep = build_envelope_program(problem, space.points, gh)
+        ep = build_envelope_program(problem, space.points)
         sol = solve_envelope(ep, settings)
         w1 = w1_distance(
             space.points, space.weights, reference.points, reference.weights, metric
         )
-        solved.append((m, sol, float(gh.l_g * gh.l_h * sol.gamma * w1)))
+        solved.append((m, sol, float(sol.gamma * w1)))
 
     surrogate = solved[int(np.argmax(sizes))][1].value
     rows = []
     for m, sol, bound in solved:
         if z_star is not None:
             gap = z_star - sol.value
-            if sol.status != "optimal":
-                status = sol.status
-            else:
-                status = "ok" if gap <= bound + 1e-6 else "violated"
+            status = "ok" if gap <= bound + 1e-6 else "violated"
         else:
             gap = surrogate - sol.value
             status = "surrogate"

@@ -125,7 +125,7 @@ def dual_solution(problem: ReweightingProblem, settings: SolveSettings | None = 
 def _conjugate(kind: str):
     """phi* over the nonnegative half-line, elementwise on arrays."""
     if kind == "chi2":
-        return lambda s: np.maximum(s + 0.25 * s * s, -1.0)
+        return lambda s: np.where(s >= -2.0, s + 0.25 * s * s, -1.0)
     if kind == "kl":
         return lambda s: np.expm1(np.minimum(s, 690.0))
     if kind == "tv":

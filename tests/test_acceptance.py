@@ -20,7 +20,7 @@ from gaugekit.casestudy import (
     solve_case,
 )
 from gaugekit.conic import SolveSettings
-from gaugekit.envelope import PostTransform, build_envelope_program, convergence_sweep, solve_envelope
+from gaugekit.envelope import build_envelope_program, convergence_sweep, solve_envelope
 from gaugekit.funcparam import Basis, param_dual_value
 from gaugekit.gauge import (
     AffineMap,
@@ -248,8 +248,7 @@ def test_envelope_exactness():
         eps = float(rng.uniform(0.0, 1.5))
         for gauge in (W1Ball(ABS1), TotalVariation()):
             prob = problem(gauge, eps, cost=f, space=space)
-            sol = solve_envelope(
-                build_envelope_program(prob, space.points, PostTransform.identity()))
+            sol = solve_envelope(build_envelope_program(prob, space.points))
             want = dual_solution(prob).value
             assert abs(sol.value - want) <= 1e-6 * (1.0 + abs(want)), (
                 f"trial {trial} {type(gauge).__name__}")

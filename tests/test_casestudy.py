@@ -172,31 +172,6 @@ class TestFuncparamSdp:
         assert lp.x == pytest.approx([0.5, 0.5], abs=1e-4)
         assert sdp.x == pytest.approx([0.5, 0.5], abs=1e-4)
 
-    def test_supplied_moments_reproduce_the_sample_path(self):
-        ins = default_instance()
-        mats = []
-        for idx in ins.members():
-            rows = np.stack([np.concatenate(([1.0], p, conic.svec(np.outer(p, p))))
-                             for p in ins.samples[idx]])
-            mats.append(rows.T @ rows / len(idx))
-        a = build_case_funcparam_sdp(ins)
-        b = build_case_funcparam_sdp(ins, region_moments=mats)
-        assert np.allclose(a.c, b.c, atol=1e-12)
-        assert np.array_equal(a.a_rows, b.a_rows)
-        assert np.array_equal(a.a_cols, b.a_cols)
-        assert np.allclose(a.a_vals, b.a_vals, atol=1e-12)
-        assert np.allclose(a.b, b.b, atol=1e-12)
-        assert a.cones == b.cones
-
-    def test_supplied_moments_are_validated(self):
-        ins = default_instance()
-        bad = np.eye(6)
-        bad[0, 0] = -1.0
-        with pytest.raises(InstanceError):
-            build_case_funcparam_sdp(ins, region_moments=[bad, np.eye(6)])
-        with pytest.raises(DimensionError):
-            build_case_funcparam_sdp(ins, region_moments=[np.eye(6)])
-
 
 class TestSolveCase:
     def test_default_instance_solves_cleanly(self):

@@ -246,6 +246,8 @@ class TestConfigLoading:
         (dict(BASE_DOC, solver={"tol": 1e-6}), ["--tol", "nan"], None, "--tol"),
         (dict(SAMPLED_DOC, space={"sampler": {"lower": 0.0, "upper": 3.0, "count": 0}}),
          [], None, "space.sampler.count"),
+        (dict(BASE_DOC, space={"points": [[0], [1], [2], [3]], "weights": [0.5, 0.5, 0, 0]}),
+         [], None, "space.weights"),
     ])
     def test_out_of_range_setting_names_its_source(self, tmp_path, capsys, monkeypatch,
                                                    doc, flags, env_seed, key):
@@ -463,6 +465,16 @@ class TestVerify:
         names = [row[0] for row in rows]
         for check in ("closed-vs-dual", "closed-vs-walk", "closed-vs-scalar"):
             assert check in names
+
+    def test_floor_bound_chi_square_checks_the_scalar_dual(self):
+        # at budget 1 the density floor binds, so no closed form applies and
+        # the scalar dual meets the conic dual at 2.5773503, not mean + std
+        doc = dict(BASE_DOC, gauge="(chi2 1)", epsilon=1.0)
+        _, rows, _ = cli.cmd_verify(doc, None, 0)
+        by_name = {row[0]: row for row in rows}
+        assert "closed-vs-scalar" not in by_name
+        assert by_name["scalar-vs-dual"][1] == pytest.approx(2.5773503, abs=1e-6)
+        assert by_name["scalar-vs-dual"][5] == "ok"
 
     def test_divergence_walk_against_the_scalar_dual(self):
         doc = dict(BASE_DOC, gauge="(kl 0.1)", epsilon=1.0)

@@ -18,7 +18,7 @@ from gaugekit.conic import (
     svec,
     unsvec,
 )
-from gaugekit.envelope import PostTransform, build_envelope_program
+from gaugekit.envelope import build_envelope_program
 from gaugekit.errors import DimensionError, ParameterError
 from gaugekit.gauge import Hemimetric, W1Ball
 from gaugekit.oracle import reference_lp
@@ -414,7 +414,7 @@ class TestAboveTheCut:
         space = sample_uniform_box(0.0, 3.0, 64, 11)
         x = space.points[:, 0]
         problem = ReweightingProblem(space, x, W1Ball(Hemimetric.pnorm(1.0)), 0.5)
-        prog = build_envelope_program(problem, space.points, PostTransform.identity()).program
+        prog = build_envelope_program(problem, space.points).program
         assert (prog.num_rows, prog.num_vars) == (4097, 66)
         tracemalloc.start()
         try:

@@ -12,7 +12,6 @@ import pytest
 
 from gaugekit.envelope import (
     EnvelopeSolution,
-    PostTransform,
     build_envelope_program,
     convergence_sweep,
     envelope_eval,
@@ -41,7 +40,6 @@ BASE = uniform_space([0.0, 1.0, 2.0, 3.0])
 F = np.array([0.0, 1.0, 2.0, 3.0])
 ABS1 = Hemimetric.pnorm(1.0)
 IND = Hemimetric.indicator()
-ID_GH = PostTransform.identity()
 
 
 def problem(gauge, eps, cost=F, space=BASE):
@@ -71,19 +69,19 @@ class TestEnvelopeEval:
 class TestBuildProgram:
     def test_transport_ball_on_its_own_support_is_exact(self):
         prob = problem(W1Ball(ABS1), 0.5)
-        sol = solve_envelope(build_envelope_program(prob, BASE.points, ID_GH))
+        sol = solve_envelope(build_envelope_program(prob, BASE.points))
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(2.0, abs=1e-6)
         assert sol.value == pytest.approx(dual_solution(prob).value, abs=1e-6)
 
     def test_mass_budget_uses_the_indicator_at_half_price(self):
         prob = problem(TotalVariation(), 0.5)
-        sol = solve_envelope(build_envelope_program(prob, BASE.points, ID_GH))
+        sol = solve_envelope(build_envelope_program(prob, BASE.points))
         assert sol.value == pytest.approx(2.25, abs=1e-6)
 
     def test_zero_radius_is_the_mean(self):
         prob = problem(W1Ball(ABS1), 0.0)
-        sol = solve_envelope(build_envelope_program(prob, BASE.points, ID_GH))
+        sol = solve_envelope(build_envelope_program(prob, BASE.points))
         assert sol.value == pytest.approx(1.5, abs=1e-6)
 
     def test_exact_on_random_instances_for_both_hemimetrics(self):
@@ -96,25 +94,15 @@ class TestBuildProgram:
             eps = float(rng.uniform(0.0, 1.5))
             for gauge in (W1Ball(ABS1), TotalVariation()):
                 prob = problem(gauge, eps, cost=f, space=space)
-                sol = solve_envelope(build_envelope_program(prob, space.points, ID_GH))
+                sol = solve_envelope(build_envelope_program(prob, space.points))
                 want = dual_solution(prob).value
                 assert sol.value == pytest.approx(want, abs=1e-6 * (1.0 + abs(want))), (
                     f"trial {trial} {type(gauge).__name__}"
                 )
 
-    def test_case_study_transform_is_at_least_the_identity(self):
-        prob = problem(W1Ball(ABS1), 0.5)
-        plain = solve_envelope(build_envelope_program(prob, BASE.points, ID_GH))
-        flexed = solve_envelope(
-            build_envelope_program(prob, BASE.points, PostTransform.case_study(0.3))
-        )
-        assert flexed.status == "optimal"
-        assert flexed.value >= plain.value - 1e-8
-        assert np.min(flexed.s) >= -1e-6  # the restricted domain
-
     def test_solution_slope_bounds_the_sampled_envelope(self):
         prob = problem(W1Ball(ABS1), 0.5)
-        ep = build_envelope_program(prob, BASE.points, ID_GH)
+        ep = build_envelope_program(prob, BASE.points)
         sol = solve_envelope(ep)
         grid = np.linspace(-1.0, 4.0, 21)
         w = [envelope_eval(max(sol.gamma, 0.0), sol.s, ep.samples, ABS1, g) for g in grid]
@@ -123,7 +111,7 @@ class TestBuildProgram:
 
     def test_envelope_never_exceeds_its_levels(self):
         prob = problem(W1Ball(ABS1), 0.5)
-        ep = build_envelope_program(prob, BASE.points, ID_GH)
+        ep = build_envelope_program(prob, BASE.points)
         sol = solve_envelope(ep)
         for i, center in enumerate(ep.samples):
             at_center = envelope_eval(max(sol.gamma, 0.0), sol.s, ep.samples, ABS1, center)
@@ -146,15 +134,13 @@ class TestBuildProgram:
 
     def test_rejects_polars_without_a_hemimetric(self):
         with pytest.raises(EncodingError):
-            build_envelope_program(problem(L2Ball(), 0.5), BASE.points, ID_GH)
+            build_envelope_program(problem(L2Ball(), 0.5), BASE.points)
 
     def test_rejects_mismatched_sample_dimension(self):
         with pytest.raises(DimensionError):
-            build_envelope_program(
-                problem(W1Ball(ABS1), 0.5), np.zeros((3, 2)), ID_GH
-            )
+            build_envelope_program(problem(W1Ball(ABS1), 0.5), np.zeros((3, 2)))
         with pytest.raises(ParameterError):
-            build_envelope_program(problem(W1Ball(ABS1), 0.5), np.zeros((0, 1)), ID_GH)
+            build_envelope_program(problem(W1Ball(ABS1), 0.5), np.zeros((0, 1)))
 
     def test_rejects_a_broken_hemimetric(self):
         pts = np.array([0.0, 1.0, 2.0])
@@ -163,7 +149,7 @@ class TestBuildProgram:
         )
         prob = problem(W1Ball(bad), 0.5, cost=np.zeros(3), space=uniform_space(pts))
         with pytest.raises(ParameterError):
-            build_envelope_program(prob, pts, ID_GH)
+            build_envelope_program(prob, pts)
 
     def test_rejects_a_broken_hemimetric_beyond_64_samples(self):
         pts = np.arange(65.0)
@@ -172,39 +158,27 @@ class TestBuildProgram:
         bad = Hemimetric.from_table(pts, table)
         prob = problem(W1Ball(bad), 0.5, cost=np.zeros(65), space=uniform_space(pts))
         with pytest.raises(ParameterError, match="1 triangle violations"):
-            build_envelope_program(prob, pts, ID_GH)
+            build_envelope_program(prob, pts)
 
     def test_large_coordinates_pass_the_norm_check(self):
         # a pnorm cost is a norm, so rounding at 1e6 is no triangle violation
         space = sample_uniform_box([0.0], [1e6], 32, 3)
         prob = problem(W1Ball(ABS1), 1e-6, cost=np.sin(space.points[:, 0] / 1e5), space=space)
-        sol = solve_envelope(build_envelope_program(prob, space.points, ID_GH))
+        sol = solve_envelope(build_envelope_program(prob, space.points))
         want = dual_solution(prob).value
         assert sol.value == pytest.approx(want, abs=1e-6 * (1.0 + abs(want)))
 
-    def test_transform_guards(self):
-        with pytest.raises(ParameterError):
-            PostTransform("squash")
-        with pytest.raises(ParameterError):
-            PostTransform.case_study(-0.1)
-        with pytest.raises(ParameterError):
-            PostTransform.case_study(0.1, w_bound=0.0)
 
-
-def linexpr_envelope(space, f, samples, metric, price, gh):
+def linexpr_envelope(space, f, samples, metric, price):
     """The envelope program written one LinExpr row at a time: alpha, gamma
-    >= 0, the levels s (nonnegative with an rms cone for the case-study
-    kind), then f_j - alpha - s_i - gamma c(j, i) <= 0 in row j * m + i."""
+    >= 0, the levels s, then f_j - alpha - s_i - gamma c(j, i) <= 0 in row
+    j * m + i."""
     b = ProgramBuilder()
     alpha = int(b.add_vars(1, obj=1.0)[0])
     gamma = int(b.add_vars(1, obj=price)[0])
     b.nonneg_var(gamma)
     m = len(samples)
     s = b.add_vars(m, obj=1.0 / m)
-    if gh.kind == "case-study":
-        rms = int(b.add_vars(1, obj=gh.delta)[0])
-        b.nonneg_var(s)
-        b.soc([LinExpr.var(rms)] + [LinExpr.var(int(col), 1.0 / np.sqrt(m)) for col in s])
     cost = metric.matrix(space.points, samples)
     for j in range(space.size):
         for i in range(m):
@@ -217,16 +191,14 @@ class TestProgramPin:
     # so some pairs have zero cost and their rows no gamma term
     COST = np.array([0.0, -1.25, 2.0, 3.5])
 
-    @pytest.mark.parametrize("gauge, metric, price, samples, gh", [
-        (W1Ball(ABS1), ABS1, 0.5, [0.0, 1.5, 3.0], ID_GH),
-        (TotalVariation(), IND, 0.25, [3.0, 1.0, 2.0, 0.0, 0.5], ID_GH),
-        (W1Ball(ABS1), ABS1, 0.5, [2.0, 0.25, 1.0], PostTransform.case_study(0.3)),
-        (TotalVariation(), IND, 0.25, [1.0, 3.0], PostTransform.case_study(0.0)),
+    @pytest.mark.parametrize("gauge, metric, price, samples", [
+        (W1Ball(ABS1), ABS1, 0.5, [0.0, 1.5, 3.0]),
+        (TotalVariation(), IND, 0.25, [3.0, 1.0, 2.0, 0.0, 0.5]),
     ])
-    def test_program_matches_the_linexpr_rows(self, gauge, metric, price, samples, gh):
+    def test_program_matches_the_linexpr_rows(self, gauge, metric, price, samples):
         samples = np.asarray(samples).reshape(-1, 1)
-        got = build_envelope_program(problem(gauge, 0.5, cost=self.COST), samples, gh).program
-        want = linexpr_envelope(BASE, self.COST, samples, metric, price, gh)
+        got = build_envelope_program(problem(gauge, 0.5, cost=self.COST), samples).program
+        want = linexpr_envelope(BASE, self.COST, samples, metric, price)
         assert got.cones == want.cones
         for g, w in zip((got.c, got.a_rows, got.a_cols, got.a_vals, got.b),
                         (want.c, want.a_rows, want.a_cols, want.a_vals, want.b)):
@@ -240,7 +212,7 @@ class TestMakeNonredundant:
     def two_point_program(self):
         space = uniform_space([0.0, 3.0])
         prob = problem(W1Ball(ABS1), 1.0, cost=np.zeros(2), space=space)
-        return build_envelope_program(prob, space.points, ID_GH)
+        return build_envelope_program(prob, space.points)
 
     def test_slack_level_is_pulled_down(self):
         ep = self.two_point_program()
@@ -260,7 +232,7 @@ class TestMakeNonredundant:
     def test_objective_preserved_on_optimal_solutions(self):
         for gauge in (W1Ball(ABS1), TotalVariation()):
             prob = problem(gauge, 0.5)
-            ep = build_envelope_program(prob, BASE.points, ID_GH)
+            ep = build_envelope_program(prob, BASE.points)
             sol = solve_envelope(ep)
             fixed = make_nonredundant(ep, sol)
             assert fixed.value == pytest.approx(sol.value, abs=1e-9 * (1.0 + abs(sol.value)))
@@ -270,7 +242,7 @@ class TestMakeNonredundant:
 
     def test_rejects_infeasible_input(self):
         prob = problem(W1Ball(ABS1), 0.5)
-        ep = build_envelope_program(prob, BASE.points, ID_GH)
+        ep = build_envelope_program(prob, BASE.points)
         low = EnvelopeSolution(value=0.0, gamma=0.0, alpha=0.0, s=np.full(4, -10.0), status="optimal")
         with pytest.raises(ContractError):
             make_nonredundant(ep, low)

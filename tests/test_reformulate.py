@@ -153,7 +153,7 @@ class TestPinnedValues:
 
 class TestDivergenceDuals:
     def test_quadratic_divergence_equals_scaled_ball(self):
-        for eps in (0.2, 0.4, 0.7):
+        for eps in (0.2, 0.4, 0.7, 1.0):
             div = divergence_dual_value(problem(PhiDivergence("chi2", eps * eps), 1.0))
             ball = dual_solution(problem(Scale(eps, L2Ball()), 1.0)).value
             assert div == pytest.approx(ball, abs=1e-6 * (1.0 + abs(ball)))
