@@ -46,7 +46,7 @@ A single JSON object. Keys:
                     {"sampler": {"lower": ..., "upper": ..., "count": n >= 1}}
     cost            {"values": [...]} or {"expression": "abs(x0 - 1.5)"}
     gauge           a gauge expression string, see below
-    epsilon         nonnegative float
+    epsilon         finite nonnegative float
     samples         envelope-sweep block: {"sizes": [m >= 1, ...], "target": float?}
     basis           verify block: {"kind": ..., "boxes"/"order"/"points"/"nonneg"}
     stages          verify block: [{"gauge": ..., "epsilon": ...}, ...],
@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import csv
 import io
 import json
@@ -327,7 +328,8 @@ def parse_gauge(text, field="gauge"):
     """Gauge expression string -> gauge object."""
     if not isinstance(text, str):
         raise ConfigError(f"{field}: must be a string")
-    return _build_gauge(_parse_sexpr(text, field), field)
+    with _reported_as(field):
+        return _build_gauge(_parse_sexpr(text, field), field)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +398,18 @@ _TOP_KEYS = {"seed", "solver", "space", "cost", "gauge", "epsilon",
              "samples", "basis", "stages", "tau", "case-instance"}
 
 
+@contextlib.contextmanager
+def _reported_as(field):
+    """Report a library error raised in the block, such as a parameter a
+    constructor rejects, as a configuration error on field."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except GaugekitError as exc:
+        raise ConfigError(f"{field}: {exc}")
+
+
 def _check_keys(block, allowed, field):
     if not isinstance(block, dict):
         raise ConfigError(f"{field}: must be an object")
@@ -434,6 +448,13 @@ def _as_count(value, field):
     return count
 
 
+def _as_radius(value, field):
+    radius = _as_number(value, field)
+    if not (math.isfinite(radius) and radius >= 0.0):
+        raise ConfigError(f"{field}: must be finite and nonnegative")
+    return radius
+
+
 def _as_array(value, field):
     try:
         return np.asarray(value, dtype=float)
@@ -441,11 +462,21 @@ def _as_array(value, field):
         raise ConfigError(f"{field}: must be numbers")
 
 
-def _get_number(doc, key, default=None):
-    value = doc.get(key, default)
-    if value is None:
+def _required(doc, key):
+    if doc.get(key) is None:
         raise ConfigError(f"{key}: required")
-    return _as_number(value, key)
+    return doc[key]
+
+
+def _read_sampler(block):
+    """(lower, upper, count) of a space.sampler block."""
+    _check_keys(block, ("lower", "upper", "count"), "space.sampler")
+    for key in ("lower", "upper", "count"):
+        if key not in block:
+            raise ConfigError(f"space.sampler.{key}: required")
+    return (_as_array(block["lower"], "space.sampler.lower"),
+            _as_array(block["upper"], "space.sampler.upper"),
+            _as_count(block["count"], "space.sampler.count"))
 
 
 def _build_space(doc, seed):
@@ -456,14 +487,7 @@ def _build_space(doc, seed):
     if "sampler" in block:
         if "points" in block or "weights" in block:
             raise ConfigError("space: give either points or a sampler, not both")
-        sub = block["sampler"]
-        _check_keys(sub, ("lower", "upper", "count"), "space.sampler")
-        for key in ("lower", "upper", "count"):
-            if key not in sub:
-                raise ConfigError(f"space.sampler.{key}: required")
-        return sample_uniform_box(_as_array(sub["lower"], "space.sampler.lower"),
-                                  _as_array(sub["upper"], "space.sampler.upper"),
-                                  _as_count(sub["count"], "space.sampler.count"), seed)
+        return sample_uniform_box(*_read_sampler(block["sampler"]), seed)
     if "points" not in block:
         raise ConfigError("space.points: required")
     points = _as_array(block["points"], "space.points")
@@ -478,34 +502,33 @@ def _build_space(doc, seed):
     return DiscreteSpace(points, weights)
 
 
-def _build_cost(doc, space):
-    block = doc.get("cost")
-    if block is None:
-        raise ConfigError("cost: required")
+def _read_cost(doc):
+    """cost.values as an array, or cost.expression as a function of a point."""
+    block = _required(doc, "cost")
     _check_keys(block, ("values", "expression"), "cost")
     if ("values" in block) == ("expression" in block):
         raise ConfigError("cost: give either values or an expression")
     if "values" in block:
-        values = _as_array(block["values"], "cost.values").ravel()
-        if len(values) != space.size:
-            raise ConfigError(
-                f"cost.values: {len(values)} entries for {space.size} points")
-        return values
-    fn = compile_cost(block["expression"])
-    return np.array([fn(pt) for pt in space.points])
+        return _as_array(block["values"], "cost.values").ravel()
+    return compile_cost(block["expression"])
+
+
+def _build_cost(doc, space):
+    cost = _read_cost(doc)
+    if callable(cost):
+        return np.array([cost(pt) for pt in space.points])
+    if len(cost) != space.size:
+        raise ConfigError(f"cost.values: {len(cost)} entries for {space.size} points")
+    return cost
 
 
 def _build_problem(doc, seed):
     space = _build_space(doc, seed)
     cost = _build_cost(doc, space)
-    if "gauge" not in doc:
-        raise ConfigError("gauge: required")
-    expr = parse_gauge(doc["gauge"])
-    epsilon = _get_number(doc, "epsilon")
-    try:
+    expr = parse_gauge(_required(doc, "gauge"))
+    epsilon = _as_radius(_required(doc, "epsilon"), "epsilon")
+    with _reported_as("config"):
         return ReweightingProblem(space, cost, expr, epsilon)
-    except GaugekitError as exc:
-        raise ConfigError(f"config: {exc}")
 
 
 def _solver_settings(doc, tol_flag):
@@ -580,15 +603,13 @@ def _build_case_instance(block):
                           "samples", "radii")}
     delta = _as_number(block["delta"], "case-instance.delta")
     beta = _as_number(block["beta"], "case-instance.beta")
-    try:
+    with _reported_as("case-instance"):
         return CaseInstance(
             lower=arrays["lower"], upper=arrays["upper"],
             region_lower=arrays["region-lower"],
             region_upper=arrays["region-upper"],
             samples=arrays["samples"], delta=delta,
             radii=arrays["radii"], beta=beta)
-    except GaugekitError as exc:
-        raise ConfigError(f"case-instance: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -664,26 +685,17 @@ def cmd_envelope_sweep(doc, settings, seed):
     block = doc.get("space", {})
     if not isinstance(block, dict) or "sampler" not in block:
         raise ConfigError("space.sampler: envelope-sweep needs a sampler")
-    sub = block["sampler"]
-    _check_keys(sub, ("lower", "upper", "count"), "space.sampler")
-    lower, upper = sub.get("lower"), sub.get("upper")
-    if lower is None or upper is None:
-        raise ConfigError("space.sampler: lower and upper are required")
-    lower = _as_array(lower, "space.sampler.lower")
-    upper = _as_array(upper, "space.sampler.upper")
+    lower, upper, _ = _read_sampler(block["sampler"])
 
-    cost_block = doc.get("cost")
-    if not isinstance(cost_block, dict) or "expression" not in cost_block:
+    cost_fn = _read_cost(doc)
+    if not callable(cost_fn):
         raise ConfigError("cost.expression: envelope-sweep needs an expression")
-    cost_fn = compile_cost(cost_block["expression"])
 
-    if "gauge" not in doc:
-        raise ConfigError("gauge: required")
-    metric = gauges.transport_metric(parse_gauge(doc["gauge"]))
+    metric = gauges.transport_metric(parse_gauge(_required(doc, "gauge")))
     if metric is None:
         raise ConfigError("envelope-sweep: gauge must be a transport ball "
                           "((w1 metric) or (polar (lipschitz metric)))")
-    epsilon = _get_number(doc, "epsilon")
+    epsilon = _as_radius(_required(doc, "epsilon"), "epsilon")
 
     block = doc.get("samples")
     if block is None:
@@ -798,7 +810,8 @@ def cmd_verify(doc, settings, seed):
             add("closed-vs-dual", closed, dual_value, 1e-4)
 
     if "basis" in doc:
-        basis = _build_basis(doc["basis"])
+        with _reported_as("basis"):
+            basis = _build_basis(doc["basis"])
         restricted = param_dual_value(problem, basis, solver=settings)
         if dual_value is not None:
             row("restricted-dominates", dual_value, restricted,
@@ -814,7 +827,7 @@ def cmd_verify(doc, settings, seed):
             if "gauge" not in item or "epsilon" not in item:
                 raise ConfigError(f"stages[{i}]: needs gauge and epsilon")
             stages.append((parse_gauge(item["gauge"], f"stages[{i}].gauge"),
-                           _as_number(item["epsilon"], f"stages[{i}].epsilon")))
+                           _as_radius(item["epsilon"], f"stages[{i}].epsilon")))
         composed, _ = composed_dual(space, cost, stages, settings)
         outer = ReweightingProblem(space, cost, stages[0][0], stages[0][1])
         if len(stages) == 1:
@@ -830,7 +843,7 @@ def cmd_verify(doc, settings, seed):
                 composed >= zeroed - 1e-7)
 
     if "tau" in doc:
-        tau = _get_number(doc, "tau")
+        tau = _as_number(doc["tau"], "tau")
         slope = satisficing_dual(problem, tau, settings)
         if slope is None:
             mean = expectation(space, cost)

@@ -67,7 +67,6 @@ class EnvelopeSolution:
     gamma: float
     alpha: float
     s: np.ndarray
-    status: str
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,6 @@ def solve_envelope(ep: EnvelopeProgram, settings: SolveSettings | None = None) -
         gamma=float(sol.x[ep.gamma]),
         alpha=float(sol.x[ep.alpha]),
         s=s,
-        status=sol.status,
     )
 
 

@@ -246,40 +246,6 @@ def _sum_rows(b: ProgramBuilder, space: DiscreteSpace, parts, u):
     return [[LinExpr.var(c) for c in pt] for pt in parts]
 
 
-def dual_norm_epigraph(b: ProgramBuilder, theta, level, euclidean: bool):
-    """Rows for ||theta||_* <= level, theta a list of affine expressions: the
-    euclidean norm, or else the nuclear norm (the dual of the spectral norm)
-    of the symmetric matrix T svec'd by theta, written as
-    (tr U + tr V) / 2 <= level over a PSD block [[U, T], [T, V]]."""
-    if euclidean:
-        b.soc([level] + list(theta))
-        return
-    side = conic.svec_side(len(theta))
-    uu = b.add_vars(len(theta))
-    vv = b.add_vars(len(theta))
-    pairs = conic.svec_indices(side)
-    loc = {pq: k for k, pq in enumerate(pairs)}
-
-    def small_entry(vecvars, a, c):
-        k = loc[(min(a, c), max(a, c))]
-        scale = 1.0 if a == c else 1.0 / np.sqrt(2.0)
-        return theta[k] * scale if vecvars is None else LinExpr.var(vecvars[k], scale)
-
-    exprs = []
-    for a in range(2 * side):
-        for c in range(a, 2 * side):
-            if a < side and c < side:
-                entry = small_entry(uu, a, c)
-            elif a >= side and c >= side:
-                entry = small_entry(vv, a - side, c - side)
-            else:
-                entry = small_entry(None, a, c - side)
-            exprs.append(entry * np.sqrt(2.0) if a != c else entry)
-    b.psd(2 * side, exprs)
-    diag = [pairs.index((i, i)) for i in range(side)]
-    b.le(LinExpr.sum(LinExpr.var(uu[d], 0.5) + LinExpr.var(vv[d], 0.5) for d in diag) - level)
-
-
 def _region_split(space: DiscreteSpace, region: Callable):
     mask = np.asarray(region(space.points), dtype=bool).ravel()
     if mask.shape[0] != space.size:
@@ -737,7 +703,19 @@ class MomentPolar(_Moment):
         th = b.add_vars(feats.shape[1])
         for i in range(space.size):
             b.eq(LinExpr.dot(th, feats[i]) - u[i])
-        dual_norm_epigraph(b, [LinExpr.var(k) for k in th], t, self.euclidean)
+        if self.euclidean:
+            b.soc([t] + [LinExpr.var(k) for k in th])
+            return
+        # the nuclear norm of the symmetric T that theta svecs is the least
+        # tr P + tr N over P, N >= 0 with theta = svec(P - N)
+        side = conic.svec_side(len(th))
+        diag = [k for k, (a, c) in enumerate(conic.svec_indices(side)) if a == c]
+        pos, neg = b.add_vars(len(th)), b.add_vars(len(th))
+        for half in (pos, neg):
+            b.psd(side, [LinExpr.var(k) for k in half])
+        for k, pk, nk in zip(th, pos, neg):
+            b.eq(LinExpr.var(k) - LinExpr.var(pk) + LinExpr.var(nk))
+        b.le(LinExpr.sum(LinExpr.var(half[d]) for half in (pos, neg) for d in diag) - t)
 
 
 @dataclass(frozen=True)

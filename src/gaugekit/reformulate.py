@@ -197,48 +197,6 @@ def wasserstein_p_dual_value(problem: ReweightingProblem) -> float:
 
 
 # ---------------------------------------------------------------------------
-# moment neighborhoods
-
-
-def _moment_terms(expr: GaugeExpr):
-    children = expr.children if isinstance(expr, gauges.Intersect) else (expr,)
-    terms = []
-    for child in children:
-        if isinstance(child, gauges.Scale) and isinstance(child.child, gauges.MomentGauge):
-            terms.append((child.factor, child.child))
-        elif isinstance(child, gauges.MomentGauge):
-            terms.append((1.0, child))
-        else:
-            raise ParameterError("moment_dual needs an intersection of scaled moment gauges")
-    return terms
-
-
-def moment_dual(problem: ReweightingProblem) -> float:
-    """Dual for intersected moment neighborhoods: a shift plus one dual-norm
-    penalty per moment order, with the lifted majorant built from the feature
-    maps. Requires epsilon = 1 (radii live in the Scale factors)."""
-    if abs(problem.epsilon - 1.0) > 1e-12:
-        raise ParameterError("fold the radii into Scale factors (epsilon must be 1)")
-    terms = _moment_terms(problem.gauge)
-    sp, f = problem.space, problem.cost
-    n = sp.size
-    b = ProgramBuilder()
-    alpha = b.add_vars(1, obj=1.0)[0]
-    point_exprs = [LinExpr.var(alpha) for _ in range(n)]
-    for radius, atom in terms:
-        feats = atom.features(sp)
-        th = b.add_vars(feats.shape[1], obj=sp.weights @ feats)
-        level = b.add_vars(1, obj=radius)[0]
-        gauges.dual_norm_epigraph(b, [LinExpr.var(c) for c in th], LinExpr.var(level),
-                                  atom.euclidean)
-        for i in range(n):
-            point_exprs[i] = point_exprs[i] + LinExpr.dot(th, feats[i])
-    for i in range(n):
-        b.le(LinExpr.of(f[i]) - point_exprs[i])
-    return float(conic.accepted(conic.solve(b.build()), "moment dual").value)
-
-
-# ---------------------------------------------------------------------------
 # composed stages and robust satisficing
 
 

@@ -56,7 +56,6 @@ from gaugekit.reformulate import (
     build_primal,
     composed_dual,
     dual_solution,
-    moment_dual,
     primal_solution,
     satisficing_dual,
 )
@@ -332,9 +331,9 @@ def test_moment_bounds():
     # order-1 shift budget prices like the quadratic ball on its whitened
     # features; with a quadratic cost the degree-1 certificate is honestly
     # conservative at zero radius
-    got = moment_dual(problem(Scale(0.4, MomentGauge(1)), 1.0))
+    got = dual_solution(problem(Scale(0.4, MomentGauge(1)), 1.0)).value
     assert abs(got - CHI2_04) <= 1e-6
-    squared = moment_dual(problem(Scale(0.0, MomentGauge(1, IDMAP)), 1.0, cost=F * F))
+    squared = dual_solution(problem(Scale(0.0, MomentGauge(1, IDMAP)), 1.0, cost=F * F)).value
     assert abs(squared - 4.5) <= 1e-6
 
 

@@ -15,7 +15,9 @@ from gaugekit import cli
 from gaugekit.cli import compile_cost, load_config, main, parse_gauge
 from gaugekit.errors import ConfigError
 from gaugekit.gauge import (
+    ConvexUnion,
     CvarGauge,
+    Hemimetric,
     Intersect,
     Lipschitz,
     MinkowskiSum,
@@ -25,6 +27,7 @@ from gaugekit.gauge import (
     Scale,
     TotalVariation,
     W1Ball,
+    WassersteinP,
 )
 
 BASE_DOC = {
@@ -91,6 +94,7 @@ class TestGaugeGrammar:
         assert isinstance(w1, W1Ball) and w1.metric.q == 2.0
         assert parse_gauge("(moment 2 spectral)") == MomentGauge(2, None, "spectral")
         assert parse_gauge("(w1 (pnorm 3))").metric.q == 3.0
+        assert parse_gauge("(wasserstein 1 abs 0.5)") == WassersteinP(1.0, Hemimetric.pnorm(1.0), 0.5)
 
     def test_combinators(self):
         both = parse_gauge("(intersect tv l2ball)")
@@ -98,6 +102,7 @@ class TestGaugeGrammar:
         summed = parse_gauge("(sum (1 tv) (0.5 l2ball))")
         assert isinstance(summed, MinkowskiSum)
         assert summed.terms[1][0] == 0.5
+        assert isinstance(parse_gauge("(union tv l2ball)"), ConvexUnion)
 
     def test_unknown_atom_is_named(self):
         with pytest.raises(ConfigError, match="frobble"):
@@ -223,6 +228,15 @@ class TestConfigLoading:
          "case-instance.samples"),
         ("envelope-sweep", dict(SWEEP_DOC, samples={"sizes": [0, 4]}), "samples.sizes[0]"),
         ("envelope-sweep", dict(SWEEP_DOC, samples={"sizes": [-3]}), "samples.sizes[0]"),
+        ("verify", dict(BASE_DOC, stages=[{"gauge": "tv", "epsilon": -0.5}]),
+         "stages[0].epsilon"),
+        ("verify", dict(BASE_DOC, stages=[{"gauge": "(cvar 1.5)", "epsilon": 0.5}]),
+         "stages[0].gauge"),
+        ("verify", dict(BASE_DOC, basis={"kind": "moment", "order": 3}), "basis"),
+        ("envelope-sweep", dict(SWEEP_DOC, epsilon=-0.5), "epsilon"),
+        ("envelope-sweep", dict(SWEEP_DOC, space={"sampler": {
+            "lower": 0.0, "upper": 3.0, "count": "many"}}), "space.sampler.count"),
+        ("envelope-sweep", dict(SWEEP_DOC, cost={"expression": "x0", "scale": 2}), "cost"),
     ])
     def test_non_numeric_value_names_its_key(self, tmp_path, capsys, command, doc, key):
         code = main([command, "--config", write_config(tmp_path, doc)])
@@ -248,6 +262,13 @@ class TestConfigLoading:
          [], None, "space.sampler.count"),
         (dict(BASE_DOC, space={"points": [[0], [1], [2], [3]], "weights": [0.5, 0.5, 0, 0]}),
          [], None, "space.weights"),
+        (dict(BASE_DOC, gauge="(cvar 1.5)"), [], None, "gauge"),
+        (dict(BASE_DOC, gauge="(chi2 -1)"), [], None, "gauge"),
+        (dict(BASE_DOC, gauge="(scale -1 tv)"), [], None, "gauge"),
+        (dict(BASE_DOC, gauge="(wasserstein 0.5 abs 1)"), [], None, "gauge"),
+        (dict(BASE_DOC, gauge="(moment 3)"), [], None, "gauge"),
+        (dict(BASE_DOC, epsilon=-0.5), [], None, "epsilon"),
+        (dict(BASE_DOC, epsilon=float("inf")), [], None, "epsilon"),
     ])
     def test_out_of_range_setting_names_its_source(self, tmp_path, capsys, monkeypatch,
                                                    doc, flags, env_seed, key):
@@ -475,6 +496,14 @@ class TestVerify:
         assert "closed-vs-scalar" not in by_name
         assert by_name["scalar-vs-dual"][1] == pytest.approx(2.5773503, abs=1e-6)
         assert by_name["scalar-vs-dual"][5] == "ok"
+
+    def test_euclidean_ball_checks_the_closed_form(self):
+        doc = dict(BASE_DOC, gauge="l2ball", epsilon=0.4)
+        _, rows, code = cli.cmd_verify(doc, None, 0)
+        assert code == 0
+        by_name = {row[0]: row for row in rows}
+        assert by_name["closed-vs-dual"][1] == pytest.approx(1.5 + 0.4 * np.sqrt(1.25), abs=1e-9)
+        assert by_name["closed-vs-dual"][5] == "ok"
 
     def test_divergence_walk_against_the_scalar_dual(self):
         doc = dict(BASE_DOC, gauge="(kl 0.1)", epsilon=1.0)

@@ -189,6 +189,27 @@ class TestClosedForms:
         assert gauge_value(g, BASE, [0.0, 2.0, 4.0, 6.0]) == pytest.approx(2.0)
         assert gauge_value(g, BASE, [1.0, 1.0, 1.0, 1.0]) == float("inf")
 
+    def test_spectral_moment_polar_is_the_nuclear_norm(self):
+        g = MomentPolar(2, None, "spectral")
+        rng = np.random.default_rng(15)
+        for _ in range(5):
+            space = uniform_space(rng.normal(size=(int(rng.integers(4, 8)), 2)))
+            theta = rng.normal(size=3)
+            want = float(np.sum(np.abs(np.linalg.eigvalsh(conic.unsvec(theta, 2)))))
+            got = gauge_value(g, space, g.features(space) @ theta)
+            assert got == pytest.approx(want, abs=1e-6 * (1.0 + want))
+
+    def test_spectral_moment_gauge_matches_its_epigraph(self):
+        g = MomentGauge(2, None, "spectral")
+        rng = np.random.default_rng(16)
+        for _ in range(5):
+            space = uniform_space(rng.normal(size=(int(rng.integers(4, 8)), 2)))
+            u = rng.normal(size=space.size)
+            u -= float(space.weights @ u)
+            a = gauge_value(g, space, u)
+            b = gauge_via_program(g, space, u)
+            assert b == pytest.approx(a, abs=1e-6 * (1.0 + a))
+
 
 class TestCombinators:
     def test_scaling_divides_the_gauge(self):

@@ -47,12 +47,11 @@ from gaugekit.reformulate import (
     composed_dual,
     divergence_dual_value,
     dual_solution,
-    moment_dual,
     primal_solution,
     satisficing_dual,
     wasserstein_p_dual_value,
 )
-from gaugekit.space import uniform_space
+from gaugekit.space import DiscreteSpace, uniform_space
 
 BASE = uniform_space([0.0, 1.0, 2.0, 3.0])
 F = np.array([0.0, 1.0, 2.0, 3.0])
@@ -209,39 +208,53 @@ class TestMomentDual:
     def test_mean_shift_pinned(self):
         # default feature map whitens, so the shift budget buys 0.4 standard
         # deviations of the cost: 1.5 + 0.4 * sqrt(1.25)
-        got = moment_dual(problem(Scale(0.4, MomentGauge(1)), 1.0))
+        got = dual_solution(problem(Scale(0.4, MomentGauge(1)), 1.0)).value
         assert got == pytest.approx(CHI2_04, abs=1e-6)
 
     def test_zero_radius_linear_cost_is_exact(self):
-        got = moment_dual(problem(Scale(0.0, MomentGauge(1, IDMAP)), 1.0))
+        got = dual_solution(problem(Scale(0.0, MomentGauge(1, IDMAP)), 1.0)).value
         assert got == pytest.approx(1.5, abs=1e-8)
 
     def test_zero_radius_quadratic_cost_pays_linear_conservatism(self):
-        got = moment_dual(problem(Scale(0.0, MomentGauge(1, IDMAP)), 1.0, cost=F * F))
+        got = dual_solution(problem(Scale(0.0, MomentGauge(1, IDMAP)), 1.0, cost=F * F)).value
         assert got == pytest.approx(4.5, abs=1e-6)
 
     def test_both_orders_tighten_the_bound(self):
-        one = moment_dual(problem(Scale(0.0, MomentGauge(1, IDMAP)), 1.0, cost=F * F))
-        both = moment_dual(problem(Intersect((
+        one = dual_solution(problem(Scale(0.0, MomentGauge(1, IDMAP)), 1.0, cost=F * F)).value
+        both = dual_solution(problem(Intersect((
             Scale(0.0, MomentGauge(1, IDMAP)),
             Scale(0.0, MomentGauge(2, IDMAP)),
-        )), 1.0, cost=F * F))
+        )), 1.0, cost=F * F)).value
         assert both <= one + 1e-7
         assert both == pytest.approx(3.5, abs=1e-6)  # quadratic cost is representable
 
     def test_matches_conic_primal(self):
         prob = problem(Scale(0.4, MomentGauge(1, IDMAP)), 1.0)
         pval, _ = primal_solution(prob)
-        assert moment_dual(prob) == pytest.approx(pval, abs=1e-6 * (1.0 + abs(pval)))
+        assert dual_solution(prob).value == pytest.approx(pval, abs=1e-6 * (1.0 + abs(pval)))
+
+    def test_spectral_sets_match_the_primal(self):
+        # 2-D points, so the second moment is a 2 x 2 matrix and the
+        # spectral set's polar prices it by its nuclear norm
+        rng = np.random.default_rng(43)
+        for k in range(6):
+            n = int(rng.integers(5, 9))
+            pts = rng.normal(size=(n, 2))
+            weights = rng.dirichlet(np.ones(n)) if k % 2 else np.full(n, 1.0 / n)
+            sp = DiscreteSpace(pts, weights)
+            f = rng.normal(size=n) * 2.0
+            spectral = Scale(float(rng.uniform(0.05, 1.0)), MomentGauge(2, None, "spectral"))
+            mean = Scale(float(rng.uniform(0.05, 1.0)), MomentGauge(1))
+            for expr in (spectral, Intersect((mean, spectral))):
+                prob = problem(expr, 1.0, cost=f, space=sp)
+                pval, _ = primal_solution(prob)
+                dval = dual_solution(prob).value
+                assert dval == pytest.approx(pval, abs=1e-6 * (1.0 + abs(pval))), expr
 
     def test_guards(self):
-        with pytest.raises(ParameterError):
-            moment_dual(problem(Scale(0.4, MomentGauge(1, IDMAP)), 0.4))
-        with pytest.raises(ParameterError):
-            moment_dual(problem(L2Ball(), 1.0))
         flat = uniform_space(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
         with pytest.raises(ParameterError):
-            moment_dual(ReweightingProblem(flat, np.zeros(3), Scale(0.1, MomentGauge(1)), 1.0))
+            dual_solution(ReweightingProblem(flat, np.zeros(3), Scale(0.1, MomentGauge(1)), 1.0))
 
 
 class TestComposedStages:
