@@ -32,7 +32,9 @@ Exit codes: 0 success, 1 usage or configuration error, 2 numerical
 failure. Every command prints a table with a status column, and that
 column is the verdict: the command exits 2 exactly when some row's
 status is not optimal, ok or surrogate. A numerical error raised before
-the table is complete also exits 2, with its message on stderr.
+the table is complete also exits 2, with its message on stderr. A --out
+path that cannot be written is reported after the table and exits 1,
+or 2 when a row failed.
 
 Configuration
 -------------
@@ -89,6 +91,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -143,92 +146,92 @@ COMMANDS = ("duality-check", "envelope-sweep", "case-study", "verify")
 # gauge expression parser
 
 
-def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    word, word_pos = [], None
-    for ch in text + " ":
-        if ch in "() \t\n":
-            if word:
-                tokens.append(("".join(word), word_pos))
-                word = []
-            if ch == "(":
-                tokens.append(("(", (line, col)))
-            elif ch == ")":
-                tokens.append((")", (line, col)))
-        else:
-            if not word:
-                word_pos = (line, col)
-            word.append(ch)
-        if ch == "\n":
-            line, col = line + 1, 1
-        else:
-            col += 1
-    return tokens
+_TOKEN = re.compile(r"[()]|[^() \t\n]+")
 
 
 def _parse_sexpr(text, field):
-    """Nested lists of (token, position); numbers become floats."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ConfigError(f"{field}: empty gauge expression")
+    """Nested lists of names and floats; a syntax error names its line and column."""
 
-    def read(i):
-        tok, pos = tokens[i]
-        if tok == "(":
-            items = []
-            i += 1
-            while True:
-                if i >= len(tokens):
-                    raise ConfigError(
-                        f"{field}: unbalanced parenthesis opened at "
-                        f"line {pos[0]} column {pos[1]}")
-                if tokens[i][0] == ")":
-                    return items, i + 1
-                node, i = read(i)
-                items.append(node)
-        if tok == ")":
-            raise ConfigError(
-                f"{field}: unexpected ')' at line {pos[0]} column {pos[1]}")
-        try:
-            return float(tok), i + 1
-        except ValueError:
-            return tok, i + 1
+    def at(offset):
+        line = text.count("\n", 0, offset) + 1
+        column = offset - text.rfind("\n", 0, offset)
+        return f"line {line} column {column}"
 
-    node, nxt = read(0)
-    if nxt != len(tokens):
-        pos = tokens[nxt][1]
+    stack, opened = [[]], []
+    for match in _TOKEN.finditer(text):
+        token, offset = match.group(), match.start()
+        if stack[0] and not opened:
+            raise ConfigError(f"{field}: trailing input at {at(offset)}")
+        if token == "(":
+            stack.append([])
+            opened.append(offset)
+        elif token == ")":
+            if not opened:
+                raise ConfigError(f"{field}: unexpected ')' at {at(offset)}")
+            opened.pop()
+            node = stack.pop()
+            stack[-1].append(node)
+        else:
+            try:
+                stack[-1].append(float(token))
+            except ValueError:
+                stack[-1].append(token)
+    if opened:
         raise ConfigError(
-            f"{field}: trailing input at line {pos[0]} column {pos[1]}")
-    return node
+            f"{field}: unbalanced parenthesis opened at {at(opened[-1])}")
+    if not stack[0]:
+        raise ConfigError(f"{field}: empty gauge expression")
+    return stack[0][0]
 
 
-_METRIC_ATOMS = {
-    "abs": lambda: Hemimetric.pnorm(1.0),
-    "euclid": lambda: Hemimetric.pnorm(2.0),
-    "indicator": Hemimetric.indicator,
+# head -> (constructor, argument kinds). A head with no kinds is written
+# bare, any other as (head argument ...); the last kind may end in ? (it is
+# optional) or + (it repeats, at least once).
+_GRAMMAR = {
+    "metric": {
+        "abs": (lambda: Hemimetric.pnorm(1.0), ""),
+        "euclid": (lambda: Hemimetric.pnorm(2.0), ""),
+        "indicator": (Hemimetric.indicator, ""),
+        "pnorm": (Hemimetric.pnorm, "number"),
+    },
+    "gauge": {
+        "tv": (TotalVariation, ""),
+        "l2ball": (L2Ball, ""),
+        "l1ball": (L1Ball, ""),
+        "linfball": (LinfBall, ""),
+        "oscillation": (Oscillation, ""),
+        "cvar": (CvarGauge, "number"),
+        "chi2": (lambda budget: PhiDivergence("chi2", budget), "number"),
+        "kl": (lambda budget: PhiDivergence("kl", budget), "number"),
+        "divergence": (PhiDivergence, "name number"),
+        "lipschitz": (Lipschitz, "metric"),
+        "w1": (W1Ball, "metric"),
+        "wasserstein": (WassersteinP, "number metric number"),
+        "moment": (lambda order, norm="euclidean": MomentGauge(order, None, norm),
+                   "integer spectral?"),
+        "scale": (gauges.Scale, "number gauge"),
+        "polar": (Polar, "gauge"),
+        "intersect": (lambda *children: gauges.Intersect(children), "gauge+"),
+        "union": (lambda *children: gauges.ConvexUnion(children), "gauge+"),
+        "sum": (lambda *terms: gauges.MinkowskiSum(terms), "term+"),
+    },
 }
 
-_GAUGE_ATOMS = {
-    "tv": TotalVariation,
-    "l2ball": L2Ball,
-    "l1ball": L1Ball,
-    "linfball": LinfBall,
-    "oscillation": Oscillation,
+# kind -> the argument's value, or None when the node is not of the kind;
+# a metric or gauge argument reports what is wrong inside it
+_KINDS = {
+    "number": lambda node, field: node if isinstance(node, float) else None,
+    "integer": lambda node, field: (
+        int(node) if isinstance(node, float) and node.is_integer() else None),
+    "name": lambda node, field: node if isinstance(node, str) else None,
+    "spectral": lambda node, field: node if node == "spectral" else None,
+    "metric": lambda node, field: _build(node, "metric", field),
+    "gauge": lambda node, field: _build(node, "gauge", field),
+    "term": lambda node, field: (
+        (node[0], _build(node[1], "gauge", field))
+        if isinstance(node, list) and len(node) == 2 and isinstance(node[0], float)
+        else None),
 }
-
-
-def _build_metric(node, field):
-    if isinstance(node, str):
-        make = _METRIC_ATOMS.get(node)
-        if make is None:
-            raise ConfigError(f"{field}: unknown metric atom {node!r}")
-        return make()
-    if isinstance(node, list) and node and node[0] == "pnorm":
-        if len(node) != 2 or not isinstance(node[1], float):
-            raise ConfigError(f"{field}: pnorm takes one numeric order")
-        return Hemimetric.pnorm(node[1])
-    raise ConfigError(f"{field}: expected a metric, got {_describe(node)}")
 
 
 def _describe(node):
@@ -239,89 +242,28 @@ def _describe(node):
     return "(" + " ".join(_describe(n) for n in node) + ")"
 
 
-def _need(node, count, field, name):
-    if len(node) - 1 != count:
-        raise ConfigError(
-            f"{field}: {name} takes {count} argument(s), got {len(node) - 1}")
-
-
-def _number(node, field, name):
-    if not isinstance(node, float):
-        raise ConfigError(f"{field}: {name} needs a number, got {_describe(node)}")
-    return node
-
-
-def _build_gauge(node, field):
-    if isinstance(node, float):
-        raise ConfigError(f"{field}: a bare number is not a gauge expression")
+def _build(node, what, field):
+    """The metric or gauge that a parsed node names, read through _GRAMMAR."""
     if isinstance(node, str):
-        make = _GAUGE_ATOMS.get(node)
-        if make is None:
-            raise ConfigError(f"{field}: unknown gauge atom {node!r}")
-        return make()
-    if not node or not isinstance(node[0], str):
-        raise ConfigError(f"{field}: expected an atom name, got {_describe(node)}")
-    head = node[0]
-    if head == "cvar":
-        _need(node, 1, field, head)
-        return CvarGauge(_number(node[1], field, head))
-    if head in ("chi2", "kl"):
-        _need(node, 1, field, head)
-        return PhiDivergence(head, _number(node[1], field, head))
-    if head == "divergence":
-        _need(node, 2, field, head)
-        if not isinstance(node[1], str):
-            raise ConfigError(f"{field}: divergence kind must be a name")
-        return PhiDivergence(node[1], _number(node[2], field, head))
-    if head == "lipschitz":
-        _need(node, 1, field, head)
-        return Lipschitz(_build_metric(node[1], field))
-    if head == "w1":
-        _need(node, 1, field, head)
-        return W1Ball(_build_metric(node[1], field))
-    if head == "wasserstein":
-        _need(node, 3, field, head)
-        return WassersteinP(_number(node[1], field, head),
-                            _build_metric(node[2], field),
-                            _number(node[3], field, head))
-    if head == "moment":
-        if len(node) not in (2, 3):
-            raise ConfigError(f"{field}: moment takes an order and an optional norm")
-        order = int(_number(node[1], field, head))
-        norm = "euclidean"
-        if len(node) == 3:
-            if node[2] != "spectral":
-                raise ConfigError(f"{field}: the only named moment norm is 'spectral'")
-            norm = "spectral"
-        return MomentGauge(order, None, norm)
-    if head == "scale":
-        _need(node, 2, field, head)
-        return gauges.Scale(_number(node[1], field, head),
-                            _build_gauge(node[2], field))
-    if head == "polar":
-        _need(node, 1, field, head)
-        return Polar(_build_gauge(node[1], field))
-    if head == "intersect":
-        if len(node) < 2:
-            raise ConfigError(f"{field}: intersect needs at least one child")
-        return gauges.Intersect([_build_gauge(n, field) for n in node[1:]])
-    if head == "union":
-        if len(node) < 2:
-            raise ConfigError(f"{field}: union needs at least one child")
-        return gauges.ConvexUnion([_build_gauge(n, field) for n in node[1:]])
-    if head == "sum":
-        if len(node) < 2:
-            raise ConfigError(f"{field}: sum needs at least one (coefficient gauge) pair")
-        terms = []
-        for child in node[1:]:
-            if not (isinstance(child, list) and len(child) == 2
-                    and isinstance(child[0], float)):
-                raise ConfigError(
-                    f"{field}: each sum term must be a (coefficient gauge) "
-                    f"pair, got {_describe(child)}")
-            terms.append((child[0], _build_gauge(child[1], field)))
-        return gauges.MinkowskiSum(terms)
-    raise ConfigError(f"{field}: unknown gauge atom {head!r}")
+        head, args = node, []
+    elif node and isinstance(node, list) and isinstance(node[0], str):
+        head, args = node[0], node[1:]
+    else:
+        raise ConfigError(f"{field}: expected a {what}, got {_describe(node)}")
+    if head not in _GRAMMAR[what]:
+        raise ConfigError(f"{field}: unknown {what} {head!r}")
+    make, spec = _GRAMMAR[what][head]
+    kinds = [kind.rstrip("?+") for kind in spec.split()]
+    least = len(kinds) - spec.endswith("?")
+    most = math.inf if spec.endswith("+") else len(kinds)
+    # a bare head takes no arguments, a head in parentheses at least one
+    fits = isinstance(node, str) != bool(kinds) and least <= len(args) <= most
+    values = [_KINDS[kind](arg, field)
+              for kind, arg in zip(kinds + kinds[-1:] * len(args), args)] if fits else []
+    if not fits or any(value is None for value in values):
+        usage = f"({head} {spec})" if spec else head
+        raise ConfigError(f"{field}: expected {usage}, got {_describe(node)}")
+    return make(*values)
 
 
 def parse_gauge(text, field="gauge"):
@@ -329,7 +271,7 @@ def parse_gauge(text, field="gauge"):
     if not isinstance(text, str):
         raise ConfigError(f"{field}: must be a string")
     with _reported_as(field):
-        return _build_gauge(_parse_sexpr(text, field), field)
+        return _build(_parse_sexpr(text, field), "gauge", field)
 
 
 # ---------------------------------------------------------------------------
@@ -469,14 +411,23 @@ def _required(doc, key):
 
 
 def _read_sampler(block):
-    """(lower, upper, count) of a space.sampler block."""
+    """(lower, upper, count) of a space.sampler block: a box with finite
+    bounds and upper above lower in every coordinate."""
     _check_keys(block, ("lower", "upper", "count"), "space.sampler")
     for key in ("lower", "upper", "count"):
         if key not in block:
             raise ConfigError(f"space.sampler.{key}: required")
-    return (_as_array(block["lower"], "space.sampler.lower"),
-            _as_array(block["upper"], "space.sampler.upper"),
-            _as_count(block["count"], "space.sampler.count"))
+    lower = np.atleast_1d(_as_array(block["lower"], "space.sampler.lower"))
+    upper = np.atleast_1d(_as_array(block["upper"], "space.sampler.upper"))
+    count = _as_count(block["count"], "space.sampler.count")
+    if not np.all(np.isfinite(lower)):
+        raise ConfigError("space.sampler.lower: must be finite")
+    if upper.shape != lower.shape:
+        raise ConfigError("space.sampler.upper: must have the shape of lower")
+    if not np.all(np.isfinite(upper) & (upper > lower)):
+        raise ConfigError(
+            "space.sampler.upper: must be finite and above lower in every coordinate")
+    return lower, upper, count
 
 
 def _build_space(doc, seed):
@@ -491,15 +442,16 @@ def _build_space(doc, seed):
     if "points" not in block:
         raise ConfigError("space.points: required")
     points = _as_array(block["points"], "space.points")
-    if "weights" not in block:
-        return uniform_space(points)
-    weights = _as_array(block["weights"], "space.weights").ravel()
-    if np.any(weights <= 0.0):
-        raise ConfigError("space.weights: must be positive")
-    total = float(weights.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ConfigError(f"space.weights: must sum to one, got {total:.6g}")
-    return DiscreteSpace(points, weights)
+    weights = None
+    if "weights" in block:
+        weights = _as_array(block["weights"], "space.weights").ravel()
+        if np.any(weights <= 0.0):
+            raise ConfigError("space.weights: must be positive")
+        total = float(weights.sum())
+        if abs(total - 1.0) > 1e-9:
+            raise ConfigError(f"space.weights: must sum to one, got {total:.6g}")
+    with _reported_as("space.points"):
+        return uniform_space(points) if weights is None else DiscreteSpace(points, weights)
 
 
 def _read_cost(doc):
@@ -591,25 +543,20 @@ def _build_basis(block):
     raise ConfigError(f"basis.kind: unknown kind {kind!r}")
 
 
+_CASE_KEYS = ("lower", "upper", "region-lower", "region-upper",
+              "samples", "delta", "radii", "beta")
+
+
 def _build_case_instance(block):
-    _check_keys(block, ("lower", "upper", "region-lower", "region-upper",
-                        "samples", "delta", "radii", "beta"), "case-instance")
-    for key in ("lower", "upper", "region-lower", "region-upper",
-                "samples", "delta", "radii", "beta"):
+    _check_keys(block, _CASE_KEYS, "case-instance")
+    fields = {}
+    for key in _CASE_KEYS:
         if key not in block:
             raise ConfigError(f"case-instance.{key}: required")
-    arrays = {key: _as_array(block[key], f"case-instance.{key}")
-              for key in ("lower", "upper", "region-lower", "region-upper",
-                          "samples", "radii")}
-    delta = _as_number(block["delta"], "case-instance.delta")
-    beta = _as_number(block["beta"], "case-instance.beta")
+        read = _as_number if key in ("delta", "beta") else _as_array
+        fields[key.replace("-", "_")] = read(block[key], f"case-instance.{key}")
     with _reported_as("case-instance"):
-        return CaseInstance(
-            lower=arrays["lower"], upper=arrays["upper"],
-            region_lower=arrays["region-lower"],
-            region_upper=arrays["region-upper"],
-            samples=arrays["samples"], delta=delta,
-            radii=arrays["radii"], beta=beta)
+        return CaseInstance(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -918,7 +865,11 @@ def main(argv=None):
 
     render_table(columns, rows, sys.stdout)
     if args.out:
-        write_csv(args.out, args.command, columns, rows)
+        try:
+            write_csv(args.out, args.command, columns, rows)
+        except OSError as exc:
+            print(f"gaugekit: --out: {exc}", file=sys.stderr)
+            return max(code, 1)
     return code
 
 

@@ -193,6 +193,8 @@ def uniform_space(points) -> DiscreteSpace:
     """Uniform weights over the given support points."""
     pts = _as_points(points)
     n = len(pts)
+    if n == 0:
+        raise DimensionError("a space needs at least one support point")
     return DiscreteSpace(pts, np.full(n, 1.0 / n))
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -17,11 +18,16 @@ from gaugekit.errors import ConfigError
 from gaugekit.gauge import (
     ConvexUnion,
     CvarGauge,
+    GaugeExpr,
     Hemimetric,
     Intersect,
+    L1Ball,
+    L2Ball,
+    LinfBall,
     Lipschitz,
     MinkowskiSum,
     MomentGauge,
+    Oscillation,
     PhiDivergence,
     Polar,
     Scale,
@@ -69,6 +75,63 @@ CASE_DOC = {
         "delta": 0.1, "radii": [0.05, 0.2], "beta": 0.8,
     },
 }
+
+
+ABS = Hemimetric.pnorm(1.0)
+
+# Each expression with the gauge it parses to, or with the start of the error
+# message after "gauge: " ("" for any configuration error). The list holds the
+# grammar tests' expressions, the gauges of the README and perfbench configs,
+# one expression for every head, and malformed input of each kind: missing or
+# extra arguments, wrong kinds, unbalanced, trailing and empty. The objects
+# and syntax error positions are those the head-by-head parser that the table
+# replaced produced; the one intended change is that a moment order must be an
+# integer, where that parser truncated (moment 1.5) to order 1.
+GRAMMAR_CASES = [
+    ("(scale 0.5 (polar (lipschitz abs)))", Scale(0.5, Polar(Lipschitz(ABS)))),
+    ("(polar (lipschitz abs))", Polar(Lipschitz(ABS))),
+    ("tv", TotalVariation()),
+    ("l2ball", L2Ball()),
+    ("l1ball", L1Ball()),
+    ("linfball", LinfBall()),
+    ("oscillation", Oscillation()),
+    ("(cvar 0.8)", CvarGauge(0.8)),
+    ("(cvar 0.5)", CvarGauge(0.5)),
+    ("(chi2 0.16)", PhiDivergence("chi2", 0.16)),
+    ("(kl 0.1)", PhiDivergence("kl", 0.1)),
+    ("(divergence kl 0.1)", PhiDivergence("kl", 0.1)),
+    ("(lipschitz euclid)", Lipschitz(Hemimetric.pnorm(2.0))),
+    ("(lipschitz indicator)", Lipschitz(Hemimetric.indicator())),
+    ("(w1 euclid)", W1Ball(Hemimetric.pnorm(2.0))),
+    ("(w1 (pnorm 3))", W1Ball(Hemimetric.pnorm(3.0))),
+    ("(wasserstein 1 abs 0.5)", WassersteinP(1.0, ABS, 0.5)),
+    ("(moment 1)", MomentGauge(1, None, "euclidean")),
+    ("(moment 2.0)", MomentGauge(2, None, "euclidean")),
+    ("(moment 2 spectral)", MomentGauge(2, None, "spectral")),
+    ("(intersect tv)", Intersect([TotalVariation()])),
+    ("(intersect tv l2ball)", Intersect([TotalVariation(), L2Ball()])),
+    ("(union tv l2ball)", ConvexUnion([TotalVariation(), L2Ball()])),
+    ("(sum (1 tv) (0.5 l2ball))", MinkowskiSum([(1.0, TotalVariation()), (0.5, L2Ball())])),
+    ("\n(scale\t2\n  (polar tv))  ", Scale(2.0, Polar(TotalVariation()))),
+    ("", "empty gauge expression"),
+    (" \n\t", "empty gauge expression"),
+    ("(scale 0.5 (polar tv)", "unbalanced parenthesis opened at line 1 column 1"),
+    ("(scale 0.5\n  (polar tv", "unbalanced parenthesis opened at line 2 column 3"),
+    ("tv l2ball", "trailing input at line 1 column 4"),
+    ("(polar tv)\n\ttv", "trailing input at line 2 column 2"),
+    ("tv )", "trailing input at line 1 column 4"),
+    ("(a))", "trailing input at line 1 column 4"),
+    (")", "unexpected ')' at line 1 column 1"),
+    ("3.5", ""), ("()", ""), ("((tv) 1)", ""), ("(tv)", ""), ("cvar", ""),
+    ("(frobble 1)", ""), ("blorp", ""), ("(pnorm 2)", ""), ("(cvar)", ""),
+    ("(cvar 0.5 1)", ""), ("(cvar x)", ""), ("(cvar 1.5)", ""), ("(divergence 1 1)", ""),
+    ("(lipschitz tv)", ""), ("(lipschitz (pnorm))", ""), ("(lipschitz (abs))", ""),
+    ("(wasserstein 1 abs)", ""), ("(moment)", ""), ("(moment 1.5)", ""),
+    ("(moment inf)", ""), ("(moment 2 euclidean)", ""), ("(moment 2 spectral 1)", ""),
+    ("(scale tv 0.5)", ""), ("(polar)", ""), ("(polar tv tv)", ""), ("(intersect)", ""),
+    ("(union)", ""), ("(sum)", ""), ("(sum tv)", ""), ("(sum (1))", ""),
+    ("(sum (tv 1))", ""), ("(sum (1 tv) l2ball)", ""),
+]
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -127,6 +190,45 @@ class TestGaugeGrammar:
             parse_gauge("(cvar)")
         with pytest.raises(ConfigError):
             parse_gauge("(lipschitz tv)")
+
+    @pytest.mark.parametrize("text, expected", GRAMMAR_CASES)
+    def test_expression_parses_or_is_refused(self, text, expected):
+        if isinstance(expected, GaugeExpr):
+            assert parse_gauge(text) == expected
+        else:
+            with pytest.raises(ConfigError, match="^gauge: " + re.escape(expected)):
+                parse_gauge(text)
+
+    def test_docstring_documents_the_grammar_table(self):
+        # each documented form's head and argument shape: "" for a plain
+        # argument, "?" for an optional [one], "+" for one followed by "..."
+        def shape(form):
+            if isinstance(form, str):
+                return form, []
+            marks = []
+            for arg in form[1:]:
+                if arg == "...":
+                    marks[-1] = "+"
+                else:
+                    marks.append("?" if isinstance(arg, str) and arg.startswith("[") else "")
+            return form[0], marks
+
+        block = cli.__doc__.split("Gauge expressions")[1].split("Example:")[0]
+        documented = {
+            label: dict(shape(cli._parse_sexpr(item, label)) for item in text.split(","))
+            for label, text in re.findall(r"^    (\w+) +(.*?)(?=^    \w|\Z)", block, re.M | re.S)}
+
+        def table(what, keep):
+            return {head: [kind[-1] if kind[-1] in "?+" else "" for kind in spec.split()]
+                    for head, (_, spec) in cli._GRAMMAR[what].items()
+                    if keep({kind.rstrip("?+") for kind in spec.split()})}
+
+        def combines(kinds):
+            return bool(kinds & {"gauge", "term"})
+
+        assert documented["metrics"] == table("metric", lambda kinds: True)
+        assert documented["atoms"] == table("gauge", lambda kinds: not combines(kinds))
+        assert documented["combinators"] == table("gauge", combines)
 
 
 class TestCostExpressions:
@@ -237,6 +339,12 @@ class TestConfigLoading:
         ("envelope-sweep", dict(SWEEP_DOC, space={"sampler": {
             "lower": 0.0, "upper": 3.0, "count": "many"}}), "space.sampler.count"),
         ("envelope-sweep", dict(SWEEP_DOC, cost={"expression": "x0", "scale": 2}), "cost"),
+        ("envelope-sweep", dict(SWEEP_DOC, space={"sampler": {
+            "lower": 3.0, "upper": 0.0, "count": 4}}), "space.sampler.upper"),
+        ("envelope-sweep", dict(SWEEP_DOC, space={"sampler": {
+            "lower": [0.0, 0.0], "upper": [3.0], "count": 4}}), "space.sampler.upper"),
+        ("envelope-sweep", dict(SWEEP_DOC, space={"sampler": {
+            "lower": float("-inf"), "upper": 3.0, "count": 4}}), "space.sampler.lower"),
     ])
     def test_non_numeric_value_names_its_key(self, tmp_path, capsys, command, doc, key):
         code = main([command, "--config", write_config(tmp_path, doc)])
@@ -269,6 +377,19 @@ class TestConfigLoading:
         (dict(BASE_DOC, gauge="(moment 3)"), [], None, "gauge"),
         (dict(BASE_DOC, epsilon=-0.5), [], None, "epsilon"),
         (dict(BASE_DOC, epsilon=float("inf")), [], None, "epsilon"),
+        (dict(BASE_DOC, gauge="(moment 1.5)"), [], None, "gauge"),
+        (dict(BASE_DOC, gauge="(moment 2 foo)"), [], None, "gauge"),
+        (dict(SAMPLED_DOC, space={"sampler": {"lower": 3.0, "upper": 0.0, "count": 4}}),
+         [], None, "space.sampler.upper"),
+        (dict(SAMPLED_DOC, space={"sampler": {"lower": [0.0, 0.0], "upper": [3.0], "count": 4}}),
+         [], None, "space.sampler.upper"),
+        (dict(SAMPLED_DOC, space={"sampler": {"lower": float("-inf"), "upper": 3.0, "count": 4}}),
+         [], None, "space.sampler.lower"),
+        (dict(BASE_DOC, space={"points": [0, 1, 2, float("inf")]}), [], None, "space.points"),
+        (dict(BASE_DOC, space={"points": [[[0]], [[1]], [[2]], [[3]]]}), [], None,
+         "space.points"),
+        (dict(BASE_DOC, space={"points": []}), [], None, "space.points"),
+        (BASE_DOC, ["--out", "/nonexistent/dir/x.csv"], None, "--out"),
     ])
     def test_out_of_range_setting_names_its_source(self, tmp_path, capsys, monkeypatch,
                                                    doc, flags, env_seed, key):

@@ -44,6 +44,8 @@ def test_mismatched_lengths_rejected():
 def test_empty_space_rejected():
     with pytest.raises(DimensionError):
         DiscreteSpace(np.zeros((0, 1)), np.zeros(0))
+    with pytest.raises(DimensionError):
+        uniform_space([])
 
 
 def test_nonfinite_points_rejected():
