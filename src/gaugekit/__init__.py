@@ -13,13 +13,10 @@ from .errors import (
     ParameterError,
 )
 from .space import (
-    CostVector,
     DiscreteSpace,
     Reweighting,
-    Settings,
     expectation,
     sample_uniform_box,
-    settings,
     uniform_space,
     validate,
     weighted_inner,
@@ -31,7 +28,6 @@ __all__ = [
     "BasisError",
     "ConfigError",
     "ContractError",
-    "CostVector",
     "DimensionError",
     "DiscreteSpace",
     "EncodingError",
@@ -39,10 +35,8 @@ __all__ = [
     "InstanceError",
     "ParameterError",
     "Reweighting",
-    "Settings",
     "expectation",
     "sample_uniform_box",
-    "settings",
     "uniform_space",
     "validate",
     "weighted_inner",

@@ -45,15 +45,18 @@ A single JSON object. Keys:
     solver          {"tol": float > 0, "max-iter": int >= 1}
     space           {"points": [...], "weights": [...]} (weights optional,
                     positive, uniform by default) or
-                    {"sampler": {"lower": ..., "upper": ..., "count": n >= 1}}
+                    {"sampler": {"lower": ..., "upper": ..., "count": n >= 1}},
+                    each bound a number or a nonempty flat list
     cost            {"values": [...]} or {"expression": "abs(x0 - 1.5)"}
     gauge           a gauge expression string, see below
     epsilon         finite nonnegative float
-    samples         envelope-sweep block: {"sizes": [m >= 1, ...], "target": float?}
-    basis           verify block: {"kind": ..., "boxes"/"order"/"points"/"nonneg"}
+    samples         envelope-sweep block: {"sizes": [m >= 1, ...],
+                    "target": finite float?}
+    basis           verify block: {"kind": ..., "boxes"/"order"/"points",
+                    "nonneg": true or false}
     stages          verify block: [{"gauge": ..., "epsilon": ...}, ...],
                     outermost first
-    tau             verify block: satisficing threshold
+    tau             verify block: finite satisficing threshold
     case-instance   case-study block: {"lower", "upper", "region-lower",
                     "region-upper", "samples", "delta", "radii", "beta"}
 
@@ -390,6 +393,13 @@ def _as_count(value, field):
     return count
 
 
+def _as_finite(value, field):
+    number = _as_number(value, field)
+    if not math.isfinite(number):
+        raise ConfigError(f"{field}: must be finite")
+    return number
+
+
 def _as_radius(value, field):
     radius = _as_number(value, field)
     if not (math.isfinite(radius) and radius >= 0.0):
@@ -410,15 +420,23 @@ def _required(doc, key):
     return doc[key]
 
 
+def _as_bound(value, field):
+    bound = _as_array(value, field)
+    if bound.ndim > 1 or bound.size == 0:
+        raise ConfigError(f"{field}: must be a number or a nonempty flat list")
+    return np.atleast_1d(bound)
+
+
 def _read_sampler(block):
     """(lower, upper, count) of a space.sampler block: a box with finite
-    bounds and upper above lower in every coordinate."""
+    bounds, each a number or a nonempty flat list, and upper above lower in
+    every coordinate."""
     _check_keys(block, ("lower", "upper", "count"), "space.sampler")
     for key in ("lower", "upper", "count"):
         if key not in block:
             raise ConfigError(f"space.sampler.{key}: required")
-    lower = np.atleast_1d(_as_array(block["lower"], "space.sampler.lower"))
-    upper = np.atleast_1d(_as_array(block["upper"], "space.sampler.upper"))
+    lower = _as_bound(block["lower"], "space.sampler.lower")
+    upper = _as_bound(block["upper"], "space.sampler.upper")
     count = _as_count(block["count"], "space.sampler.count")
     if not np.all(np.isfinite(lower)):
         raise ConfigError("space.sampler.lower: must be finite")
@@ -517,7 +535,9 @@ def _box_predicate(lo, hi):
 def _build_basis(block):
     _check_keys(block, ("kind", "boxes", "order", "points", "nonneg"), "basis")
     kind = block.get("kind")
-    nonneg = bool(block.get("nonneg", False))
+    nonneg = block.get("nonneg", False)
+    if not isinstance(nonneg, bool):
+        raise ConfigError("basis.nonneg: must be true or false")
     if kind in ("indicator-regions", "piecewise-affine"):
         boxes = block.get("boxes")
         if not isinstance(boxes, list) or not boxes:
@@ -654,7 +674,7 @@ def cmd_envelope_sweep(doc, settings, seed):
     sizes = [_as_count(m, f"samples.sizes[{k}]") for k, m in enumerate(sizes)]
     target = block.get("target")
     if target is not None:
-        target = _as_number(target, "samples.target")
+        target = _as_finite(target, "samples.target")
 
     def sampler(count, sample_seed):
         return sample_uniform_box(lower, upper, count, sample_seed)
@@ -790,7 +810,7 @@ def cmd_verify(doc, settings, seed):
                 composed >= zeroed - 1e-7)
 
     if "tau" in doc:
-        tau = _as_number(doc["tau"], "tau")
+        tau = _as_finite(doc["tau"], "tau")
         slope = satisficing_dual(problem, tau, settings)
         if slope is None:
             mean = expectation(space, cost)

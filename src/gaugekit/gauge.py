@@ -36,7 +36,7 @@ from scipy.optimize import minimize_scalar
 from . import conic
 from .conic import LinExpr, ProgramBuilder
 from .errors import DimensionError, EncodingError, ParameterError
-from .space import DiscreteSpace, _as_points, settings
+from .space import CLOSURE_REL_TOL, KERNEL_TOL, DiscreteSpace, _as_points, per_atom
 
 _INF = float("inf")
 
@@ -180,7 +180,7 @@ class AffineMap:
 
 
 def _kernel_tol(u: np.ndarray) -> float:
-    return settings.kernel_tol * (1.0 + float(np.max(np.abs(u), initial=0.0)))
+    return KERNEL_TOL * (1.0 + float(np.max(np.abs(u), initial=0.0)))
 
 
 def _balance_shortcut(space: DiscreteSpace, u: np.ndarray):
@@ -284,7 +284,7 @@ class GaugeExpr:
 
     def _slack(self, space: DiscreteSpace, u: np.ndarray, t: float) -> float:
         """Convex in u and <= 0 exactly when u lies in t * set, closure-tolerant."""
-        return self._gauge(space, u) - t * (1.0 + settings.closure_rel_tol)
+        return self._gauge(space, u) - t * (1.0 + CLOSURE_REL_TOL)
 
     def _encode(self, b: ProgramBuilder, space: DiscreteSpace, u: list, t: LinExpr):
         """Append rows constraining gauge(u) <= t."""
@@ -546,7 +546,7 @@ class PhiDivergence(GaugeExpr):
         # gauge bisection: the divergence of 1 + u/s is convex in u and
         # shrinks as the level s grows, so it is within budget exactly when
         # the gauge is within the level
-        return self._kl(space, 1.0 + u / (t * (1.0 + settings.closure_rel_tol))) - self.budget
+        return self._kl(space, 1.0 + u / (t * (1.0 + CLOSURE_REL_TOL))) - self.budget
 
     def _encode(self, b, space, u, t):
         if self.kind == "kl":
@@ -899,15 +899,6 @@ class Polar(GaugeExpr):
 # entry points
 
 
-def _deviation(space: DiscreteSpace, u, what: str = "deviation") -> np.ndarray:
-    u = np.asarray(u, dtype=float).ravel()
-    if len(u) != space.size:
-        raise DimensionError(f"{what} has {len(u)} entries for {space.size} points")
-    if not np.all(np.isfinite(u)):
-        raise ParameterError(f"{what} must be finite")
-    return u
-
-
 def polar(expr: GaugeExpr) -> GaugeExpr:
     """Polar set as an expression; exact rewrites where known, Polar(...) else.
 
@@ -927,23 +918,23 @@ def transport_metric(expr: GaugeExpr) -> Optional[Hemimetric]:
 
 def gauge_value(expr: GaugeExpr, space: DiscreteSpace, u) -> float:
     """Gauge of the deviation u: inf{t > 0 : u in t * set}; may be inf or 0."""
-    return expr._gauge(space, _deviation(space, u))
+    return expr._gauge(space, per_atom(space, u, "deviation"))
 
 
 def support_value(expr: GaugeExpr, space: DiscreteSpace, w) -> float:
     """Support function sup{<w, u>_P : u in the set}; equals the polar gauge."""
-    return expr._support(space, _deviation(space, w, "argument"))
+    return expr._support(space, per_atom(space, w, "argument"))
 
 
 def slack(expr: GaugeExpr, space: DiscreteSpace, u, t: float) -> float:
     """Closure-tolerant slack of u against t * set (t must be positive).
 
     Convex in u and <= 0 exactly when membership holds: the gauge minus
-    t (1 + closure_rel_tol) by default, inf where the gauge is.
+    t (1 + CLOSURE_REL_TOL) by default, inf where the gauge is.
     """
     if not (t > 0.0):
         raise ParameterError("membership level t must be positive")
-    return expr._slack(space, _deviation(space, u), t)
+    return expr._slack(space, per_atom(space, u, "deviation"), t)
 
 
 def membership(expr: GaugeExpr, space: DiscreteSpace, u, t: float) -> bool:
@@ -970,4 +961,4 @@ def support_value_by_program(expr: GaugeExpr, space: DiscreteSpace, w) -> float:
     Independent route from support_value (which goes through polarity); used
     to cross-check the two.
     """
-    return float(-_min_over_epigraph(expr, space, _deviation(space, w, "argument"), 1.0))
+    return float(-_min_over_epigraph(expr, space, per_atom(space, w, "argument"), 1.0))

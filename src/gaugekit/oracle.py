@@ -18,7 +18,7 @@ from scipy.optimize import linprog
 
 from . import gauge as gauges
 from .errors import DimensionError, ParameterError
-from .space import DiscreteSpace, _as_points, settings
+from .space import CLOSURE_REL_TOL, DiscreteSpace, _as_points, per_atom
 
 _INF = float("inf")
 
@@ -39,18 +39,11 @@ def _marginals(na: int, nb: int):
     return rows, cols
 
 
-def _as_cost(cost) -> np.ndarray:
-    values = getattr(cost, "values", cost)
-    return np.asarray(values, dtype=float).ravel()
-
-
 def cvar_sorted(space: DiscreteSpace, cost, beta: float) -> float:
     """Average of the worst (1 - beta) probability tail, by sorting."""
     if not (0.0 < beta < 1.0):
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
-    f = _as_cost(cost)
-    if len(f) != space.size:
-        raise DimensionError("cost length does not match the space")
+    f = per_atom(space, cost)
     order = np.argsort(-f)
     tail = 1.0 - beta
     remaining = tail
@@ -72,9 +65,7 @@ def tv_greedy(space: DiscreteSpace, cost, eps: float) -> float:
     """
     if eps < 0.0:
         raise ParameterError("eps must be nonnegative")
-    f = _as_cost(cost)
-    if len(f) != space.size:
-        raise DimensionError("cost length does not match the space")
+    f = per_atom(space, cost)
     p = space.weights.copy()
     top = int(np.argmax(f))
     budget = min(eps / 2.0, 1.0 - p[top])
@@ -96,10 +87,8 @@ def w1_transport(space: DiscreteSpace, cost, eps: float, metric) -> float:
     """
     if eps < 0.0:
         raise ParameterError("eps must be nonnegative")
-    f = _as_cost(cost)
+    f = per_atom(space, cost)
     n = space.size
-    if len(f) != n:
-        raise DimensionError("cost length does not match the space")
     c = metric.matrix(space.points, space.points)
     obj = -np.repeat(f, n)  # maximize sum_ij plan[i,j] f[i]
     _, cols = _marginals(n, n)  # sum_i plan[i,j] = p[j]
@@ -116,10 +105,8 @@ def w1_flow_gauge(space: DiscreteSpace, u, metric) -> float:
     Infinite when the change is unbalanced. Exact on the line under a pnorm
     cost, a HiGHS flow LP elsewhere; the walk's transport-ball slack.
     """
-    u = np.asarray(u, dtype=float).ravel()
+    u = per_atom(space, u, "deviation")
     p = space.weights
-    if len(u) != space.size:
-        raise DimensionError("deviation length does not match the space")
     if abs(float(p @ u)) > 1e-9 * (1.0 + float(np.max(np.abs(u), initial=0.0))):
         return _INF
     if np.max(np.abs(u), initial=0.0) <= 1e-15:
@@ -175,9 +162,7 @@ def chi2_closed_form(space: DiscreteSpace, cost, eps: float):
     nonnegative; None when the closed form does not apply."""
     if eps < 0.0:
         raise ParameterError("eps must be nonnegative")
-    f = _as_cost(cost)
-    if len(f) != space.size:
-        raise DimensionError("cost length does not match the space")
+    f = per_atom(space, cost)
     p = space.weights
     mu = float(p @ f)
     var = float(p @ (f - mu) ** 2)
@@ -282,7 +267,7 @@ def frank_wolfe_primal(problem, tol: float = 1e-3, objective=None,
     p = space.weights
     n = space.size
     metric = gauges.transport_metric(expr)
-    level = epsilon * (1.0 + settings.closure_rel_tol)
+    level = epsilon * (1.0 + CLOSURE_REL_TOL)
 
     def slack(x):
         """The slack of the reweighting x against the epsilon-scaled set."""
@@ -291,7 +276,7 @@ def frank_wolfe_primal(problem, tol: float = 1e-3, objective=None,
         return gauges.slack(expr, space, x - 1.0, epsilon)
 
     if objective is None:
-        f = _as_cost(problem.cost)
+        f = problem.cost
 
         def objective(nu):
             return float(p @ (nu * f)), f

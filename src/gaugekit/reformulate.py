@@ -17,9 +17,9 @@ from scipy.optimize import minimize_scalar
 
 from . import conic, gauge as gauges
 from .conic import LinExpr, ProgramBuilder, SolveSettings
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 from .gauge import GaugeExpr, PhiDivergence, WassersteinP
-from .space import DiscreteSpace, Reweighting
+from .space import DiscreteSpace, Reweighting, per_atom
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,9 @@ class ReweightingProblem:
     epsilon: float
 
     def __post_init__(self):
-        f = np.asarray(getattr(self.cost, "values", self.cost), dtype=float).ravel()
-        if len(f) != self.space.size:
-            raise DimensionError(f"cost has {len(f)} entries for {self.space.size} points")
-        if not np.all(np.isfinite(f)):
-            raise ParameterError("cost must be finite")
+        object.__setattr__(self, "cost", per_atom(self.space, self.cost))
         if not (self.epsilon >= 0.0):
             raise ParameterError("epsilon must be nonnegative")
-        object.__setattr__(self, "cost", f)
 
 
 @dataclass(frozen=True)
@@ -232,9 +227,7 @@ def composed_dual(space: DiscreteSpace, cost, stages, settings: SolveSettings | 
     conic-encodable polar and is priced under the base weights. Other inner
     gauges raise ParameterError. Returns (value, [(alpha_k, w_k), ...]).
     """
-    f = np.asarray(getattr(cost, "values", cost), dtype=float).ravel()
-    if len(f) != space.size:
-        raise DimensionError("cost length does not match the space")
+    f = per_atom(space, cost)
     stages = list(stages)
     if not stages:
         raise ParameterError("need at least one stage")

@@ -1,10 +1,12 @@
-"""Discrete probability spaces and the weighted inner product.
+"""Discrete probability spaces and the per-atom vectors that live on them.
 
 A DiscreteSpace is the finite stand-in for a nominal distribution: support
-points with strictly positive probabilities summing to one. Costs and
-reweightings are plain vectors aligned with the support. Everything downstream
-(gauge evaluation, reformulations, oracles) works through the two primitives
-here: expectation and the probability-weighted inner product.
+points with strictly positive probabilities summing to one. Costs f,
+reweightings nu and deviations u = nu - 1 are plain vectors aligned with the
+support, and `per_atom` is the one check every route applies to them: one
+finite float per atom. The module constants are the package's numeric
+tolerances (WEIGHT_SUM_TOL, POINT_MERGE_TOL, FEASIBILITY_TOL,
+CLOSURE_REL_TOL, KERNEL_TOL).
 """
 
 from __future__ import annotations
@@ -17,25 +19,17 @@ from scipy.spatial import cKDTree
 from .errors import DimensionError, ParameterError
 
 
-@dataclass(frozen=True)
-class Settings:
-    """Global numeric tolerances.
-
-    weight_sum_tol     : |sum(p) - 1| allowed for a valid space
-    point_merge_tol    : support points within this distance are one atom
-    feasibility_tol    : slack allowed on reweighting nonnegativity / unit mass
-    closure_rel_tol    : relative slack in gauge membership tests
-    kernel_tol         : gauge values at or below this count as kernel members
-    """
-
-    weight_sum_tol: float = 1e-12
-    point_merge_tol: float = 1e-12
-    feasibility_tol: float = 1e-9
-    closure_rel_tol: float = 1e-8
-    kernel_tol: float = 1e-9
-
-
-settings = Settings()
+# Numeric tolerances:
+#   WEIGHT_SUM_TOL   |sum(p) - 1| allowed for a valid space
+#   POINT_MERGE_TOL  support points within this distance are one atom
+#   FEASIBILITY_TOL  slack allowed on reweighting nonnegativity / unit mass
+#   CLOSURE_REL_TOL  relative slack in gauge membership tests
+#   KERNEL_TOL       gauge values at or below this count as kernel members
+WEIGHT_SUM_TOL = 1e-12
+POINT_MERGE_TOL = 1e-12
+FEASIBILITY_TOL = 1e-9
+CLOSURE_REL_TOL = 1e-8
+KERNEL_TOL = 1e-9
 
 
 def _as_points(points) -> np.ndarray:
@@ -50,12 +44,12 @@ def _as_points(points) -> np.ndarray:
 
 
 def _coincident_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), row-major, with norm(a[i] - b[j]) <= point_merge_tol.
+    """Index pairs (i, j), row-major, with norm(a[i] - b[j]) <= POINT_MERGE_TOL.
 
     A KD-tree over the finite points proposes the pairs within twice the
     tolerance, exact duplicates included, and that norm decides.
     """
-    tol = settings.point_merge_tol
+    tol = POINT_MERGE_TOL
     ra, rb = (np.flatnonzero(np.isfinite(x).all(axis=1)) for x in (a, b))
     near = cKDTree(a[ra]).sparse_distance_matrix(cKDTree(b[rb]), 2.0 * tol, output_type="ndarray")
     near.sort(order=("i", "j"))
@@ -87,7 +81,7 @@ def _merge_duplicates(points: np.ndarray, weights: np.ndarray):
 class DiscreteSpace:
     """Finite probability space: support points and nominal weights.
 
-    Points within point_merge_tol of each other are one atom: at
+    Points within POINT_MERGE_TOL of each other are one atom: at
     construction each point joins the first earlier kept atom within the
     tolerance, pooling its weight there. Weight invariants (positivity, unit
     sum) are NOT enforced here; `validate` reports them so callers can treat
@@ -120,19 +114,6 @@ class DiscreteSpace:
 
 
 @dataclass(frozen=True)
-class CostVector:
-    """Per-atom cost values f_i. Must be finite."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).ravel()
-        if not np.all(np.isfinite(v)):
-            raise ParameterError("cost values must be finite")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class Reweighting:
     """Per-atom weights ν_i (or a deviation u = ν − 1; same container)."""
 
@@ -144,33 +125,34 @@ class Reweighting:
 
     def is_feasible(self, space: DiscreteSpace) -> bool:
         """True iff this is a valid reweighting of `space`: ν ≥ 0 and unit mass
-        (both within feasibility_tol)."""
-        v = self.values
-        if len(v) != space.size:
-            raise DimensionError(f"{len(v)} values for a {space.size}-atom space")
-        tol = settings.feasibility_tol
-        if np.min(v) < -tol:
+        (both within FEASIBILITY_TOL)."""
+        v = per_atom(space, self, "reweighting")
+        if np.min(v) < -FEASIBILITY_TOL:
             return False
-        return abs(float(space.weights @ v) - 1.0) <= tol
+        return abs(float(space.weights @ v) - 1.0) <= FEASIBILITY_TOL
+
+
+def per_atom(space: DiscreteSpace, values, what: str = "cost") -> np.ndarray:
+    """values, or a Reweighting's values, raveled to one finite float per
+    atom of space; what names the vector in the errors."""
+    if isinstance(values, Reweighting):
+        values = values.values
+    v = np.asarray(values, dtype=float).ravel()
+    if len(v) != space.size:
+        raise DimensionError(f"{what} has {len(v)} entries for {space.size} points")
+    if not np.isfinite(v).all():
+        raise ParameterError(f"{what} must be finite")
+    return v
 
 
 def expectation(space: DiscreteSpace, cost) -> float:
     """E_P[f] = Σ p_i f_i."""
-    f = cost.values if isinstance(cost, (CostVector, Reweighting)) else np.asarray(cost, dtype=float)
-    if len(f) != space.size:
-        raise DimensionError(f"cost of length {len(f)} on a {space.size}-atom space")
-    return float(space.weights @ f)
+    return float(space.weights @ per_atom(space, cost))
 
 
 def weighted_inner(space: DiscreteSpace, u, v) -> float:
     """The P-weighted inner product ⟨u, v⟩ = Σ p_i u_i v_i."""
-    ua = u.values if isinstance(u, (CostVector, Reweighting)) else np.asarray(u, dtype=float)
-    va = v.values if isinstance(v, (CostVector, Reweighting)) else np.asarray(v, dtype=float)
-    if len(ua) != space.size or len(va) != space.size:
-        raise DimensionError(
-            f"inner product on a {space.size}-atom space got lengths {len(ua)}, {len(va)}"
-        )
-    return float(np.sum(space.weights * ua * va))
+    return float(np.sum(space.weights * per_atom(space, u, "u") * per_atom(space, v, "v")))
 
 
 def validate(space: DiscreteSpace) -> list[str]:
@@ -180,7 +162,7 @@ def validate(space: DiscreteSpace) -> list[str]:
         if p <= 0.0:
             issues.append(f"p_{i + 1} = {p:g} (weights must be strictly positive)")
     total = float(np.sum(space.weights))
-    if abs(total - 1.0) > settings.weight_sum_tol:
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
         issues.append(f"Σp = {total:.12g} (must be 1)")
     # distinctness is enforced by construction; re-check defensively
     for i, j in zip(*_coincident_pairs(space.points, space.points)):
@@ -202,7 +184,7 @@ def sample_uniform_box(low, high, count: int, seed: int) -> DiscreteSpace:
     """Draw `count` i.i.d. uniform points from the box [low, high].
 
     The seed is an explicit 64-bit integer; the same seed reproduces the same
-    space bit for bit. Draws within point_merge_tol of each other (probability
+    space bit for bit. Draws within POINT_MERGE_TOL of each other (probability
     zero for a continuous nominal) become one atom.
     """
     if count < 1:

@@ -345,6 +345,22 @@ class TestConfigLoading:
             "lower": [0.0, 0.0], "upper": [3.0], "count": 4}}), "space.sampler.upper"),
         ("envelope-sweep", dict(SWEEP_DOC, space={"sampler": {
             "lower": float("-inf"), "upper": 3.0, "count": 4}}), "space.sampler.lower"),
+        ("duality-check", dict(SAMPLED_DOC, space={"sampler": {
+            "lower": [[0, 0]], "upper": [[3, 3]], "count": 4}}), "space.sampler.lower"),
+        ("duality-check", dict(SAMPLED_DOC, space={"sampler": {
+            "lower": [0, 0], "upper": [[3, 3]], "count": 4}}), "space.sampler.upper"),
+        ("envelope-sweep", dict(SWEEP_DOC, space={"sampler": {
+            "lower": [[0]], "upper": [[3]], "count": 4}}), "space.sampler.lower"),
+        ("duality-check", dict(SAMPLED_DOC, space={"sampler": {
+            "lower": [], "upper": [], "count": 4}}), "space.sampler.lower"),
+        ("verify", dict(BASE_DOC, tau=float("inf")), "tau"),
+        ("verify", dict(BASE_DOC, tau=float("nan")), "tau"),
+        ("envelope-sweep", dict(SWEEP_DOC, samples={"sizes": [4], "target": float("nan")}),
+         "samples.target"),
+        ("envelope-sweep", dict(SWEEP_DOC, samples={"sizes": [4], "target": float("inf")}),
+         "samples.target"),
+        ("verify", dict(BASE_DOC, basis={"kind": "singletons", "points": [[0], [3]],
+                                         "nonneg": "false"}), "basis.nonneg"),
     ])
     def test_non_numeric_value_names_its_key(self, tmp_path, capsys, command, doc, key):
         code = main([command, "--config", write_config(tmp_path, doc)])

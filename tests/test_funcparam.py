@@ -25,7 +25,7 @@ from gaugekit.gauge import (
 )
 from gaugekit.oracle import reference_lp
 from gaugekit.reformulate import ReweightingProblem, dual_solution
-from gaugekit.space import settings, uniform_space
+from gaugekit.space import POINT_MERGE_TOL, uniform_space
 
 TOL = 1e-6
 
@@ -256,7 +256,7 @@ class TestSingletonIndicators:
             query = centres[rng.integers(0, 3, size=rng.integers(1, 12))]
             query = query + rng.choice(offsets, size=query.shape)
             gaps = np.linalg.norm(query[:, None, :] - listed[None, :, :], axis=2)
-            want = (gaps <= settings.point_merge_tol).astype(float)
+            want = (gaps <= POINT_MERGE_TOL).astype(float)
             np.testing.assert_array_equal(Basis.singletons(listed).evaluate(query), want)
 
     def test_a_nonfinite_query_point_matches_nothing(self):

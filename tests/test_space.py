@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from gaugekit.errors import DimensionError, ParameterError
+from gaugekit.gauge import Hemimetric, L2Ball, TotalVariation, gauge_value, slack, support_value
+from gaugekit.oracle import chi2_closed_form, cvar_sorted, tv_greedy, w1_flow_gauge, w1_transport
+from gaugekit.reformulate import ReweightingProblem, composed_dual
 from gaugekit.space import (
-    CostVector,
+    FEASIBILITY_TOL,
+    POINT_MERGE_TOL,
     DiscreteSpace,
     Reweighting,
     expectation,
+    per_atom,
     sample_uniform_box,
-    settings,
     uniform_space,
     validate,
     weighted_inner,
@@ -64,7 +68,7 @@ def test_validate_reports_each_breach():
 def test_expectation_base_instance():
     sp = uniform_space([0.0, 1.0, 2.0, 3.0])
     assert expectation(sp, [0.0, 1.0, 2.0, 3.0]) == pytest.approx(1.5)
-    assert expectation(sp, CostVector(np.arange(4.0))) == pytest.approx(1.5)
+    assert expectation(sp, Reweighting(np.arange(4.0))) == pytest.approx(1.5)
 
 
 def test_expectation_length_checked():
@@ -93,7 +97,7 @@ def test_unit_reweighting_is_feasible():
 
 def test_feasibility_tolerance_edges():
     sp = uniform_space([0.0, 1.0])
-    tol = settings.feasibility_tol
+    tol = FEASIBILITY_TOL
     assert Reweighting(np.array([1.0 + 0.5 * tol, 1.0 + 0.5 * tol])).is_feasible(sp)
     assert not Reweighting(np.array([1.0 + 10 * tol, 1.0 + 10 * tol])).is_feasible(sp)
     assert not Reweighting(np.array([-10 * tol, 2.0 + 10 * tol])).is_feasible(sp)
@@ -121,7 +125,7 @@ def test_sample_uniform_box_guards():
 
 def test_cost_vector_finite_only():
     with pytest.raises(ParameterError):
-        CostVector(np.array([1.0, np.nan]))
+        per_atom(uniform_space([0.0, 1.0]), np.array([1.0, np.nan]))
 
 
 def _merge_by_loop(points, weights):
@@ -131,7 +135,7 @@ def _merge_by_loop(points, weights):
     for i, pt in enumerate(points):
         hit = -1
         for slot, j in enumerate(kept_idx):
-            if np.linalg.norm(pt - points[j]) <= settings.point_merge_tol:
+            if np.linalg.norm(pt - points[j]) <= POINT_MERGE_TOL:
                 hit = slot
                 break
         if hit < 0:
@@ -147,7 +151,7 @@ def _merge_by_loop(points, weights):
 def _coincidences_by_loop(points):
     return [f"points {i + 1} and {j + 1} coincide"
             for i in range(len(points)) for j in range(i + 1, len(points))
-            if np.linalg.norm(points[i] - points[j]) <= settings.point_merge_tol]
+            if np.linalg.norm(points[i] - points[j]) <= POINT_MERGE_TOL]
 
 
 _OFFSETS = np.array([0.0, 0.3, 0.6, 1.0, 1.5, 3.0]) * 1e-12
@@ -218,3 +222,33 @@ def test_validate_reports_coincidences_like_the_plain_loop():
 def test_points_need_a_coordinate():
     with pytest.raises(DimensionError):
         uniform_space(np.zeros((2, 0)))
+
+
+ABS = Hemimetric.pnorm(1.0)
+
+# every public entry point that takes a cost or a deviation over the support,
+# called with that vector as v
+PER_ATOM_ENTRY_POINTS = {
+    "expectation": lambda sp, v: expectation(sp, v),
+    "weighted_inner": lambda sp, v: weighted_inner(sp, np.ones(sp.size), v),
+    "cvar_sorted": lambda sp, v: cvar_sorted(sp, v, 0.5),
+    "tv_greedy": lambda sp, v: tv_greedy(sp, v, 0.5),
+    "w1_transport": lambda sp, v: w1_transport(sp, v, 0.5, ABS),
+    "chi2_closed_form": lambda sp, v: chi2_closed_form(sp, v, 0.5),
+    "w1_flow_gauge": lambda sp, v: w1_flow_gauge(sp, v, ABS),
+    "gauge_value": lambda sp, v: gauge_value(L2Ball(), sp, v),
+    "support_value": lambda sp, v: support_value(L2Ball(), sp, v),
+    "slack": lambda sp, v: slack(L2Ball(), sp, v, 1.0),
+    "ReweightingProblem": lambda sp, v: ReweightingProblem(sp, v, TotalVariation(), 0.5),
+    "composed_dual": lambda sp, v: composed_dual(sp, v, [(TotalVariation(), 0.5)]),
+}
+
+
+@pytest.mark.parametrize("entry", list(PER_ATOM_ENTRY_POINTS))
+def test_every_per_atom_entry_point_checks_its_vector(entry):
+    call = PER_ATOM_ENTRY_POINTS[entry]
+    sp = uniform_space([0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(DimensionError):
+        call(sp, [0.0, 1.0, 2.0])
+    with pytest.raises(ParameterError):
+        call(sp, [0.0, np.nan, 2.0, 3.0])
