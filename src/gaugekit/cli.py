@@ -38,27 +38,52 @@ or 2 when a row failed.
 
 Configuration
 -------------
-A single JSON object. Keys:
+A single JSON object. Each key below is given by its path, [] standing
+for every entry of a nonempty list, with the rule its value must meet.
+A key set to null counts as absent. Every command reads the whole object
+and exits 1 on the first key that breaks its rule. duality-check and
+verify need space (points or a sampler), cost (values or an expression),
+gauge and epsilon; envelope-sweep needs space.sampler, cost.expression, a
+transport gauge, epsilon and samples.sizes; case-study needs every
+case-instance key. verify adds rows for basis, stages and tau when given.
 
-    seed            integer in [0, 2**64); GAUGEKIT_SEED overrides it,
-                    --seed overrides both
-    solver          {"tol": float > 0, "max-iter": int >= 1}
-    space           {"points": [...], "weights": [...]} (weights optional,
-                    positive, uniform by default) or
-                    {"sampler": {"lower": ..., "upper": ..., "count": n >= 1}},
-                    each bound a number or a nonempty flat list
-    cost            {"values": [...]} or {"expression": "abs(x0 - 1.5)"}
-    gauge           a gauge expression string, see below
-    epsilon         finite nonnegative float
-    samples         envelope-sweep block: {"sizes": [m >= 1, ...],
-                    "target": finite float?}
-    basis           verify block: {"kind": ..., "boxes"/"order"/"points",
-                    "nonneg": true or false}
-    stages          verify block: [{"gauge": ..., "epsilon": ...}, ...],
-                    outermost first
-    tau             verify block: finite satisficing threshold
-    case-instance   case-study block: {"lower", "upper", "region-lower",
-                    "region-upper", "samples", "delta", "radii", "beta"}
+    seed                        integer; the seed in use must lie in
+                                [0, 2**64); GAUGEKIT_SEED overrides this
+                                key, --seed overrides both
+    solver.tol                  finite and positive; --tol overrides it
+    solver.max-iter             integer >= 1
+    space.points                nonempty list of finite numbers or of
+                                finite vectors
+    space.weights               one per point, positive, summing to one;
+                                uniform when absent
+    space.sampler.lower         finite number or nonempty flat list
+    space.sampler.upper         as lower, above it in every coordinate
+    space.sampler.count         integer >= 1
+    cost.values                 finite numbers, one per point
+    cost.expression             string, see below
+    gauge                       gauge expression string, see below
+    epsilon                     finite and nonnegative
+    samples.sizes[]             integer >= 1
+    samples.target              finite; the analytic value the sweep nears
+    basis.kind                  indicator-regions, piecewise-affine,
+                                moment or singletons
+    basis.boxes[]               [lo, hi] pair, a half-open box (see below);
+                                the indicator-regions and piecewise-affine
+                                kinds need boxes
+    basis.order                 integer, 1 or 2; the moment kind needs it
+    basis.points                list of points; the singletons kind needs it
+    basis.nonneg                true or false
+    stages[].gauge              gauge expression string; outermost first
+    stages[].epsilon            finite and nonnegative
+    tau                         finite satisficing threshold
+    case-instance.lower         city box lower corner, two numbers
+    case-instance.upper         city box upper corner, two numbers
+    case-instance.region-lower  district lower corners, one pair each
+    case-instance.region-upper  district upper corners, one pair each
+    case-instance.samples       incident samples, one pair each
+    case-instance.delta         chi-square reweighting scale, >= 0
+    case-instance.radii         transport radius of each district, >= 0
+    case-instance.beta          tail level in (0, 1)
 
 Cost expressions use the coordinates x0, x1, ... (x aliases x0), the
 operators + - * / **, and the functions abs, min, max, sqrt, exp, log.
@@ -292,6 +317,8 @@ _COST_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant,
 
 def compile_cost(text, field="cost.expression"):
     """Expression string -> callable evaluating it at one point."""
+    if not isinstance(text, str):
+        raise ConfigError(f"{field}: must be a string")
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
@@ -339,10 +366,6 @@ def compile_cost(text, field="cost.expression"):
 # config loading
 
 
-_TOP_KEYS = {"seed", "solver", "space", "cost", "gauge", "epsilon",
-             "samples", "basis", "stages", "tau", "case-instance"}
-
-
 @contextlib.contextmanager
 def _reported_as(field):
     """Report a library error raised in the block, such as a parameter a
@@ -353,24 +376,6 @@ def _reported_as(field):
         raise
     except GaugekitError as exc:
         raise ConfigError(f"{field}: {exc}")
-
-
-def _check_keys(block, allowed, field):
-    if not isinstance(block, dict):
-        raise ConfigError(f"{field}: must be an object")
-    unknown = sorted(set(block) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{field}: unknown keys {', '.join(unknown)}")
-
-
-def load_config(text):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config syntax: line {exc.lineno} column {exc.colno}: {exc.msg}")
-    _check_keys(doc, _TOP_KEYS, "config")
-    return doc
 
 
 def _as_number(value, field):
@@ -407,6 +412,19 @@ def _as_radius(value, field):
     return radius
 
 
+def _as_tol(value, field):
+    tol = _as_number(value, field)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"{field}: must be finite and positive")
+    return tol
+
+
+def _as_flag(value, field):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{field}: must be true or false")
+    return value
+
+
 def _as_array(value, field):
     try:
         return np.asarray(value, dtype=float)
@@ -414,169 +432,181 @@ def _as_array(value, field):
         raise ConfigError(f"{field}: must be numbers")
 
 
-def _required(doc, key):
-    if doc.get(key) is None:
-        raise ConfigError(f"{key}: required")
-    return doc[key]
+def _as_values(value, field):
+    values = _as_array(value, field).ravel()
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{field}: must be finite")
+    return values
+
+
+def _as_weights(value, field):
+    weights = _as_array(value, field).ravel()
+    if not np.all(weights > 0.0):
+        raise ConfigError(f"{field}: must be positive")
+    total = float(weights.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ConfigError(f"{field}: must sum to one, got {total:.6g}")
+    return weights
 
 
 def _as_bound(value, field):
     bound = _as_array(value, field)
     if bound.ndim > 1 or bound.size == 0:
         raise ConfigError(f"{field}: must be a number or a nonempty flat list")
+    if not np.isfinite(bound).all():
+        raise ConfigError(f"{field}: must be finite")
     return np.atleast_1d(bound)
 
 
-def _read_sampler(block):
-    """(lower, upper, count) of a space.sampler block: a box with finite
-    bounds, each a number or a nonempty flat list, and upper above lower in
-    every coordinate."""
-    _check_keys(block, ("lower", "upper", "count"), "space.sampler")
-    for key in ("lower", "upper", "count"):
-        if key not in block:
-            raise ConfigError(f"space.sampler.{key}: required")
-    lower = _as_bound(block["lower"], "space.sampler.lower")
-    upper = _as_bound(block["upper"], "space.sampler.upper")
-    count = _as_count(block["count"], "space.sampler.count")
-    if not np.all(np.isfinite(lower)):
-        raise ConfigError("space.sampler.lower: must be finite")
-    if upper.shape != lower.shape:
-        raise ConfigError("space.sampler.upper: must have the shape of lower")
-    if not np.all(np.isfinite(upper) & (upper > lower)):
-        raise ConfigError(
-            "space.sampler.upper: must be finite and above lower in every coordinate")
-    return lower, upper, count
+def _as_box(value, field):
+    """A [lo, hi] pair -> the predicate of the half-open box [lo, hi)."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{field}: must be a [lo, hi] pair")
+    lo, hi = (np.atleast_1d(_as_array(bound, field)) for bound in value)
 
-
-def _build_space(doc, seed):
-    block = doc.get("space")
-    if block is None:
-        raise ConfigError("space: required")
-    _check_keys(block, ("points", "weights", "sampler"), "space")
-    if "sampler" in block:
-        if "points" in block or "weights" in block:
-            raise ConfigError("space: give either points or a sampler, not both")
-        return sample_uniform_box(*_read_sampler(block["sampler"]), seed)
-    if "points" not in block:
-        raise ConfigError("space.points: required")
-    points = _as_array(block["points"], "space.points")
-    weights = None
-    if "weights" in block:
-        weights = _as_array(block["weights"], "space.weights").ravel()
-        if np.any(weights <= 0.0):
-            raise ConfigError("space.weights: must be positive")
-        total = float(weights.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"space.weights: must sum to one, got {total:.6g}")
-    with _reported_as("space.points"):
-        return uniform_space(points) if weights is None else DiscreteSpace(points, weights)
-
-
-def _read_cost(doc):
-    """cost.values as an array, or cost.expression as a function of a point."""
-    block = _required(doc, "cost")
-    _check_keys(block, ("values", "expression"), "cost")
-    if ("values" in block) == ("expression" in block):
-        raise ConfigError("cost: give either values or an expression")
-    if "values" in block:
-        return _as_array(block["values"], "cost.values").ravel()
-    return compile_cost(block["expression"])
-
-
-def _build_cost(doc, space):
-    cost = _read_cost(doc)
-    if callable(cost):
-        return np.array([cost(pt) for pt in space.points])
-    if len(cost) != space.size:
-        raise ConfigError(f"cost.values: {len(cost)} entries for {space.size} points")
-    return cost
-
-
-def _build_problem(doc, seed):
-    space = _build_space(doc, seed)
-    cost = _build_cost(doc, space)
-    expr = parse_gauge(_required(doc, "gauge"))
-    epsilon = _as_radius(_required(doc, "epsilon"), "epsilon")
-    with _reported_as("config"):
-        return ReweightingProblem(space, cost, expr, epsilon)
-
-
-def _solver_settings(doc, tol_flag):
-    """Explicit settings, or None so each path keeps its tuned default."""
-    block = doc.get("solver", {})
-    _check_keys(block, ("tol", "max-iter"), "solver")
-    kwargs = {}
-    if "tol" in block:
-        kwargs["tol"] = _positive_tol(_as_number(block["tol"], "solver.tol"), "solver.tol")
-    if "max-iter" in block:
-        kwargs["max_iter"] = _as_count(block["max-iter"], "solver.max-iter")
-    if tol_flag is not None:
-        kwargs["tol"] = _positive_tol(float(tol_flag), "--tol")
-    return SolveSettings(**kwargs) if kwargs else None
-
-
-def _positive_tol(value, field):
-    if not (math.isfinite(value) and value > 0.0):
-        raise ConfigError(f"{field}: must be finite and positive")
-    return value
-
-
-def _box_predicate(lo, hi):
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-
-    def inside(x, lo=lo, hi=hi):
+    def inside(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return bool(np.all(lo <= x) and np.all(x < hi))
 
     return inside
 
 
-def _build_basis(block):
-    _check_keys(block, ("kind", "boxes", "order", "points", "nonneg"), "basis")
-    kind = block.get("kind")
-    nonneg = block.get("nonneg", False)
-    if not isinstance(nonneg, bool):
-        raise ConfigError("basis.nonneg: must be true or false")
-    if kind in ("indicator-regions", "piecewise-affine"):
-        boxes = block.get("boxes")
-        if not isinstance(boxes, list) or not boxes:
-            raise ConfigError("basis.boxes: required, a list of [lo, hi] pairs")
-        preds = []
-        for i, box in enumerate(boxes):
-            if not (isinstance(box, list) and len(box) == 2):
-                raise ConfigError(f"basis.boxes[{i}]: must be a [lo, hi] pair")
-            preds.append(_box_predicate(_as_array(box[0], f"basis.boxes[{i}]"),
-                                        _as_array(box[1], f"basis.boxes[{i}]")))
-        if kind == "indicator-regions":
-            return Basis.indicator_regions(preds, nonneg=nonneg)
-        return Basis.piecewise_affine(preds)
-    if kind == "moment":
-        if "order" not in block:
-            raise ConfigError("basis.order: required for a moment basis")
-        return Basis.moment(_as_integer(block["order"], "basis.order"))
-    if kind == "singletons":
-        if "points" not in block:
-            raise ConfigError("basis.points: required for a singleton basis")
-        return Basis.singletons(_as_array(block["points"], "basis.points"),
-                                nonneg=nonneg)
-    raise ConfigError(f"basis.kind: unknown kind {kind!r}")
+def _as_basis_kind(value, field):
+    if value not in ("indicator-regions", "piecewise-affine", "moment", "singletons"):
+        raise ConfigError(f"{field}: unknown kind {value!r}")
+    return value
 
 
-_CASE_KEYS = ("lower", "upper", "region-lower", "region-upper",
-              "samples", "delta", "radii", "beta")
+# key -> the reader of its value, a block of keys, or [item] for a nonempty
+# list of items; the module docstring lists every key path
+_CONFIG = {
+    "seed": _as_integer,
+    "solver": {"tol": _as_tol, "max-iter": _as_count},
+    "space": {
+        "points": _as_array,
+        "weights": _as_weights,
+        "sampler": {"lower": _as_bound, "upper": _as_bound, "count": _as_count},
+    },
+    "cost": {"values": _as_values, "expression": compile_cost},
+    "gauge": parse_gauge,
+    "epsilon": _as_radius,
+    "samples": {"sizes": [_as_count], "target": _as_finite},
+    "basis": {"kind": _as_basis_kind, "boxes": [_as_box], "order": _as_integer,
+              "points": _as_array, "nonneg": _as_flag},
+    "stages": [{"gauge": parse_gauge, "epsilon": _as_radius}],
+    "tau": _as_finite,
+    # in the order of CaseInstance's fields
+    "case-instance": {"lower": _as_array, "upper": _as_array,
+                      "region-lower": _as_array, "region-upper": _as_array,
+                      "samples": _as_array, "delta": _as_number,
+                      "radii": _as_array, "beta": _as_number},
+}
 
 
-def _build_case_instance(block):
-    _check_keys(block, _CASE_KEYS, "case-instance")
-    fields = {}
-    for key in _CASE_KEYS:
+def _read(value, shape=_CONFIG, field=""):
+    """A config document read through _CONFIG: each value as its reader
+    returns it, with keys set to null left out."""
+    if isinstance(shape, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{field}: must be a nonempty list")
+        return [_read(item, shape[0], f"{field}[{i}]") for i, item in enumerate(value)]
+    if not isinstance(shape, dict):
+        return shape(value, field)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{field or 'config'}: must be an object")
+    unknown = sorted(set(value) - set(shape))
+    if unknown:
+        raise ConfigError(f"{field or 'config'}: unknown keys {', '.join(unknown)}")
+    prefix = field + "." if field else ""
+    return {key: _read(item, shape[key], prefix + key)
+            for key, item in value.items() if item is not None}
+
+
+def _need(block, keys, prefix=""):
+    """The values of the space-separated keys in a read block; a missing
+    key is the configuration error "<prefix><key>: required"."""
+    for key in keys.split():
         if key not in block:
-            raise ConfigError(f"case-instance.{key}: required")
-        read = _as_number if key in ("delta", "beta") else _as_array
-        fields[key.replace("-", "_")] = read(block[key], f"case-instance.{key}")
-    with _reported_as("case-instance"):
-        return CaseInstance(**fields)
+            raise ConfigError(f"{prefix}{key}: required")
+    return [block[key] for key in keys.split()]
+
+
+def load_config(text):
+    """The JSON config in text, once every key in it has read through _CONFIG."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"config syntax: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    _read(doc)
+    return doc
+
+
+def _sampler(space):
+    """lower, upper and count of space.sampler; upper lies above lower."""
+    (block,) = _need(space, "sampler", "space.")
+    lower, upper, count = _need(block, "lower upper count", "space.sampler.")
+    if upper.shape != lower.shape:
+        raise ConfigError("space.sampler.upper: must have the shape of lower")
+    if not np.all(upper > lower):
+        raise ConfigError("space.sampler.upper: must be above lower in every coordinate")
+    return lower, upper, count
+
+
+def _build_space(config, seed):
+    (space,) = _need(config, "space")
+    if "sampler" in space:
+        if "points" in space or "weights" in space:
+            raise ConfigError("space: give either points or a sampler, not both")
+        return sample_uniform_box(*_sampler(space), seed)
+    (points,) = _need(space, "points", "space.")
+    weights = space.get("weights")
+    if weights is not None and points.ndim and len(points) != len(weights):
+        raise ConfigError(f"space.weights: {len(weights)} entries for {len(points)} points")
+    with _reported_as("space.points"):
+        return uniform_space(points) if weights is None else DiscreteSpace(points, weights)
+
+
+def _cost(config):
+    """cost.values as an array, or cost.expression as a function of a point."""
+    (block,) = _need(config, "cost")
+    if len(block) != 1:
+        raise ConfigError("cost: give either values or an expression")
+    (cost,) = block.values()
+    return cost
+
+
+def _build_problem(config, seed):
+    space = _build_space(config, seed)
+    cost = _cost(config)
+    if callable(cost):
+        cost = np.array([cost(pt) for pt in space.points])
+    elif len(cost) != space.size:
+        raise ConfigError(f"cost.values: {len(cost)} entries for {space.size} points")
+    gauge, epsilon = _need(config, "gauge epsilon")
+    with _reported_as("config"):
+        return ReweightingProblem(space, cost, gauge, epsilon)
+
+
+def _solver_settings(config, tol_flag):
+    """Explicit settings, or None so each path keeps its tuned default."""
+    kwargs = {key.replace("-", "_"): value for key, value in config.get("solver", {}).items()}
+    if tol_flag is not None:
+        kwargs["tol"] = _as_tol(tol_flag, "--tol")
+    return SolveSettings(**kwargs) if kwargs else None
+
+
+def _build_basis(basis):
+    """What each basis kind needs, then the basis."""
+    kind, nonneg = _need(basis, "kind", "basis.")[0], basis.get("nonneg", False)
+    if kind == "moment":
+        return Basis.moment(*_need(basis, "order", "basis."))
+    if kind == "singletons":
+        return Basis.singletons(*_need(basis, "points", "basis."), nonneg=nonneg)
+    (boxes,) = _need(basis, "boxes", "basis.")
+    if kind == "indicator-regions":
+        return Basis.indicator_regions(boxes, nonneg=nonneg)
+    return Basis.piecewise_affine(boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +664,7 @@ def _two_routes(problem, settings):
 
 
 def cmd_duality_check(doc, settings, seed):
-    problem = _build_problem(doc, seed)
+    problem = _build_problem(_read(doc), seed)
     try:
         primal, dual, primal_status, dual_status, bound = _two_routes(problem, settings)
     except EncodingError as exc:
@@ -649,46 +679,32 @@ def cmd_duality_check(doc, settings, seed):
 
 
 def cmd_envelope_sweep(doc, settings, seed):
-    block = doc.get("space", {})
-    if not isinstance(block, dict) or "sampler" not in block:
-        raise ConfigError("space.sampler: envelope-sweep needs a sampler")
-    lower, upper, _ = _read_sampler(block["sampler"])
-
-    cost_fn = _read_cost(doc)
+    config = _read(doc)
+    lower, upper, _ = _sampler(_need(config, "space")[0])
+    cost_fn = _cost(config)
     if not callable(cost_fn):
         raise ConfigError("cost.expression: envelope-sweep needs an expression")
-
-    metric = gauges.transport_metric(parse_gauge(_required(doc, "gauge")))
+    gauge, epsilon, samples = _need(config, "gauge epsilon samples")
+    metric = gauges.transport_metric(gauge)
     if metric is None:
         raise ConfigError("envelope-sweep: gauge must be a transport ball "
                           "((w1 metric) or (polar (lipschitz metric)))")
-    epsilon = _as_radius(_required(doc, "epsilon"), "epsilon")
-
-    block = doc.get("samples")
-    if block is None:
-        raise ConfigError("samples: envelope-sweep needs a samples block")
-    _check_keys(block, ("sizes", "target"), "samples")
-    sizes = block.get("sizes")
-    if not isinstance(sizes, list) or not sizes:
-        raise ConfigError("samples.sizes: required, a nonempty list")
-    sizes = [_as_count(m, f"samples.sizes[{k}]") for k, m in enumerate(sizes)]
-    target = block.get("target")
-    if target is not None:
-        target = _as_finite(target, "samples.target")
+    (sizes,) = _need(samples, "sizes", "samples.")
 
     def sampler(count, sample_seed):
         return sample_uniform_box(lower, upper, count, sample_seed)
 
-    rows = convergence_sweep(sampler, cost_fn, metric, epsilon, sizes, seed, target, settings)
+    rows = convergence_sweep(sampler, cost_fn, metric, epsilon, sizes, seed,
+                             samples.get("target"), settings)
     table = [(r.m, r.seed, r.z_m, r.w1_bound, r.gap, r.status) for r in rows]
     return _verdict(("m", "seed", "z_m", "w1_bound", "gap", "status"), table)
 
 
 def cmd_case_study(doc, settings, seed):
-    block = doc.get("case-instance")
-    if block is None:
-        raise ConfigError("case-instance: required")
-    instance = _build_case_instance(block)
+    (block,) = _need(_read(doc), "case-instance")
+    with _reported_as("case-instance"):
+        instance = CaseInstance(
+            *_need(block, " ".join(_CONFIG["case-instance"]), "case-instance."))
     lp, sdp = solve_case(instance, solver=settings)
     # the quadratic route can only be more conservative than the envelope
     sdp_status = sdp.status
@@ -706,7 +722,8 @@ def cmd_case_study(doc, settings, seed):
 
 
 def cmd_verify(doc, settings, seed):
-    problem = _build_problem(doc, seed)
+    config = _read(doc)
+    problem = _build_problem(config, seed)
     space, cost, expr = problem.space, problem.cost, problem.gauge
     eps = problem.epsilon
     rows = []
@@ -776,25 +793,17 @@ def cmd_verify(doc, settings, seed):
         if closed is not None and dual_value is not None:
             add("closed-vs-dual", closed, dual_value, 1e-4)
 
-    if "basis" in doc:
+    if "basis" in config:
         with _reported_as("basis"):
-            basis = _build_basis(doc["basis"])
+            basis = _build_basis(config["basis"])
         restricted = param_dual_value(problem, basis, solver=settings)
         if dual_value is not None:
             row("restricted-dominates", dual_value, restricted,
                 restricted - dual_value, 1e-7, restricted >= dual_value - 1e-7)
 
-    if "stages" in doc:
-        stages_doc = doc["stages"]
-        if not isinstance(stages_doc, list) or not stages_doc:
-            raise ConfigError("stages: must be a nonempty list")
-        stages = []
-        for i, item in enumerate(stages_doc):
-            _check_keys(item, ("gauge", "epsilon"), f"stages[{i}]")
-            if "gauge" not in item or "epsilon" not in item:
-                raise ConfigError(f"stages[{i}]: needs gauge and epsilon")
-            stages.append((parse_gauge(item["gauge"], f"stages[{i}].gauge"),
-                           _as_radius(item["epsilon"], f"stages[{i}].epsilon")))
+    if "stages" in config:
+        stages = [tuple(_need(stage, "gauge epsilon", f"stages[{i}]."))
+                  for i, stage in enumerate(config["stages"])]
         composed, _ = composed_dual(space, cost, stages, settings)
         outer = ReweightingProblem(space, cost, stages[0][0], stages[0][1])
         if len(stages) == 1:
@@ -809,8 +818,8 @@ def cmd_verify(doc, settings, seed):
             row("stages-monotone", zeroed, composed, composed - zeroed, 1e-7,
                 composed >= zeroed - 1e-7)
 
-    if "tau" in doc:
-        tau = _as_finite(doc["tau"], "tau")
+    if "tau" in config:
+        tau = config["tau"]
         slope = satisficing_dual(problem, tau, settings)
         if slope is None:
             mean = expectation(space, cost)
@@ -863,7 +872,8 @@ def main(argv=None):
         except OSError as exc:
             raise ConfigError(f"config: {exc}")
         doc = load_config(text)
-        seed, source = _as_integer(doc.get("seed", 0), "seed"), "seed"
+        config = _read(doc)
+        seed, source = config.get("seed", 0), "seed"
         env_seed = os.environ.get("GAUGEKIT_SEED")
         if env_seed is not None:
             try:
@@ -874,7 +884,7 @@ def main(argv=None):
             seed, source = args.seed, "--seed"
         if not 0 <= seed < 2**64:
             raise ConfigError(f"{source}: must lie in [0, 2**64), got {seed}")
-        settings = _solver_settings(doc, args.tol)
+        settings = _solver_settings(config, args.tol)
         columns, rows, code = _HANDLERS[args.command](doc, settings, seed)
     except ConfigError as exc:
         print(f"gaugekit: {exc}", file=sys.stderr)

@@ -361,6 +361,7 @@ class TestConfigLoading:
          "samples.target"),
         ("verify", dict(BASE_DOC, basis={"kind": "singletons", "points": [[0], [3]],
                                          "nonneg": "false"}), "basis.nonneg"),
+        ("case-study", dict(CASE_DOC, gauge="(cvar 1.5)"), "gauge"),
     ])
     def test_non_numeric_value_names_its_key(self, tmp_path, capsys, command, doc, key):
         code = main([command, "--config", write_config(tmp_path, doc)])
@@ -406,6 +407,13 @@ class TestConfigLoading:
          "space.points"),
         (dict(BASE_DOC, space={"points": []}), [], None, "space.points"),
         (BASE_DOC, ["--out", "/nonexistent/dir/x.csv"], None, "--out"),
+        (dict(BASE_DOC, space={"points": [[0], [1], [2], [3]],
+                               "weights": [float("nan"), 0.5, 0.25, 0.25]}),
+         [], None, "space.weights"),
+        (dict(BASE_DOC, cost={"values": [0, 1, float("nan"), 3]}), [], None, "cost.values"),
+        (dict(BASE_DOC, space={"points": [[0], [1], [2], [3]], "weights": [0.5, 0.5]}),
+         [], None, "space.weights"),
+        (dict(BASE_DOC, cost={"expression": 5}), [], None, "cost.expression"),
     ])
     def test_out_of_range_setting_names_its_source(self, tmp_path, capsys, monkeypatch,
                                                    doc, flags, env_seed, key):
@@ -416,6 +424,47 @@ class TestConfigLoading:
         code = main(["duality-check", "--config", write_config(tmp_path, doc)] + flags)
         assert code == 1
         assert capsys.readouterr().err.startswith(f"gaugekit: {key}: ")
+
+    @pytest.mark.parametrize("command, doc, path", [
+        ("duality-check", BASE_DOC, "seed"),
+        ("duality-check", BASE_DOC, "solver"),
+        ("duality-check", dict(BASE_DOC, solver={}), "solver.tol"),
+        ("duality-check", dict(BASE_DOC, solver={}), "solver.max-iter"),
+        ("duality-check", dict(BASE_DOC, space={"points": [[0], [1], [2], [3]]}),
+         "space.weights"),
+        ("verify", BASE_DOC, "basis"),
+        ("verify", dict(BASE_DOC, basis={"kind": "singletons", "points": [[0], [3]]}),
+         "basis.nonneg"),
+        ("verify", BASE_DOC, "stages"),
+        ("verify", BASE_DOC, "tau"),
+        ("envelope-sweep", dict(SWEEP_DOC, samples={"sizes": [4]}), "samples.target"),
+    ])
+    def test_null_counts_as_absent(self, tmp_path, capsys, monkeypatch, command, doc, path):
+        monkeypatch.delenv("GAUGEKIT_SEED", raising=False)
+        nulled = json.loads(json.dumps(doc))
+        *blocks, key = path.split(".")
+        block = nulled
+        for name in blocks:
+            block = block[name]
+        block[key] = None
+        runs = []
+        for run in (doc, nulled):
+            code = main([command, "--config", write_config(tmp_path, run)])
+            runs.append((code, capsys.readouterr()))
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
+
+    def test_docstring_documents_the_config_table(self):
+        def paths(shape, path):
+            if isinstance(shape, dict):
+                return [leaf for key, sub in shape.items()
+                        for leaf in paths(sub, f"{path}.{key}" if path else key)]
+            if isinstance(shape, list):
+                return paths(shape[0], path + "[]")
+            return [path]
+
+        block = cli.__doc__.split("Configuration\n")[1].split("Cost expressions")[0]
+        assert re.findall(r"^    (\S+)", block, re.M) == paths(cli._CONFIG, "")
 
     def test_largest_seed_samples_a_space(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("GAUGEKIT_SEED", raising=False)
@@ -716,6 +765,37 @@ class TestVerify:
         names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
         assert "stages-monotone" in names and "threshold-sensitivity" in names
         assert tols and set(tols) == {1e-7}
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# each command section's JSON config, command and printed table
+README_RUNS = re.findall(r"```json\n(.*?)```\s*```\n\$ gaugekit (\S+) --config \S+\n(.*?)```",
+                         README.read_text(), re.S)
+
+
+@pytest.mark.parametrize("config, command, table", README_RUNS,
+                         ids=[run[1] for run in README_RUNS])
+def test_readme_commands_print_their_tables(tmp_path, capsys, monkeypatch,
+                                            config, command, table):
+    monkeypatch.delenv("GAUGEKIT_SEED", raising=False)
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    assert main([command, "--config", str(path)]) == 0
+    got = [line.split() for line in capsys.readouterr().out.splitlines()]
+    want = [line.split() for line in table.splitlines()]
+    assert [len(row) for row in got] == [len(row) for row in want]
+    for got_cell, want_cell in zip(sum(got, []), sum(want, [])):
+        try:
+            value = float(want_cell)
+        except ValueError:
+            assert got_cell == want_cell
+        else:
+            assert abs(float(got_cell) - value) <= 1e-9 * (1.0 + abs(value)), want_cell
+
+
+def test_readme_shows_every_command():
+    assert sorted(run[1] for run in README_RUNS) == sorted(cli.COMMANDS)
 
 
 class TestScript:
