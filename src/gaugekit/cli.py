@@ -379,9 +379,14 @@ def _reported_as(field):
 
 
 def _as_number(value, field):
+    """value as a float; an integer too large for one reads as infinite, so
+    each reader's range check names the field."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{field}: must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _as_integer(value, field):
@@ -430,6 +435,8 @@ def _as_array(value, field):
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"{field}: must be numbers")
+    except OverflowError:
+        raise ConfigError(f"{field}: must be finite")
 
 
 def _as_values(value, field):
@@ -581,6 +588,8 @@ def _build_problem(config, seed):
     cost = _cost(config)
     if callable(cost):
         cost = np.array([cost(pt) for pt in space.points])
+        if not np.isfinite(cost).all():
+            raise ConfigError("cost.expression: must be finite")
     elif len(cost) != space.size:
         raise ConfigError(f"cost.values: {len(cost)} entries for {space.size} points")
     gauge, epsilon = _need(config, "gauge epsilon")

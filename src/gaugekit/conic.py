@@ -9,24 +9,33 @@ The solver is the primal-dual interior-point method of CVXOPT's conelp
 Mehrotra predictor-corrector steps with Nesterov-Todd scaling on the
 homogeneous self-dual embedding, whose rays give infeasibility and
 unboundedness certificates as in ECOS (Domahidi, Chu & Boyd, ECC 2013). An
-iteration factors one reduced system, A' W^-2 A over the cone rows bordered
-by the zero rows, of the size of the variables plus the zero rows; its
-nonnegative rows add up from the products of nonzeros of A that share a row,
-so their cost follows the nonzeros, not the dense matrix. Zero rows
-may be rank-deficient (flow-balance rows sum to zero), so the factored matrix
-carries a static regularisation and each solve is refined against the
-unregularised system. All PSD blocks of one side are handled as one batch.
+iteration solves three systems with one KKT matrix K = [[0, G'], [G, -I_K]],
+G = W^-T A and I_K the identity on the cone rows. Zero rows may be
+rank-deficient (flow-balance rows sum to zero), so every factored matrix
+carries a static regularisation and every solve is refined against the
+unregularised matrix until its residual is at rounding level or stops
+falling. All PSD blocks of one side are handled as one batch.
 
-How A and G = W^-T A are stored is picked once per solve from the size of A.
-Up to 2^15 entries (m n) both are dense arrays, and G is formed from A every
-iteration. Above, A is a CSR array and G a CSR array of fixed pattern whose
-values are refilled every iteration: A's pattern on the zero and nonnegative
-rows, and a dense block over the columns that the second-order and PSD rows
-touch. The iteration is the same on both sides; only the storage differs.
-The cut exists because a sparse product pays some microseconds of dispatch
-whatever its size: on the small programs of a duality check or a walk that
-costs more than the dense product, while a large envelope LP, with three
-nonzeros a row, is mostly zeros.
+How K is solved is picked once per solve from its size, (m + n)^2 entries.
+Up to 2^15, A and G are dense arrays, G is formed from A every iteration and
+K itself is LU-factored with delta on the x block and -delta on the zero
+rows, which makes it quasi-definite (_WholeSystem); a refinement pass costs
+one product with K. Above, A is a CSR array and G a CSR array of fixed
+pattern whose values are refilled every iteration: A's pattern on the zero
+and nonnegative rows, and a dense block over the columns that the
+second-order and PSD rows touch. There the cone rows are eliminated
+(_ReducedSystem): the factored matrix is A' W^-2 A over the cone rows
+bordered by the zero rows, of the size of the variables plus the zero rows,
+and its nonnegative rows add up from the products of nonzeros of A that
+share a row, so their cost follows the nonzeros, not the dense matrix.
+Refinement has two levels: each reduced solve is refined against the
+unregularised bordered matrix, one small dense product a pass, and each
+solve of K against K, two sparse products a pass. The cut exists because a
+sparse product pays some microseconds of dispatch whatever its size: on the
+small programs of a duality check or a walk that costs more than the dense
+product, while a large envelope LP, with three nonzeros a row, is mostly
+zeros, and an LU of its K would cost far more than that of the reduced
+matrix.
 """
 
 from __future__ import annotations
@@ -122,8 +131,9 @@ _INFEAS_TOL = 1e-7
 _STATIC_REG = 1e-10
 _REFINE = 8
 _STEP = 0.99
-# a program whose A has more entries than this, m n, is solved with A and
-# G = W^-T A held sparse; below it they are dense (see _matrix and _Operators)
+# a program whose KKT matrix has more entries than this, (m + n)^2, is solved
+# with A and G = W^-T A held sparse and its cone rows eliminated; below it
+# they are dense and K is factored whole (see _matrix and _Operators)
 _SPARSE_CUT = 2 ** 15
 
 
@@ -194,7 +204,8 @@ class _ConePlan:
     few array ops: index arrays for the zero and the nonnegative rows, a slice
     per second-order block and a (blocks x rows) index array per PSD side,
     with curved the index array of both. unit is the identity element of the
-    cone rows and cone their 0/1 mask.
+    cone rows and cone their 0/1 mask; soc_j holds, per second-order block,
+    the diagonal of J = diag(1, -1, ..., -1) and J itself.
     """
 
     def __init__(self, cones):
@@ -210,6 +221,8 @@ class _ConePlan:
                 psd.setdefault(cone.dim, []).append(np.arange(at, at + cone.rows))
             at += cone.rows
         self.psd = [(side, np.stack(blocks)) for side, blocks in psd.items()]
+        signs = [np.r_[1.0, -np.ones(blk.stop - blk.start - 1)] for blk in self.soc]
+        self.soc_j = [(sign, np.diag(sign)) for sign in signs]
         self.unit = np.zeros(at)
         self.unit[self.nonneg] = 1.0
         self.unit[[blk.start for blk in self.soc]] = 1.0
@@ -240,9 +253,14 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _soc_det(x: np.ndarray) -> float:
-    """sqrt(x' J x) for x inside a second-order cone, J = diag(1, -1, ..., -1)."""
+    """sqrt(x' J x) for x inside a second-order cone, J = diag(1, -1, ..., -1).
+    Outside it raises FloatingPointError, as np.sqrt does under the solver's
+    errstate."""
     rest = _norm(x[1:])
-    return float(np.sqrt((x[0] - rest) * (x[0] + rest)))
+    det = (x[0] - rest) * (x[0] + rest)
+    if det < 0.0:
+        raise FloatingPointError("point outside the second-order cone")
+    return math.sqrt(det)
 
 
 class _Scaling:
@@ -252,6 +270,8 @@ class _Scaling:
     are 1 off those rows), a second-order block by the symmetric
     W = beta (2 v v' - J) and its inverse, and PSD blocks of one side factors
     r and rti = r^-T of W(u) = r' u r from a batched SVD, so lam is diagonal.
+    For max_step it keeps lam on the nonnegative rows, and per second-order
+    block sqrt(lam'J lam) with lam over it.
     """
 
     def __init__(self, plan: _ConePlan, s: np.ndarray, z: np.ndarray):
@@ -261,18 +281,21 @@ class _Scaling:
         self.d = np.ones_like(s)
         self.d[plan.nonneg] = np.sqrt(sn / zn)
         self.dinv = 1.0 / self.d
-        self.lam[plan.nonneg] = np.sqrt(sn * zn)
-        self.soc = []
-        for blk in plan.soc:
-            sdet, zdet = _soc_det(s[blk]), _soc_det(z[blk])
-            jay = np.diag(np.r_[1.0, -np.ones(blk.stop - blk.start - 1)])
-            sbar, jzbar = s[blk] / sdet, jay @ z[blk] / zdet
-            v = (sbar + jzbar) / np.sqrt(2.0 + 2.0 * (s[blk] @ z[blk]) / (sdet * zdet))
+        self.lam_n = self.lam[plan.nonneg] = np.sqrt(sn * zn)
+        self.soc, self.boost = [], []
+        for blk, (sign, jay) in zip(plan.soc, plan.soc_j):
+            sk, zk = s[blk], z[blk]
+            sdet, zdet = _soc_det(sk), _soc_det(zk)
+            sbar, jzbar = sk / sdet, sign * zk / zdet
+            v = (sbar + jzbar) / math.sqrt(2.0 + 2.0 * (sk @ zk) / (sdet * zdet))
             v[0] += 1.0
-            v /= np.sqrt(2.0 * v[0])
-            fwd = np.sqrt(sdet / zdet) * (2.0 * np.outer(v, v) - jay)
-            self.soc.append((fwd, np.sqrt(zdet / sdet) * (2.0 * np.outer(jay @ v, jay @ v) - jay)))
-            self.lam[blk] = fwd @ z[blk]
+            v /= math.sqrt(2.0 * v[0])
+            jv = sign * v
+            fwd = math.sqrt(sdet / zdet) * (2.0 * np.outer(v, v) - jay)
+            self.soc.append((fwd, math.sqrt(zdet / sdet) * (2.0 * np.outer(jv, jv) - jay)))
+            self.lam[blk] = fwd @ zk
+            det = _soc_det(self.lam[blk])
+            self.boost.append((det, self.lam[blk] / det))
         self.psd = []
         for side, idx in plan.psd:
             ls, lz = np.linalg.cholesky(unsvec(np.stack([s[idx], z[idx]]), side))
@@ -324,57 +347,54 @@ class _Scaling:
             out[idx] = rhs[idx] * (2.0 / (sig[:, rows] + sig[:, cols]))
         return out
 
-    def max_step(self, delta: np.ndarray) -> float:
-        """t with lam + a delta in the cone for all 0 <= a < 1/t (any a if t <= 0)."""
-        plan, lam = self.plan, self.lam
-        t = float(np.max(-delta[plan.nonneg] / lam[plan.nonneg], initial=-np.inf))
-        for blk in plan.soc:
+    def max_step(self, *deltas: np.ndarray) -> float:
+        """t with lam + a delta in the cone for all 0 <= a < 1/t and every
+        delta given (any a if t <= 0)."""
+        plan = self.plan
+        t = max(-float((delta[plan.nonneg] / self.lam_n).min(initial=np.inf)) for delta in deltas)
+        for blk, (det, lk) in zip(plan.soc, self.boost):
             # the Lorentz boost taking lam / sqrt(lam'J lam) to the unit
-            det = _soc_det(lam[blk])
-            lk, dk = lam[blk] / det, delta[blk]
-            y0 = lk[0] * dk[0] - lk[1:] @ dk[1:]
-            y1 = dk[1:] - (dk[0] + y0) / (lk[0] + 1.0) * lk[1:]
-            t = max(t, (_norm(y1) - y0) / det)
+            for dk in [delta[blk] for delta in deltas]:
+                y0 = lk[0] * dk[0] - lk[1:] @ dk[1:]
+                y1 = dk[1:] - (dk[0] + y0) / (lk[0] + 1.0) * lk[1:]
+                t = max(t, (_norm(y1) - y0) / det)
         for (side, idx), (_, _, sig) in zip(plan.psd, self.psd):
             root = 1.0 / np.sqrt(sig)
-            rel = unsvec(delta[idx], side) * root[:, :, None] * root[:, None, :]
+            rel = unsvec(np.stack([delta[idx] for delta in deltas]), side) * root[:, :, None]
+            rel *= root[:, None, :]
             t = max(t, float(-np.min(np.linalg.eigvalsh(rel))))
         return t
 
 
 def _matrix(program: ConicProgram):
     """A as the solver stores it, duplicate triplets summed: a numpy array
-    when it has at most _SPARSE_CUT entries, a CSR array above."""
+    when the KKT matrix, (m + n) square, has at most _SPARSE_CUT entries, a
+    CSR array above."""
     m, n = program.num_rows, program.num_vars
-    if m * n <= _SPARSE_CUT:
+    if (m + n) ** 2 <= _SPARSE_CUT:
         return program.dense_matrix()
     a = sparse.csr_array((program.a_vals, (program.a_rows, program.a_cols)), shape=(m, n))
     a.sum_duplicates()
     return a
 
 
-def _entries(program: ConicProgram, a):
-    """A's entries (row, col, value) in row-major order, duplicate triplets
-    summed, read from a as _matrix stores it."""
-    if sparse.issparse(a):
-        return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr)), a.indices, a.data
-    n = program.num_vars
-    rows, cols = np.divmod(np.unique(program.a_rows * n + program.a_cols), n)
-    return rows, cols, a[rows, cols]
+def _entries(a):
+    """The entries (row, col, value) of the CSR array a in row-major order."""
+    return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr)), a.indices, a.data
 
 
-def _pairs(program: ConicProgram, a, nonneg: np.ndarray):
-    """The products of the nonzeros of A that share a nonnegative row, as
-    arrays (per_row, flat, prod) over the pairs of entries (row, p),
-    (row, q) with p <= q, in row order, per_row counting them by row. The
-    entries are a's, as _entries reads them; flat is p n + q, so
-    A_N' diag(w) A_N is the bincount of flat weighted by prod times w
-    repeated per_row times, mirrored below the diagonal. Built once per solve.
+def _pairs(a, nonneg: np.ndarray):
+    """The products of the nonzeros of the CSR array A that share a
+    nonnegative row, as arrays (per_row, flat, prod) over the pairs of
+    entries (row, p), (row, q) with p <= q, in row order, per_row counting
+    them by row. flat is p n + q, so A_N' diag(w) A_N is the bincount of
+    flat weighted by prod times w repeated per_row times, mirrored below the
+    diagonal. Built once per solve.
     """
-    n = program.num_vars
-    on = np.zeros(program.num_rows, dtype=bool)
+    m, n = a.shape
+    on = np.zeros(m, dtype=bool)
     on[nonneg] = True
-    rows, cols, vals = _entries(program, a)
+    rows, cols, vals = _entries(a)
     keep = on[rows] & (vals != 0.0)
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
     # entries are sorted by row, then column; each pairs with itself and
@@ -389,32 +409,42 @@ def _pairs(program: ConicProgram, a, nonneg: np.ndarray):
     del second
     flat += cols[first] * n
     prod *= vals[first]
-    return np.bincount(rows[first], minlength=program.num_rows), flat, prod
+    return np.bincount(rows[first], minlength=m), flat, prod
 
 
 class _Operators:
-    """A, A', the _pairs of A and the makings of G = W^-T A for one solve,
-    stored as _matrix picks. Dense, G is W^-T applied to A every iteration.
-    Sparse, G is a CSR array built once: A's pattern on the zero and
-    nonnegative rows, there d^-1 times A's values, and a dense block on the
-    second-order and PSD rows C over the columns they touch, there W^-T
-    applied to that block alone. Its values are refilled in place every
-    iteration, and G' is its transpose sharing them. Either way scaled gives
-    G, G' and G_C, the block of G that H adds on h[block].
+    """A and A' for one solve, stored as _matrix picks: dense when K has at
+    most _SPARSE_CUT entries, (m + n)^2, and CSR above. Also what system
+    needs to build the KKT system of a scaling W. Dense, where K is
+    factored whole (_WholeSystem), that is K's diagonal with and without
+    the static regularisation. Sparse, where the cone rows are eliminated
+    and refinement has two levels (_ReducedSystem), it is the _pairs of A,
+    the constant blocks of the bordered matrix, and G = W^-T A as a CSR
+    array built once: A's pattern on the zero and nonnegative rows, there
+    d^-1 times A's values, and a dense block on the second-order and PSD
+    rows C over the columns they touch, there W^-T applied to that block
+    alone. Its values are refilled in place every iteration, and G' is its
+    transpose sharing them; scaled gives G, G' and G_C, the block of G that
+    H adds on h[block].
     """
 
     def __init__(self, program: ConicProgram, plan: _ConePlan):
         self.plan = plan
         self.a = _matrix(program)
         self.at = self.a.T
-        self.pairs = _pairs(program, self.a, plan.nonneg)
-        self.a_zero = self.a[plan.zero]
-        self.block = np.s_[:, :]
+        m, n = self.a.shape
         if not sparse.issparse(self.a):
+            # K's diagonal is 0 on x and -1 on the cone rows; regularised,
+            # delta on x and -delta on the zero rows
+            self.diag = np.r_[np.zeros(n), -plan.cone]
+            self.reg_diag = self.diag + _STATIC_REG * np.r_[np.ones(n), plan.cone - 1.0]
             return
-        self.a_zero = self.a_zero.toarray()
-        m = program.num_rows
-        rows, cols, vals = _entries(program, self.a)
+        self.pairs = _pairs(self.a, plan.nonneg)
+        a_zero = self.a[plan.zero].toarray()
+        self.bordered = np.zeros((n + len(plan.zero),) * 2)
+        self.bordered[:n, n:] = a_zero.T
+        self.bordered[n:, :n] = a_zero
+        rows, cols, vals = _entries(self.a)
         linear = np.ones(m, dtype=bool)
         linear[plan.curved] = False
         linear = linear[rows]
@@ -435,77 +465,124 @@ class _Operators:
                                   shape=self.a.shape)
         self.gt = self.g.T
 
+    def system(self, scaling: _Scaling):
+        """The KKT system of the scaling: a _WholeSystem when A is dense, a
+        _ReducedSystem when it is sparse."""
+        return _ReducedSystem(self, scaling) if sparse.issparse(self.a) else _WholeSystem(self, scaling)
+
     def scaled(self, scaling: _Scaling):
-        """(G, G', G_C) for G = W^-T A under the scaling."""
-        if not sparse.issparse(self.a):
-            g = scaling.apply(self.a, inverse=True, transpose=True)
-            return g, g.T, g[self.plan.curved]
+        """(G, G', G_C) for G = W^-T A under the scaling, on the sparse side."""
         gc = scaling.inv_t_curved(self.a_curved, self.curved_plan)
         np.multiply(np.repeat(scaling.dinv, self.lengths), self.base, out=self.g.data)
         self.g.data[self.at_curved] = gc.ravel()
         return self.g, self.gt, gc
 
 
-def _gram(n: int, pairs, scaling: _Scaling, gc: np.ndarray, block) -> np.ndarray:
-    """H = G_K' G_K (n x n) for G = W^-T A: A_N' W_N^-2 A_N over the
-    nonnegative rows from the products that _pairs lists, plus G_C' G_C over
-    the second-order and PSD rows C, with gc those rows of G on the columns
-    that h[block] indexes."""
+def _gram(n: int, pairs, scaling: _Scaling, gc: np.ndarray, block, out: np.ndarray) -> np.ndarray:
+    """H = G_K' G_K (n x n) for G = W^-T A, written into out: A_N' W_N^-2 A_N
+    over the nonnegative rows from the products that _pairs lists, plus
+    G_C' G_C over the second-order and PSD rows C, with gc those rows of G on
+    the columns that h[block] indexes."""
     per_row, flat, prod = pairs
     w = np.repeat(scaling.dinv, per_row)
     weights = prod * w
     weights *= w
     upper = np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
-    h = (upper + upper.T).astype(float, copy=False)  # bincount of no pairs is int
-    h.flat[::n + 1] = upper.flat[::n + 1]
+    h = np.add(upper, upper.T, out=out)
+    np.fill_diagonal(h, upper.diagonal())
     h[block] += gc.T @ gc
     return h
 
 
+def _refined(solve, product, rhs: np.ndarray) -> np.ndarray:
+    """solve(rhs), where solve approximately inverts the matrix that product
+    applies, refined against that matrix until the residual is at rounding
+    level or stops falling."""
+    u = solve(rhs)
+    floor, last = 1e-14 * (1.0 + _norm(rhs)), np.inf
+    for _ in range(_REFINE):
+        r = rhs - product(u)
+        err = _norm(r)
+        if err <= floor or err >= last:
+            break
+        last = err
+        u = u + solve(r)
+    return u
+
+
+def _factor(mat: np.ndarray, reg_diag: np.ndarray):
+    """The solve with dgetrf's LU of mat with its diagonal set to reg_diag;
+    mat is left as it was."""
+    diag = mat.diagonal().copy()
+    np.fill_diagonal(mat, reg_diag)
+    lu, piv, info = lapack.dgetrf(mat)
+    np.fill_diagonal(mat, diag)
+    if info:
+        raise np.linalg.LinAlgError("singular KKT system")
+    return lambda rhs: lapack.dgetrs(lu, piv, rhs)[0]
+
+
+class _WholeSystem:
+    """Solves K [ux; uw] = [bx; bw] below the size cut, when K has at most
+    _SPARSE_CUT entries, (m + n)^2, with K = [[0, G'], [G, -I_K]],
+    G = W^-T A dense and I_K the identity on the cone rows: uw is W uz on
+    the cone rows and the free duals on the zero rows E. K itself is
+    LU-factored once with the static regularisation delta on the x block
+    and -delta on E, which makes it quasi-definite, and each solve is
+    refined against K, one product a pass.
+    """
+
+    def __init__(self, ops: _Operators, scaling: _Scaling):
+        self.n = n = ops.a.shape[1]
+        g = scaling.apply(ops.a, inverse=True, transpose=True)
+        self.k = np.zeros((len(ops.diag),) * 2)
+        self.k[:n, n:] = g.T
+        self.k[n:, :n] = g
+        np.fill_diagonal(self.k, ops.diag)
+        self.lu_solve = _factor(self.k, ops.reg_diag)
+
+    def solve(self, bx: np.ndarray, bw: np.ndarray):
+        u = _refined(self.lu_solve, self.k.dot, np.concatenate([bx, bw]))
+        return u[:self.n], u[self.n:]
+
+
 class _ReducedSystem:
-    """Solves K [ux; uw] = [bx; bw], K = [[0, G'], [G, -I_K]], G = W^-T A,
-    with I_K the identity on the cone rows: uw is W uz on the cone rows and
-    the free duals on the zero rows E. Eliminating the cone rows leaves
-    [[H, E'], [E, 0]] with H = G_K' G_K; it is factored once with reg (1 + H_ii)
-    added on the H diagonal and -reg on the E block, and each solve is refined
-    against K itself. H comes from _gram, and G and G' from ops: dense
-    arrays below the size cut, CSR arrays above it, with the same products.
+    """Solves the K [ux; uw] = [bx; bw] of _WholeSystem above the size cut,
+    when K has more than _SPARSE_CUT entries, (m + n)^2, with G and G' the
+    CSR arrays of ops. Eliminating the cone rows leaves the
+    bordered matrix [[H, E'], [E, 0]] with H = G_K' G_K from _gram; it is
+    factored once with reg (1 + H_ii) added on the H diagonal and -reg on
+    the E block. Refinement is two-level: each reduced solve is refined
+    against the unregularised bordered matrix, a dense product a pass, and
+    each solve of K against K itself, with two sparse products a pass.
     """
 
     def __init__(self, ops: _Operators, scaling: _Scaling):
         self.zero, self.cone = scaling.plan.zero, scaling.plan.cone
         self.g, self.gt, gc = ops.scaled(scaling)
-        n, p = ops.a.shape[1], len(self.zero)
-        mat = np.zeros((n + p, n + p))
-        mat[:n, :n] = _gram(n, ops.pairs, scaling, gc, ops.block)
-        mat.flat[::n + p + 1] += _STATIC_REG * np.concatenate([1.0 + np.diag(mat)[:n], -np.ones(p)])
-        mat[:n, n:] = ops.a_zero.T
-        mat[n:, :n] = ops.a_zero
-        self.lu, self.piv, info = lapack.dgetrf(mat)
-        if info:
-            raise np.linalg.LinAlgError("singular reduced system")
+        self.n = n = ops.a.shape[1]
+        self.mat = ops.bordered.copy()
+        _gram(n, ops.pairs, scaling, gc, ops.block, self.mat[:n, :n])
+        h_diag = self.mat.diagonal()[:n]
+        self.lu_solve = _factor(self.mat, np.r_[h_diag + _STATIC_REG * (1.0 + h_diag),
+                                                 -_STATIC_REG * np.ones(len(self.zero))])
 
-    def _reduced(self, bx: np.ndarray, bw: np.ndarray):
-        n = len(bx)
+    def _reduced(self, b: np.ndarray) -> np.ndarray:
+        n = self.n
+        bx, bw = b[:n], b[n:]
         rhs = np.concatenate([bx + self.gt @ (self.cone * bw), bw[self.zero]])
-        u = lapack.dgetrs(self.lu, self.piv, rhs)[0]
+        u = _refined(self.lu_solve, self.mat.dot, rhs)
         uw = self.g @ u[:n] - bw
         uw[self.zero] = u[n:]
-        return u[:n], uw
+        return np.concatenate([u[:n], uw])
+
+    def _product(self, u: np.ndarray) -> np.ndarray:
+        ux, uw = u[:self.n], u[self.n:]
+        return np.concatenate([self.gt @ uw, self.g @ ux - self.cone * uw])
 
     def solve(self, bx: np.ndarray, bw: np.ndarray):
-        """Refined until K's residual is at rounding level or stops falling."""
-        ux, uw = self._reduced(bx, bw)
-        floor, last = 1e-14 * (1.0 + _norm(bx) + _norm(bw)), np.inf
-        for _ in range(_REFINE):
-            rx, rw = bx - self.gt @ uw, bw - self.g @ ux + self.cone * uw
-            err = _norm(rx) + _norm(rw)
-            if err <= floor or err >= last:
-                break
-            last = err
-            dx, dw = self._reduced(rx, rw)
-            ux, uw = ux + dx, uw + dw
-        return ux, uw
+        u = _refined(self._reduced, self._product, np.concatenate([bx, bw]))
+        return u[:self.n], u[self.n:]
 
 
 def residuals(program: ConicProgram, sol: Solution):
@@ -524,11 +601,20 @@ def _residuals(program: ConicProgram, a, sol: Solution):
     return rp, rd, gap
 
 
-def _interior(plan: _ConePlan, v: np.ndarray) -> np.ndarray:
-    """v shifted along the unit into the interior of the cone rows when it is
-    not well inside, as in conelp's starting point."""
-    t = _Scaling(plan, plan.unit, plan.unit).max_step(v)
-    return v + (1.0 + t) * plan.unit if t >= -1e-8 * max(_norm(v), 1.0) else v
+def _start(ops: _Operators, b: np.ndarray, c: np.ndarray):
+    """conelp's starting point (x, s, y): the solutions of two systems at
+    the unit scaling, with s and y shifted along the unit into the interior
+    of the cone rows when they are not well inside."""
+    plan = ops.plan
+    unit = _Scaling(plan, plan.unit, plan.unit)
+    system = ops.system(unit)
+
+    def interior(v):
+        t = unit.max_step(v)
+        return v + (1.0 + t) * plan.unit if t >= -1e-8 * max(_norm(v), 1.0) else v
+
+    x, w = system.solve(np.zeros_like(c), b)
+    return x, interior(-w * plan.cone), interior(system.solve(-c, np.zeros_like(b))[1])
 
 
 def solve(program: ConicProgram, settings: SolveSettings | None = None) -> Solution:
@@ -547,26 +633,24 @@ def solve(program: ConicProgram, settings: SolveSettings | None = None) -> Solut
     a, at = ops.a, ops.at
     bnorm, cnorm = _norm(b), _norm(c)
 
-    start = _ReducedSystem(ops, _Scaling(plan, plan.unit, plan.unit))
-    x, w = start.solve(np.zeros_like(c), b)
-    s = _interior(plan, -w * plan.cone)
-    y = _interior(plan, start.solve(-c, np.zeros_like(b))[1])
+    x, s, y = _start(ops, b, c)
     tau = kappa = 1.0
 
     status = "max_iter"
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         for it in range(st.max_iter + 1):
-            rx, rm = at @ y + c * tau, a @ x + s - b * tau
+            aty, axs = at @ y, a @ x + s
+            rx, rm = aty + c * tau, axs - b * tau
             cx, by = c @ x, b @ y
             if (_norm(rm) <= st.tol * (1.0 + bnorm) * tau
                     and _norm(rx) <= st.tol * (1.0 + cnorm) * tau
                     and abs(cx + by) <= st.tol * (tau + abs(cx) + abs(by))):
                 status = "optimal"
                 break
-            if by < 0.0 and _norm(at @ y) <= _INFEAS_TOL * max(1.0, cnorm) * -by:
+            if by < 0.0 and _norm(aty) <= _INFEAS_TOL * max(1.0, cnorm) * -by:
                 return Solution(np.full_like(c, np.nan), y / -by, np.full_like(b, np.nan),
                                 "infeasible", float("nan"), (float("nan"),) * 3, it)
-            if cx < 0.0 and _norm(a @ x + s) <= _INFEAS_TOL * max(1.0, bnorm) * -cx:
+            if cx < 0.0 and _norm(axs) <= _INFEAS_TOL * max(1.0, bnorm) * -cx:
                 return Solution(x / -cx, np.full_like(b, np.nan), np.full_like(b, np.nan),
                                 "unbounded", float("-inf"), (float("nan"),) * 3, it)
             if it == st.max_iter:
@@ -590,7 +674,7 @@ def _newton_step(ops, b, c, scaling, x, y, s, tau, kappa, rx, rm, rt):
     kappa dtau + tau dkappa = dk_target, as [dx; dw] = v1 + dtau v2 with
     K v2 = [-c; b~]; it goes _STEP of the way to the cone boundary."""
     plan, lam = scaling.plan, scaling.lam
-    system = _ReducedSystem(ops, scaling)
+    system = ops.system(scaling)
     bt, rmt = scaling.apply(np.stack([b, rm], axis=1), inverse=True, transpose=True).T
     mu = (lam @ lam + tau * kappa) / (plan.unit @ plan.unit + 1.0)
     v2x, v2w = system.solve(-c, bt)
@@ -603,7 +687,7 @@ def _newton_step(ops, b, c, scaling, x, y, s, tau, kappa, rx, rm, rt):
         dx, dw = v1x + dtau * v2x, v1w + dtau * v2w
         ds = (shift - dw) * plan.cone
         dkappa = (dk_target - kappa * dtau) / tau
-        t = max(scaling.max_step(ds), scaling.max_step(dw), -dtau / tau, -dkappa / kappa, 0.0)
+        t = max(scaling.max_step(ds, dw), -dtau / tau, -dkappa / kappa, 0.0)
         return dx, dw, ds, dtau, dkappa, t
 
     lam_sq = plan.circ(lam, lam)

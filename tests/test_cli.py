@@ -414,6 +414,9 @@ class TestConfigLoading:
         (dict(BASE_DOC, space={"points": [[0], [1], [2], [3]], "weights": [0.5, 0.5]}),
          [], None, "space.weights"),
         (dict(BASE_DOC, cost={"expression": 5}), [], None, "cost.expression"),
+        (dict(BASE_DOC, epsilon=10 ** 400), [], None, "epsilon"),
+        (dict(BASE_DOC, cost={"values": [0, 1, 10 ** 400, 3]}), [], None, "cost.values"),
+        (dict(BASE_DOC, cost={"expression": "1e308 * 10 * x0"}), [], None, "cost.expression"),
     ])
     def test_out_of_range_setting_names_its_source(self, tmp_path, capsys, monkeypatch,
                                                    doc, flags, env_seed, key):

@@ -20,10 +20,21 @@ from gaugekit.conic import (
 )
 from gaugekit.envelope import build_envelope_program
 from gaugekit.errors import DimensionError, ParameterError
-from gaugekit.gauge import Hemimetric, W1Ball
+from gaugekit.gauge import (
+    CvarGauge,
+    Hemimetric,
+    Intersect,
+    L2Ball,
+    Lipschitz,
+    MinkowskiSum,
+    Polar,
+    Scale,
+    TotalVariation,
+    W1Ball,
+)
 from gaugekit.oracle import reference_lp
-from gaugekit.reformulate import ReweightingProblem
-from gaugekit.space import sample_uniform_box
+from gaugekit.reformulate import ReweightingProblem, build_dual, build_primal
+from gaugekit.space import sample_uniform_box, uniform_space
 
 
 def lp_min_x_geq_1():
@@ -377,9 +388,9 @@ class TestReducedSystemAssembly:
             g[plan.nonneg] = a[plan.nonneg] * np.sqrt(z[plan.nonneg] / s[plan.nonneg])[:, None]
             gk = g[plan.cone == 1.0]
             want = gk.T @ gk
-            got = conic._gram(a.shape[1], conic._pairs(prog, a, plan.nonneg), scaling,
+            got = conic._gram(a.shape[1], conic._pairs(sparse.csr_array(a), plan.nonneg), scaling,
                               scaling.apply(a, inverse=True, transpose=True)[plan.curved],
-                              np.s_[:, :])
+                              np.s_[:, :], np.empty_like(want))
             assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), f"trial {trial}"
 
     def test_sparse_side_matches_the_dense_product(self):
@@ -400,10 +411,95 @@ class TestReducedSystemAssembly:
                 u, w = rng.normal(size=a.shape[1]), rng.normal(size=a.shape[0])
                 for got, want in [(g_sparse @ u, g @ u), (gt_sparse @ w, g.T @ w),
                                   (ops.a @ u, a @ u), (ops.at @ w, a.T @ w),
-                                  (conic._gram(a.shape[1], ops.pairs, scaling, gc, ops.block),
-                                   gk.T @ gk)]:
+                                  (conic._gram(a.shape[1], ops.pairs, scaling, gc, ops.block,
+                                               np.empty((a.shape[1],) * 2)), gk.T @ gk)]:
                     assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), \
                         f"trial {trial}, refill {refill}"
+
+
+class TestKktSolve:
+    def test_rank_deficient_zero_rows_solve_to_a_small_residual(self):
+        """Zero rows whose last is minus the sum of the others make K
+        singular; a right-hand side in its range must still be solved to a
+        small residual against the unregularised K, with an NT scaling whose
+        complementarity s_i z_i is about mu, mu down to 1e-6, and half the
+        nonnegative rows active (s_i small) and half inactive (z_i small).
+        The programs are all below the size cut."""
+        rng = np.random.default_rng(5)
+        for draw in range(200):
+            n, p = int(rng.integers(4, 13)), int(rng.integers(2, 5))
+            q = int(rng.integers(n, 3 * n + 1))
+            e = rng.normal(size=(p - 1, n))
+            a = np.vstack([e, -e.sum(axis=0), rng.normal(size=(q, n))])
+            rows, cols = np.nonzero(a)
+            prog = ConicProgram(c=np.zeros(n), a_rows=rows, a_cols=cols, a_vals=a[rows, cols],
+                                b=np.zeros(p + q), cones=(Cone("zero", p), Cone("nonneg", q)))
+            mu = 10.0 ** rng.uniform(-6.0, 0.0)
+            s = np.where(rng.random(q) < 0.5, mu, 1.0) * rng.uniform(0.5, 2.0, q)
+            z = mu / s * rng.uniform(0.5, 2.0, q)
+            plan = conic._ConePlan(prog.cones)
+            system = conic._Operators(prog, plan).system(
+                conic._Scaling(plan, np.r_[np.ones(p), s], np.r_[np.ones(p), z]))
+            g = np.vstack([a[:p], a[p:] * np.sqrt(z / s)[:, None]])
+            k = np.block([[np.zeros((n, n)), g.T], [g, -np.diag(np.r_[np.zeros(p), np.ones(q)])]])
+            # a right-hand side in K's range: its zero-row part has no
+            # component along the null vector of E'
+            rhs = rng.normal(size=n + p + q)
+            null = np.linalg.svd(a[:p].T)[2][-1]
+            rhs[n:n + p] -= (rhs[n:n + p] @ null) * null
+            ux, uw = system.solve(rhs[:n], rhs[n:])
+            residual = np.linalg.norm(k @ np.r_[ux, uw] - rhs) / np.linalg.norm(rhs)
+            assert residual <= 1e-6, f"draw {draw}: relative residual {residual:.2e}"
+
+
+# the duality suite's gauges, in its order (tests/test_acceptance.py)
+DUALITY_CATALOGUE = [
+    L2Ball(),
+    CvarGauge(0.5),
+    CvarGauge(0.8),
+    TotalVariation(),
+    Polar(Lipschitz(Hemimetric.pnorm(1.0))),
+    Scale(0.7, L2Ball()),
+    Intersect((L2Ball(), Scale(0.5, TotalVariation()))),
+    MinkowskiSum([(0.5, L2Ball()), (0.5, TotalVariation())]),
+]
+
+
+class TestSizeCut:
+    def test_both_sides_of_the_cut_agree(self, monkeypatch):
+        """The primal and dual of the duality suite's first 16 draws, solved
+        with every A dense (whole-K factor) and with every A sparse (reduced
+        system), end with the same statuses and values."""
+        rng = np.random.default_rng(1001)
+        programs = []
+        for trial in range(16):
+            n = int(rng.integers(4, 9))
+            points = np.sort(rng.uniform(0.0, 3.0, n))
+            cost = rng.normal(size=n) * 2.0
+            eps = float(rng.uniform(0.0, 2.0))
+            prob = ReweightingProblem(uniform_space(points), cost,
+                                      DUALITY_CATALOGUE[trial % len(DUALITY_CATALOGUE)], eps)
+            programs += [build_primal(prob), build_dual(prob)]
+        sides = []
+        for cut in (2 ** 40, 0):
+            monkeypatch.setattr(conic, "_SPARSE_CUT", cut)
+            assert all(sparse.issparse(conic._matrix(prog)) == (cut == 0) for prog in programs)
+            sides.append([solve(prog) for prog in programs])
+        for i, (dense, sparse_side) in enumerate(zip(*sides)):
+            assert dense.status == sparse_side.status, f"program {i}"
+            assert abs(dense.value - sparse_side.value) <= 1e-9 * (1.0 + abs(dense.value)), \
+                f"program {i}: {dense.value} dense, {sparse_side.value} sparse"
+
+    def test_cut_counts_the_entries_of_k(self):
+        """A 257 x 18 program has m n = 4626 <= 2^15 entries in A but
+        (m + n)^2 = 75625 > 2^15 in K, so A is stored sparse."""
+        space = sample_uniform_box(0.0, 3.0, 16, 11)
+        problem = ReweightingProblem(space, space.points[:, 0], W1Ball(Hemimetric.pnorm(1.0)), 0.5)
+        prog = build_envelope_program(problem, space.points).program
+        m, n = prog.num_rows, prog.num_vars
+        assert (m, n) == (257, 18)
+        assert m * n <= conic._SPARSE_CUT < (m + n) ** 2
+        assert sparse.issparse(conic._matrix(prog))
 
 
 class TestAboveTheCut:
