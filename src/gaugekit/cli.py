@@ -22,11 +22,11 @@ case-study
     budgets at zero a grid-cvar row is appended, which reads ok when the
     envelope value matches the grid sweep to 1e-4 and breach otherwise.
 verify
-    Pair every applicable independent oracle with every applicable
-    reformulation path for the configured problem (sorted tail
-    averages, greedy swaps, transport plans, closed forms, boundary
-    walks, scalar duals, restricted bases, composition stages,
-    threshold radii), one row per pairing.
+    Price the problem along each independent route that applies (an exact
+    transport, sorted, greedy or closed rule, the conic dual when optimal,
+    the walk, the scalar dual), each looking through positive scale factors
+    into the radius. Each is checked against the first, at the larger
+    tolerance, in a row <first>-vs-<other> that always names the dual second.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical
 failure. Every command prints a table with a status column, and that
@@ -131,21 +131,6 @@ from .conic import SolveSettings
 from .envelope import convergence_sweep
 from .errors import ConfigError, EncodingError, GaugekitError
 from .funcparam import Basis, param_dual_value
-from .gauge import (
-    CvarGauge,
-    Hemimetric,
-    L1Ball,
-    L2Ball,
-    LinfBall,
-    Lipschitz,
-    MomentGauge,
-    Oscillation,
-    PhiDivergence,
-    Polar,
-    TotalVariation,
-    W1Ball,
-    WassersteinP,
-)
 from .oracle import (
     chi2_closed_form,
     cvar_sorted,
@@ -217,28 +202,28 @@ def _parse_sexpr(text, field):
 # optional) or + (it repeats, at least once).
 _GRAMMAR = {
     "metric": {
-        "abs": (lambda: Hemimetric.pnorm(1.0), ""),
-        "euclid": (lambda: Hemimetric.pnorm(2.0), ""),
-        "indicator": (Hemimetric.indicator, ""),
-        "pnorm": (Hemimetric.pnorm, "number"),
+        "abs": (lambda: gauges.Hemimetric.pnorm(1.0), ""),
+        "euclid": (lambda: gauges.Hemimetric.pnorm(2.0), ""),
+        "indicator": (gauges.Hemimetric.indicator, ""),
+        "pnorm": (gauges.Hemimetric.pnorm, "number"),
     },
     "gauge": {
-        "tv": (TotalVariation, ""),
-        "l2ball": (L2Ball, ""),
-        "l1ball": (L1Ball, ""),
-        "linfball": (LinfBall, ""),
-        "oscillation": (Oscillation, ""),
-        "cvar": (CvarGauge, "number"),
-        "chi2": (lambda budget: PhiDivergence("chi2", budget), "number"),
-        "kl": (lambda budget: PhiDivergence("kl", budget), "number"),
-        "divergence": (PhiDivergence, "name number"),
-        "lipschitz": (Lipschitz, "metric"),
-        "w1": (W1Ball, "metric"),
-        "wasserstein": (WassersteinP, "number metric number"),
-        "moment": (lambda order, norm="euclidean": MomentGauge(order, None, norm),
+        "tv": (gauges.TotalVariation, ""),
+        "l2ball": (gauges.L2Ball, ""),
+        "l1ball": (gauges.L1Ball, ""),
+        "linfball": (gauges.LinfBall, ""),
+        "oscillation": (gauges.Oscillation, ""),
+        "cvar": (gauges.CvarGauge, "number"),
+        "chi2": (lambda budget: gauges.PhiDivergence("chi2", budget), "number"),
+        "kl": (lambda budget: gauges.PhiDivergence("kl", budget), "number"),
+        "divergence": (gauges.PhiDivergence, "name number"),
+        "lipschitz": (gauges.Lipschitz, "metric"),
+        "w1": (gauges.W1Ball, "metric"),
+        "wasserstein": (gauges.WassersteinP, "number metric number"),
+        "moment": (lambda order, norm="euclidean": gauges.MomentGauge(order, None, norm),
                    "integer spectral?"),
         "scale": (gauges.Scale, "number gauge"),
-        "polar": (Polar, "gauge"),
+        "polar": (gauges.Polar, "gauge"),
         "intersect": (lambda *children: gauges.Intersect(children), "gauge+"),
         "union": (lambda *children: gauges.ConvexUnion(children), "gauge+"),
         "sum": (lambda *terms: gauges.MinkowskiSum(terms), "term+"),
@@ -353,11 +338,14 @@ def compile_cost(text, field="cost.expression"):
         for i, v in enumerate(point):
             env[f"x{i}"] = float(v)
         try:
-            return float(eval(code, {"__builtins__": {}}, env))
+            value = float(eval(code, {"__builtins__": {}}, env))
         except NameError as exc:
             raise ConfigError(f"{field}: {exc}")
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"{field}: evaluation failed: {exc}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{field}: must be finite")
+        return value
 
     return at
 
@@ -588,8 +576,6 @@ def _build_problem(config, seed):
     cost = _cost(config)
     if callable(cost):
         cost = np.array([cost(pt) for pt in space.points])
-        if not np.isfinite(cost).all():
-            raise ConfigError("cost.expression: must be finite")
     elif len(cost) != space.size:
         raise ConfigError(f"cost.values: {len(cost)} entries for {space.size} points")
     gauge, epsilon = _need(config, "gauge epsilon")
@@ -616,6 +602,60 @@ def _build_basis(basis):
     if kind == "indicator-regions":
         return Basis.indicator_regions(boxes, nonneg=nonneg)
     return Basis.piecewise_affine(boxes)
+
+
+# ---------------------------------------------------------------------------
+# verify's routes
+
+
+def _scalar(p, g, r, dual):
+    """A divergence ball's scalar dual, which takes its radius from the budget."""
+    if isinstance(g, gauges.PhiDivergence) and r == 1.0:
+        return divergence_dual_value(ReweightingProblem(p.space, p.cost, g, 1.0))
+    if isinstance(g, gauges.PhiDivergence) and g.kind == "kl":
+        raise ConfigError("verify: kl checks need epsilon = 1 (the budget already "
+                          "sets the neighborhood size)")
+    return None
+
+
+# name, tolerance, and value: a function of the problem p, its gauge g and
+# radius r seen through positive Scale factors, and the conic dual's value
+# when primal-vs-dual is optimal, else None. A value of None means the route
+# does not apply; _route_pairs checks the others against the first that does.
+_ROUTES = (
+    ("transport", 0.0, lambda p, g, r, dual: (
+        None if (metric := gauges.transport_metric(g)) is None
+        else w1_transport(p.space, p.cost, r, metric))),
+    ("sorted", 0.0, lambda p, g, r, dual: (
+        cvar_sorted(p.space, p.cost, 1.0 - 1.0 / (1.0 + r * g.beta / (1.0 - g.beta)))
+        if isinstance(g, gauges.CvarGauge) and r > 0.0 else None)),
+    ("greedy", 0.0, lambda p, g, r, dual: (
+        tv_greedy(p.space, p.cost, r) if isinstance(g, gauges.TotalVariation) else None)),
+    # a chi-square ball is a Euclidean one where no density floor binds
+    ("closed", 0.0, lambda p, g, r, dual: (
+        chi2_closed_form(p.space, p.cost, r) if isinstance(g, gauges.L2Ball)
+        else chi2_closed_form(p.space, p.cost, r * math.sqrt(g.budget))
+        if isinstance(g, gauges.PhiDivergence) and g.kind == "chi2" else None)),
+    ("dual", 1e-4, lambda p, g, r, dual: dual),
+    ("walk", 1e-3, lambda p, g, r, dual: (
+        frank_wolfe_primal(p, tol=1e-4).value
+        if isinstance(g, gauges.CvarGauge) and r > 0.0
+        or isinstance(g, gauges.PhiDivergence) and g.kind in ("chi2", "kl") else None)),
+    ("scalar", 1e-4, _scalar),
+)
+
+
+def _route_pairs(problem, dual):
+    """Each route that applies against the first, at the larger tolerance, as
+    (check, reference, candidate, tol); the dual is always named second."""
+    g, r = problem.gauge, problem.epsilon
+    while isinstance(g, gauges.Scale) and g.factor > 0.0:
+        g, r = g.child, r * g.factor
+    found = [(name, value, tol) for name, tol, route in _ROUTES
+             for value in [route(problem, g, r, dual)] if value is not None]
+    for other in found[1:]:
+        (a, x, s), (b, y, t) = sorted((found[0], other), key=lambda f: f[0] == "dual")
+        yield f"{a}-vs-{b}", x, y, max(s, t)
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +774,6 @@ def cmd_verify(doc, settings, seed):
     config = _read(doc)
     problem = _build_problem(config, seed)
     space, cost, expr = problem.space, problem.cost, problem.gauge
-    eps = problem.epsilon
     rows = []
 
     def row(check, reference, candidate, diff, tol, good):
@@ -757,50 +796,8 @@ def cmd_verify(doc, settings, seed):
     except EncodingError:
         pass
 
-    if isinstance(expr, CvarGauge) and eps > 0.0:
-        cap = 1.0 + eps * expr.beta / (1.0 - expr.beta)
-        sorted_value = cvar_sorted(space, cost, 1.0 - 1.0 / cap)
-        if dual_value is not None:
-            add("sorted-vs-dual", sorted_value, dual_value, 1e-4)
-        fw = frank_wolfe_primal(problem, tol=1e-4)
-        add("sorted-vs-walk", sorted_value, fw.value, 1e-3)
-
-    if isinstance(expr, TotalVariation) and dual_value is not None:
-        add("greedy-vs-dual", tv_greedy(space, cost, eps), dual_value, 1e-4)
-
-    metric = gauges.transport_metric(expr)
-    if metric is not None and dual_value is not None:
-        add("transport-vs-dual", w1_transport(space, cost, eps, metric),
-            dual_value, 1e-4)
-
-    if isinstance(expr, PhiDivergence):
-        if expr.kind == "chi2":
-            closed = chi2_closed_form(space, cost, eps * math.sqrt(expr.budget))
-            scalar = divergence_dual_value(problem) if eps == 1.0 else None
-            fw = frank_wolfe_primal(problem, tol=1e-4)
-            if closed is not None:
-                if dual_value is not None:
-                    add("closed-vs-dual", closed, dual_value, 1e-4)
-                add("closed-vs-walk", closed, fw.value, 1e-3)
-                if scalar is not None:
-                    add("closed-vs-scalar", closed, scalar, 1e-4)
-            elif dual_value is not None:
-                add("walk-vs-dual", fw.value, dual_value, 1e-3)
-                if scalar is not None:
-                    add("scalar-vs-dual", scalar, dual_value, 1e-4)
-        if expr.kind == "kl":
-            if eps != 1.0:
-                raise ConfigError(
-                    "verify: kl checks need epsilon = 1 (the budget already "
-                    "sets the neighborhood size)")
-            scalar = divergence_dual_value(problem)
-            fw = frank_wolfe_primal(problem, tol=1e-4)
-            add("walk-vs-scalar", fw.value, scalar, 1e-3)
-
-    if isinstance(expr, L2Ball):
-        closed = chi2_closed_form(space, cost, eps)
-        if closed is not None and dual_value is not None:
-            add("closed-vs-dual", closed, dual_value, 1e-4)
+    for pair in _route_pairs(problem, dual_value):
+        add(*pair)
 
     if "basis" in config:
         with _reported_as("basis"):

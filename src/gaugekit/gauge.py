@@ -18,8 +18,8 @@ hooks, each with a default, and a class overrides only the ones it knows:
 
 A new atom overrides ``_polar`` and ``_encode`` where they exist and
 ``_gauge`` where a closed form beats the default program. The functions
-polar, gauge_value, support_value, slack, membership and encode_epigraph check
-their arguments once and hand over to the class. Combinators (scaling,
+polar, gauge_value, support_value, slack and encode_epigraph check their
+arguments once and hand over to the class. Combinators (scaling,
 intersection, convex union, Minkowski sum, polarity) are classes too: they
 rewrite structurally where an exact rule exists and split the argument
 across their children where it does not.
@@ -935,11 +935,6 @@ def slack(expr: GaugeExpr, space: DiscreteSpace, u, t: float) -> float:
     if not (t > 0.0):
         raise ParameterError("membership level t must be positive")
     return expr._slack(space, per_atom(space, u, "deviation"), t)
-
-
-def membership(expr: GaugeExpr, space: DiscreteSpace, u, t: float) -> bool:
-    """Closure-tolerant test u in t * set (t must be positive)."""
-    return slack(expr, space, u, t) <= 0.0
 
 
 def encode_epigraph(b: ProgramBuilder, expr: GaugeExpr, space: DiscreteSpace, u, t):

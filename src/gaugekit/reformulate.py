@@ -142,6 +142,14 @@ def divergence_dual_value(problem: ReweightingProblem) -> float:
     f = problem.cost
     p = problem.space.weights
     budget = problem.gauge.budget
+    if problem.gauge.kind == "tv":
+        # for each gamma the least feasible alpha, max f - gamma, is optimal,
+        # and what is left is convex and piecewise linear in gamma with its
+        # kinks at (max f - f_i) / 2, so its least value is at a kink or at 0
+        top = float(np.max(f))
+        gammas = np.concatenate(([0.0], (top - f) / 2.0))
+        tails = p @ np.maximum(f[:, None] - top + gammas, -gammas)
+        return float(np.min(top + gammas * (budget - 1.0) + tails))
     conj = _conjugate(problem.gauge.kind)
     lo_a = float(np.min(f)) - (float(np.ptp(f)) + 1.0)
     hi_a = float(np.max(f)) + 1.0

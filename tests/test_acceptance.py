@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gaugekit import conic
+from gaugekit import cli, conic
 from gaugekit.casestudy import (
     CaseInstance,
     build_case_envelope_lp,
@@ -20,6 +20,7 @@ from gaugekit.casestudy import (
     solve_case,
 )
 from gaugekit.conic import SolveSettings
+from gaugekit.errors import ConfigError, EncodingError
 from gaugekit.envelope import build_envelope_program, convergence_sweep, solve_envelope
 from gaugekit.funcparam import Basis, param_dual_value
 from gaugekit.gauge import (
@@ -59,7 +60,7 @@ from gaugekit.reformulate import (
     primal_solution,
     satisficing_dual,
 )
-from gaugekit.space import expectation, sample_uniform_box, uniform_space
+from gaugekit.space import DiscreteSpace, expectation, sample_uniform_box, uniform_space
 
 BASE = uniform_space([0.0, 1.0, 2.0, 3.0])
 F = np.array([0.0, 1.0, 2.0, 3.0])
@@ -416,3 +417,73 @@ def test_limit_behaviour():
     assert satisficing_dual(problem(TotalVariation(), 0.5), 1.0) is None
     at_max = satisficing_dual(problem(TotalVariation(), 0.5), 3.0)
     assert at_max is not None and abs(at_max) <= 1e-9
+
+
+def test_route_agreement(monkeypatch):
+    # verify's route list on 200 random problems: gauges drawn from every
+    # atom head of the grammar, a third inside (scale c .), on 3 to 8 points,
+    # half with Dirichlet weights. Every pair of routes that applies agrees
+    # within its tolerance, within half a minute. The walk is left out: its
+    # converged can be false on chi-square and kl draws (ROADMAP item 1).
+    monkeypatch.setattr(cli, "_ROUTES", [r for r in cli._ROUTES if r[0] != "walk"])
+    rng = np.random.default_rng(2401)
+
+    def metric():
+        return str(rng.choice(["abs", "euclid", "indicator", "(pnorm 1.5)"]))
+
+    def budget():
+        return f"{10.0 ** rng.uniform(-2.0, 0.7):.6g}"
+
+    arguments = {  # atom head -> its drawn arguments
+        "tv": None, "l2ball": None, "l1ball": None, "linfball": None, "oscillation": None,
+        "cvar": lambda: f"{rng.uniform(0.05, 0.95):.6g}",
+        "chi2": budget,
+        "kl": budget,
+        "divergence": lambda: f"{rng.choice(['chi2', 'kl', 'tv'])} {budget()}",
+        "lipschitz": metric,
+        "w1": metric,
+        "wasserstein": lambda: f"{rng.integers(1, 3)} {metric()} {rng.uniform(0.0, 1.0):.6g}",
+        "moment": lambda: str(rng.integers(1, 3)),
+    }
+    atoms = [head for head, (_, spec) in cli._GRAMMAR["gauge"].items()
+             if "gauge" not in spec and "term" not in spec]
+    assert sorted(arguments) == sorted(atoms)
+
+    checks, floor_bound = {}, 0
+    start = time.monotonic()
+    for trial in range(200):
+        head = atoms[trial % len(atoms)]
+        text = head if arguments[head] is None else f"({head} {arguments[head]()})"
+        factor = float(rng.choice([0.5, 2.0])) if trial % 3 == 0 else 1.0
+        if factor != 1.0:
+            text = f"(scale {factor} {text})"
+        # half the draws sit at radius 1, where the scalar dual applies
+        eps = 1.0 / factor if rng.uniform() < 0.5 else float(rng.uniform(0.0, 2.0))
+        n = int(rng.integers(3, 9))
+        points = np.sort(rng.uniform(0.0, 3.0, n))
+        space = (DiscreteSpace(points, rng.dirichlet(np.ones(n))) if trial % 2
+                 else uniform_space(points))
+        prob = problem(cli.parse_gauge(text), eps, cost=rng.normal(size=n) * 2.0,
+                       space=space)
+        dual = None
+        try:
+            _, value, *statuses, _ = cli._two_routes(prob, None)
+            dual = value if statuses == ["optimal", "optimal"] else None
+        except EncodingError:
+            pass
+        try:
+            pairs = list(cli._route_pairs(prob, dual))
+        except ConfigError:
+            assert "kl" in text and eps * factor != 1.0, text
+            continue
+        for check, reference, candidate, tol in pairs:
+            checks[check] = checks.get(check, 0) + 1
+            assert abs(reference - candidate) <= tol, (
+                f"trial {trial}: {text} eps={eps} {check} {reference} {candidate}")
+        # a chi-square ball pairs its scalar dual with the conic dual only
+        # where the density floor binds, and with its closed form elsewhere
+        floor_bound += "chi2" in text and "scalar-vs-dual" in [c for c, *_ in pairs]
+    assert time.monotonic() - start <= 30.0
+    assert floor_bound > 0
+    assert {"transport-vs-dual", "sorted-vs-dual", "greedy-vs-dual", "closed-vs-dual",
+            "closed-vs-scalar", "scalar-vs-dual"} <= set(checks)

@@ -575,6 +575,12 @@ class TestEnvelopeSweep:
         assert code == 1
         assert "transport" in capsys.readouterr().err
 
+    def test_infinite_cost_names_the_expression(self, tmp_path, capsys):
+        doc = dict(SWEEP_DOC, cost={"expression": "1e308 * 10 * x0"})
+        code = main(["envelope-sweep", "--config", write_config(tmp_path, doc)])
+        assert code == 1
+        assert "cost.expression: must be finite" in capsys.readouterr().err
+
 
 class TestCaseStudyCommand:
     def test_priced_instance(self, tmp_path, capsys):
@@ -700,6 +706,22 @@ class TestVerify:
         assert code == 0
         assert rows[0][0] == "walk-vs-scalar"
         assert rows[0][1] == pytest.approx(1.994274121793934, abs=2e-3)
+
+    @pytest.mark.parametrize("gauge", ["tv", "(cvar 0.5)", "l2ball", "(chi2 4)", "(w1 abs)",
+                                       "(polar (lipschitz abs))"])
+    def test_routes_look_through_scale_into_the_radius(self, gauge):
+        routed = False
+        for factor, eps in ((0.5, 0.8), (2.0, 0.5), (0.25, 2.0)):
+            _, scaled, _ = cli.cmd_verify(
+                dict(BASE_DOC, gauge=f"(scale {factor} {gauge})", epsilon=eps), None, 0)
+            _, plain, _ = cli.cmd_verify(
+                dict(BASE_DOC, gauge=gauge, epsilon=factor * eps), None, 0)
+            assert [(r[0], r[5]) for r in scaled] == [(r[0], r[5]) for r in plain]
+            for got, want in zip(scaled, plain):
+                for at in (1, 2):
+                    assert abs(got[at] - want[at]) <= 1e-8 * (1.0 + abs(want[at])), got
+            routed = routed or len(scaled) > 1
+        assert routed
 
     def test_divergence_budget_needs_unit_epsilon(self, tmp_path, capsys):
         doc = dict(BASE_DOC, gauge="(kl 0.1)", epsilon=0.5)

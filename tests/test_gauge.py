@@ -46,7 +46,6 @@ from gaugekit.gauge import (
     encode_epigraph,
     gauge_value,
     hemimetric_check,
-    membership,
     polar,
     slack,
     support_value,
@@ -667,12 +666,10 @@ class TestMembershipAndGuards:
     def test_membership_accepts_the_boundary(self):
         u = [3.0, -1.0, 0.0, 1.0]  # slab gauge exactly one at beta = 0.75
         assert gauge_value(CvarGauge(0.75), BASE, u) == pytest.approx(1.0)
-        assert membership(CvarGauge(0.75), BASE, u, 1.0)
-        assert not membership(CvarGauge(0.75), BASE, np.array(u) * (1.0 + 1e-6), 1.0)
+        assert slack(CvarGauge(0.75), BASE, u, 1.0) <= 0.0
+        assert not slack(CvarGauge(0.75), BASE, np.array(u) * (1.0 + 1e-6), 1.0) <= 0.0
 
     def test_membership_level_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            membership(L2Ball(), BASE, [0.0, 0.0, 0.0, 0.0], 0.0)
         with pytest.raises(ParameterError):
             slack(L2Ball(), BASE, [0.0, 0.0, 0.0, 0.0], 0.0)
         with pytest.raises(DimensionError):
@@ -707,8 +704,7 @@ class TestMembershipAndGuards:
             for t in (0.5, 1.0):
                 for scale in (1.0 - 1e-6, 1.0, 1.0 + 1e-6):
                     v = u * (t * scale / rho)
-                    inside = membership(expr, BASE, v, t)
-                    assert inside == (slack(expr, BASE, v, t) <= 0.0)
+                    inside = slack(expr, BASE, v, t) <= 0.0
                     if scale != 1.0:
                         assert inside == (scale < 1.0)
 

@@ -161,6 +161,24 @@ class TestDivergenceDuals:
         div = divergence_dual_value(problem(PhiDivergence("tv", 0.5), 1.0))
         assert div == pytest.approx(tv_greedy(BASE, F, 0.5), abs=1e-6)
 
+    def test_absolute_divergence_is_exact_on_a_weighted_draw(self):
+        # a draw on which a numerical search over the shift and the multiplier
+        # stopped 8.6e-5 above the greedy value
+        space = DiscreteSpace(
+            [0.2706463282884374, 0.32861212375333504, 1.7026499735714076, 2.088027924254546,
+             2.536350040091564, 2.6010745070590167, 2.6967975822451873, 2.7852337843262833],
+            [0.17500961902820222, 0.10627235615531376, 0.14817386420880183,
+             0.13896913658079155, 0.09053339853369254, 0.1212602795169785,
+             0.04621591125651312, 0.17356543471970648])
+        cost = [-3.264045278438167, -2.1668751691435193, 2.4371121089547017,
+                1.2327387883267245, -2.536857412754536, 2.839470991579184,
+                0.19674331050528981, -0.6548631348144385]
+        budget = 0.7951267116352239
+        div = divergence_dual_value(
+            ReweightingProblem(space, cost, PhiDivergence("tv", budget), 1.0))
+        want = tv_greedy(space, cost, budget)
+        assert abs(div - want) <= 1e-9 * (1.0 + abs(want))
+
     def test_entropy_divergence_pinned_and_certified(self):
         prob = problem(PhiDivergence("kl", 0.1), 1.0)
         div = divergence_dual_value(prob)
