@@ -147,6 +147,7 @@ from .reformulate import (
     dual_solution,
     primal_solution,
     satisficing_dual,
+    _unit_radius,
 )
 from .space import DiscreteSpace, expectation, sample_uniform_box, uniform_space
 
@@ -466,8 +467,17 @@ def _as_box(value, field):
     return inside
 
 
+# basis.kind -> (its factory, the key it needs), called as factory(value, nonneg)
+_BASES = {
+    "indicator-regions": (Basis.indicator_regions, "boxes"),
+    "piecewise-affine": (lambda boxes, nonneg: Basis.piecewise_affine(boxes), "boxes"),
+    "moment": (lambda order, nonneg: Basis.moment(order), "order"),
+    "singletons": (Basis.singletons, "points"),
+}
+
+
 def _as_basis_kind(value, field):
-    if value not in ("indicator-regions", "piecewise-affine", "moment", "singletons"):
+    if not isinstance(value, str) or value not in _BASES:
         raise ConfigError(f"{field}: unknown kind {value!r}")
     return value
 
@@ -527,14 +537,13 @@ def _need(block, keys, prefix=""):
 
 
 def load_config(text):
-    """The JSON config in text, once every key in it has read through _CONFIG."""
+    """The JSON config in text, read through _CONFIG."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config syntax: line {exc.lineno} column {exc.colno}: {exc.msg}")
-    _read(doc)
-    return doc
+    return _read(doc)
 
 
 def _sampler(space):
@@ -592,16 +601,9 @@ def _solver_settings(config, tol_flag):
 
 
 def _build_basis(basis):
-    """What each basis kind needs, then the basis."""
-    kind, nonneg = _need(basis, "kind", "basis.")[0], basis.get("nonneg", False)
-    if kind == "moment":
-        return Basis.moment(*_need(basis, "order", "basis."))
-    if kind == "singletons":
-        return Basis.singletons(*_need(basis, "points", "basis."), nonneg=nonneg)
-    (boxes,) = _need(basis, "boxes", "basis.")
-    if kind == "indicator-regions":
-        return Basis.indicator_regions(boxes, nonneg=nonneg)
-    return Basis.piecewise_affine(boxes)
+    """What the basis kind needs, then the basis."""
+    make, key = _BASES[_need(basis, "kind", "basis.")[0]]
+    return make(*_need(basis, key, "basis."), basis.get("nonneg", False))
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +612,7 @@ def _build_basis(basis):
 
 def _scalar(p, g, r, dual):
     """A divergence ball's scalar dual, which takes its radius from the budget."""
-    if isinstance(g, gauges.PhiDivergence) and r == 1.0:
+    if isinstance(g, gauges.PhiDivergence) and _unit_radius(r):
         return divergence_dual_value(ReweightingProblem(p.space, p.cost, g, 1.0))
     if isinstance(g, gauges.PhiDivergence) and g.kind == "kl":
         raise ConfigError("verify: kl checks need epsilon = 1 (the budget already "
@@ -712,8 +714,8 @@ def _two_routes(problem, settings):
     return -float(primal.value), value, primal.status, dual.status, 1e-6 * (1.0 + abs(value))
 
 
-def cmd_duality_check(doc, settings, seed):
-    problem = _build_problem(_read(doc), seed)
+def cmd_duality_check(config, settings, seed):
+    problem = _build_problem(config, seed)
     try:
         primal, dual, primal_status, dual_status, bound = _two_routes(problem, settings)
     except EncodingError as exc:
@@ -727,8 +729,7 @@ def cmd_duality_check(doc, settings, seed):
     return _verdict(("route", "value", "status"), rows)
 
 
-def cmd_envelope_sweep(doc, settings, seed):
-    config = _read(doc)
+def cmd_envelope_sweep(config, settings, seed):
     lower, upper, _ = _sampler(_need(config, "space")[0])
     cost_fn = _cost(config)
     if not callable(cost_fn):
@@ -749,8 +750,8 @@ def cmd_envelope_sweep(doc, settings, seed):
     return _verdict(("m", "seed", "z_m", "w1_bound", "gap", "status"), table)
 
 
-def cmd_case_study(doc, settings, seed):
-    (block,) = _need(_read(doc), "case-instance")
+def cmd_case_study(config, settings, seed):
+    (block,) = _need(config, "case-instance")
     with _reported_as("case-instance"):
         instance = CaseInstance(
             *_need(block, " ".join(_CONFIG["case-instance"]), "case-instance."))
@@ -770,8 +771,7 @@ def cmd_case_study(doc, settings, seed):
     return _verdict(("method", "value", "x0", "x1", "status", "residual"), rows)
 
 
-def cmd_verify(doc, settings, seed):
-    config = _read(doc)
+def cmd_verify(config, settings, seed):
     problem = _build_problem(config, seed)
     space, cost, expr = problem.space, problem.cost, problem.gauge
     rows = []
@@ -877,8 +877,7 @@ def main(argv=None):
                 text = handle.read()
         except OSError as exc:
             raise ConfigError(f"config: {exc}")
-        doc = load_config(text)
-        config = _read(doc)
+        config = load_config(text)
         seed, source = config.get("seed", 0), "seed"
         env_seed = os.environ.get("GAUGEKIT_SEED")
         if env_seed is not None:
@@ -891,7 +890,7 @@ def main(argv=None):
         if not 0 <= seed < 2**64:
             raise ConfigError(f"{source}: must lie in [0, 2**64), got {seed}")
         settings = _solver_settings(config, args.tol)
-        columns, rows, code = _HANDLERS[args.command](doc, settings, seed)
+        columns, rows, code = _HANDLERS[args.command](config, settings, seed)
     except ConfigError as exc:
         print(f"gaugekit: {exc}", file=sys.stderr)
         return 1

@@ -24,6 +24,7 @@ shared cone encoders, so any conic-encodable polar works unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -45,33 +46,55 @@ def _checked_predicates(predicates) -> tuple:
     return preds
 
 
+def _region_matrix(predicates: tuple, pts: np.ndarray) -> np.ndarray:
+    out = np.zeros((len(pts), len(predicates)))
+    for j, xi in enumerate(pts):
+        for i, pred in enumerate(predicates):
+            if bool(pred(xi)):
+                out[j, i] = 1.0
+    hits = out.sum(axis=1)
+    over = np.nonzero(hits > 1.5)[0]
+    if len(over):
+        raise BasisError(f"regions overlap at point index {over[0]}")
+    miss = np.nonzero(hits < 0.5)[0]
+    if len(miss):
+        raise BasisError(f"no region covers point index {miss[0]}")
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Basis:
     """Finite evaluator family plus a cone on its coefficients.
 
     Use the factories below; the constructor trusts its arguments.
-    `nonneg` tightens the coefficient cone of the indicator kinds to the
-    nonnegative orthant.
+    `matrix` maps an (n, dim) point array to a new evaluator matrix.
+    `cone_blocks(dim)` gives the coefficient cone as (kind, size) blocks
+    in evaluator order: `size` counts coefficients for free and nonneg
+    blocks and gives the matrix side for psd blocks.  `nonneg` tightens
+    the cone of the indicator kinds to the nonnegative orthant.
     """
 
-    kind: str
-    predicates: tuple = ()
-    order: int = 0
-    points: np.ndarray | None = None
-    nonneg: bool = False
+    matrix: Callable[[np.ndarray], np.ndarray]
+    cone_blocks: Callable[[int], tuple]
 
     @staticmethod
     def indicator_regions(predicates, nonneg: bool = False) -> "Basis":
         """One 0/1 evaluator per region predicate."""
-        return Basis(kind="indicator-regions",
-                     predicates=_checked_predicates(predicates),
-                     nonneg=bool(nonneg))
+        preds = _checked_predicates(predicates)
+        blocks = (("nonneg" if nonneg else "free", len(preds)),)
+        return Basis(lambda pts: _region_matrix(preds, pts), lambda dim: blocks)
 
     @staticmethod
     def piecewise_affine(predicates) -> "Basis":
         """Per region: its indicator and the indicator times each coordinate."""
-        return Basis(kind="piecewise-affine",
-                     predicates=_checked_predicates(predicates))
+        preds = _checked_predicates(predicates)
+
+        def matrix(pts):
+            affine = np.column_stack([np.ones(len(pts)), pts])
+            cols = _region_matrix(preds, pts)[:, :, None] * affine[:, None, :]
+            return cols.reshape(len(pts), len(preds) * affine.shape[1])
+
+        return Basis(matrix, lambda dim: (("free", len(preds) * (1 + dim)),))
 
     @staticmethod
     def moment(order: int) -> "Basis":
@@ -83,7 +106,12 @@ class Basis:
         """
         if order not in (1, 2):
             raise ParameterError(f"moment order must be 1 or 2, got {order}")
-        return Basis(kind="moment", order=int(order))
+        if order == 1:
+            return Basis(lambda pts: pts.copy(), lambda dim: (("free", dim),))
+        return Basis(
+            lambda pts: np.column_stack([np.ones(len(pts)), pts,
+                                         conic.svec(pts[:, :, None] * pts[:, None, :])]),
+            lambda dim: (("free", 1), ("free", dim), ("psd", dim)))
 
     @staticmethod
     def singletons(points, nonneg: bool = False) -> "Basis":
@@ -92,27 +120,23 @@ class Basis:
         Listing every support atom makes the span all functions on the
         support, which reproduces the unrestricted dual.
         """
-        pts = _as_points(points)
-        if len(pts) == 0:
+        listed = _as_points(points)
+        if len(listed) == 0:
             raise ParameterError("singleton basis needs at least one point")
-        if not np.all(np.isfinite(pts)):
+        if not np.all(np.isfinite(listed)):
             raise ParameterError("singleton points must be finite")
-        return Basis(kind="singleton-indicators", points=pts, nonneg=bool(nonneg))
+        blocks = (("nonneg" if nonneg else "free", len(listed)),)
 
-    def _region_matrix(self, pts: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(pts), len(self.predicates)))
-        for j, xi in enumerate(pts):
-            for i, pred in enumerate(self.predicates):
-                if bool(pred(xi)):
-                    out[j, i] = 1.0
-        hits = out.sum(axis=1)
-        over = np.nonzero(hits > 1.5)[0]
-        if len(over):
-            raise BasisError(f"regions overlap at point index {over[0]}")
-        miss = np.nonzero(hits < 0.5)[0]
-        if len(miss):
-            raise BasisError(f"no region covers point index {miss[0]}")
-        return out
+        def matrix(pts):
+            if listed.shape[1] != pts.shape[1]:
+                raise DimensionError(
+                    f"basis points have dimension {listed.shape[1]}, "
+                    f"queried points have {pts.shape[1]}")
+            out = np.zeros((len(pts), len(listed)))
+            out[_coincident_pairs(pts, listed)] = 1.0
+            return out
+
+        return Basis(matrix, lambda dim: blocks)
 
     def evaluate(self, points) -> np.ndarray:
         """Evaluator matrix, one row per point and one column per element.
@@ -120,54 +144,10 @@ class Basis:
         Region predicates must partition the given points: a point
         claimed by two regions, or by none, is a basis error.
         """
-        pts = _as_points(points)
-        n, dim = pts.shape
-        if self.kind == "indicator-regions":
-            phi = self._region_matrix(pts)
-        elif self.kind == "piecewise-affine":
-            ind = self._region_matrix(pts)
-            cols = []
-            for r in range(ind.shape[1]):
-                cols.append(ind[:, r])
-                for a in range(dim):
-                    cols.append(ind[:, r] * pts[:, a])
-            phi = np.column_stack(cols)
-        elif self.kind == "moment":
-            lin = [pts[:, a] for a in range(dim)]
-            if self.order == 1:
-                phi = np.column_stack(lin)
-            else:
-                quad = conic.svec(pts[:, :, None] * pts[:, None, :])
-                phi = np.column_stack([np.ones(n)] + lin + [quad])
-        elif self.kind == "singleton-indicators":
-            if self.points.shape[1] != dim:
-                raise DimensionError(
-                    f"basis points have dimension {self.points.shape[1]}, "
-                    f"queried points have {dim}")
-            phi = np.zeros((n, len(self.points)))
-            phi[_coincident_pairs(pts, self.points)] = 1.0
-        else:
-            raise ParameterError(f"unknown basis kind {self.kind!r}")
+        phi = self.matrix(_as_points(points))
         if not np.all(np.isfinite(phi)):
             raise BasisError("basis evaluators must be finite at every point")
         return phi
-
-    def cone_blocks(self, dim: int) -> tuple:
-        """Coefficient cone as (kind, size) blocks in evaluator order.
-
-        `size` counts coefficients for free and nonneg blocks and gives
-        the matrix side for psd blocks.
-        """
-        orthant = "nonneg" if self.nonneg else "free"
-        if self.kind == "indicator-regions":
-            return ((orthant, len(self.predicates)),)
-        if self.kind == "piecewise-affine":
-            return (("free", len(self.predicates) * (1 + dim)),)
-        if self.kind == "moment":
-            if self.order == 1:
-                return (("free", dim),)
-            return (("free", 1), ("free", dim), ("psd", dim))
-        return ((orthant, len(self.points)),)
 
 
 def basis_moments(space: DiscreteSpace, basis: Basis) -> np.ndarray:

@@ -128,6 +128,12 @@ def _conjugate(kind: str):
     raise ParameterError(f"unknown divergence kind {kind!r}")
 
 
+def _unit_radius(epsilon: float) -> bool:
+    """Whether epsilon is 1, as the scalar duals that fold the radius into
+    their gauge require."""
+    return abs(epsilon - 1.0) <= 1e-12
+
+
 def divergence_dual_value(problem: ReweightingProblem) -> float:
     """Scalar dual for a divergence neighborhood: minimize over a shift and a
     nonnegative multiplier of  alpha + gamma * budget + E[gamma phi*((f - alpha)/gamma)].
@@ -137,7 +143,7 @@ def divergence_dual_value(problem: ReweightingProblem) -> float:
     """
     if not isinstance(problem.gauge, PhiDivergence):
         raise ParameterError("divergence_dual_value needs a PhiDivergence gauge")
-    if abs(problem.epsilon - 1.0) > 1e-12:
+    if not _unit_radius(problem.epsilon):
         raise ParameterError("fold the radius into the divergence budget (epsilon must be 1)")
     f = problem.cost
     p = problem.space.weights
@@ -181,7 +187,7 @@ def wasserstein_p_dual_value(problem: ReweightingProblem) -> float:
     """
     if not isinstance(problem.gauge, WassersteinP):
         raise ParameterError("wasserstein_p_dual_value needs a WassersteinP gauge")
-    if abs(problem.epsilon - 1.0) > 1e-12:
+    if not _unit_radius(problem.epsilon):
         raise ParameterError("fold the radius into the gauge (epsilon must be 1)")
     atom = problem.gauge
     sp, f = problem.space, problem.cost

@@ -134,6 +134,11 @@ GRAMMAR_CASES = [
 ]
 
 
+def loaded(doc):
+    """The config a command handler takes: doc as the CLI reads it."""
+    return load_config(json.dumps(doc))
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -335,6 +340,7 @@ class TestConfigLoading:
         ("verify", dict(BASE_DOC, stages=[{"gauge": "(cvar 1.5)", "epsilon": 0.5}]),
          "stages[0].gauge"),
         ("verify", dict(BASE_DOC, basis={"kind": "moment", "order": 3}), "basis"),
+        ("verify", dict(BASE_DOC, basis={"kind": ["moment"]}), "basis.kind"),
         ("envelope-sweep", dict(SWEEP_DOC, epsilon=-0.5), "epsilon"),
         ("envelope-sweep", dict(SWEEP_DOC, space={"sampler": {
             "lower": 0.0, "upper": 3.0, "count": "many"}}), "space.sampler.count"),
@@ -469,6 +475,10 @@ class TestConfigLoading:
         block = cli.__doc__.split("Configuration\n")[1].split("Cost expressions")[0]
         assert re.findall(r"^    (\S+)", block, re.M) == paths(cli._CONFIG, "")
 
+    def test_docstring_documents_the_basis_kinds(self):
+        rule = re.search(r"^    basis\.kind +(.*?)(?=^    \S)", cli.__doc__, re.M | re.S)[1]
+        assert re.split(r",\s*|\s+or\s+", rule.strip()) == list(cli._BASES)
+
     def test_largest_seed_samples_a_space(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("GAUGEKIT_SEED", raising=False)
         doc = dict(SAMPLED_DOC, seed=2**64 - 1)
@@ -480,7 +490,7 @@ class TestDualityCheck:
         code = main(["duality-check", "--config", write_config(tmp_path, BASE_DOC)])
         out = capsys.readouterr().out
         assert code == 0
-        columns, rows, _ = cli.cmd_duality_check(BASE_DOC, None, 0)
+        columns, rows, _ = cli.cmd_duality_check(loaded(BASE_DOC), None, 0)
         values = {row[0]: row[1] for row in rows}
         assert values["primal"] == pytest.approx(2.25, abs=1e-6)
         assert values["dual"] == pytest.approx(2.25, abs=1e-6)
@@ -488,7 +498,7 @@ class TestDualityCheck:
 
     def test_zero_radius_is_the_mean(self):
         doc = dict(BASE_DOC, epsilon=0.0)
-        _, rows, code = cli.cmd_duality_check(doc, None, 0)
+        _, rows, code = cli.cmd_duality_check(loaded(doc), None, 0)
         assert code == 0
         values = {row[0]: row[1] for row in rows}
         assert values["primal"] == pytest.approx(1.5, abs=1e-6)
@@ -503,7 +513,7 @@ class TestDualityCheck:
     def test_expression_cost_matches_explicit_values(self):
         doc = dict(BASE_DOC)
         doc["cost"] = {"expression": "x0"}
-        _, rows, code = cli.cmd_duality_check(doc, None, 0)
+        _, rows, code = cli.cmd_duality_check(loaded(doc), None, 0)
         assert code == 0
         assert rows[1][1] == pytest.approx(2.25, abs=1e-6)
 
@@ -597,7 +607,7 @@ class TestCaseStudyCommand:
                                      delta=0.0, radii=[0.0, 0.0]),
                "solver": {"max-iter": 4000}}
         from gaugekit.conic import SolveSettings
-        _, rows, code = cli.cmd_case_study(doc, SolveSettings(max_iter=4000), 0)
+        _, rows, code = cli.cmd_case_study(loaded(doc), SolveSettings(max_iter=4000), 0)
         byname = {row[0]: row for row in rows}
         assert "grid-cvar" in byname
         lp = byname["envelope-lp"]
@@ -615,14 +625,14 @@ class TestCaseStudyCommand:
             "samples": [[0.3, 0.7]], "delta": 0.0, "radii": [0.0],
             "beta": 0.5}}
         from gaugekit.conic import SolveSettings
-        _, rows, _ = cli.cmd_case_study(doc, SolveSettings(max_iter=4000), 0)
+        _, rows, _ = cli.cmd_case_study(loaded(doc), SolveSettings(max_iter=4000), 0)
         lp = rows[0]
         assert lp[0] == "envelope-lp" and lp[4] == "optimal"
         assert lp[2] == pytest.approx(0.3, abs=1e-6)
         assert lp[3] == pytest.approx(0.7, abs=1e-6)
 
     def test_zero_budget_instance_passes(self):
-        _, rows, code = cli.cmd_case_study(ZERO_CASE_DOC, None, 0)
+        _, rows, code = cli.cmd_case_study(loaded(ZERO_CASE_DOC), None, 0)
         assert code == 0
         assert [(row[0], row[4]) for row in rows] == [
             ("envelope-lp", "optimal"), ("funcparam-sdp", "optimal"), ("grid-cvar", "ok")]
@@ -668,7 +678,7 @@ class TestCaseStudyCommand:
 class TestVerify:
     def test_tail_average_triple(self):
         doc = dict(BASE_DOC, gauge="(cvar 0.5)", epsilon=1.0)
-        _, rows, code = cli.cmd_verify(doc, None, 0)
+        _, rows, code = cli.cmd_verify(loaded(doc), None, 0)
         assert code == 0
         names = [row[0] for row in rows]
         assert "sorted-vs-dual" in names and "sorted-vs-walk" in names
@@ -676,7 +686,7 @@ class TestVerify:
 
     def test_chi_square_four_way(self):
         doc = dict(BASE_DOC, gauge="(chi2 0.16)", epsilon=1.0)
-        _, rows, code = cli.cmd_verify(doc, None, 0)
+        _, rows, code = cli.cmd_verify(loaded(doc), None, 0)
         assert code == 0
         names = [row[0] for row in rows]
         for check in ("closed-vs-dual", "closed-vs-walk", "closed-vs-scalar"):
@@ -686,7 +696,7 @@ class TestVerify:
         # at budget 1 the density floor binds, so no closed form applies and
         # the scalar dual meets the conic dual at 2.5773503, not mean + std
         doc = dict(BASE_DOC, gauge="(chi2 1)", epsilon=1.0)
-        _, rows, _ = cli.cmd_verify(doc, None, 0)
+        _, rows, _ = cli.cmd_verify(loaded(doc), None, 0)
         by_name = {row[0]: row for row in rows}
         assert "closed-vs-scalar" not in by_name
         assert by_name["scalar-vs-dual"][1] == pytest.approx(2.5773503, abs=1e-6)
@@ -694,7 +704,7 @@ class TestVerify:
 
     def test_euclidean_ball_checks_the_closed_form(self):
         doc = dict(BASE_DOC, gauge="l2ball", epsilon=0.4)
-        _, rows, code = cli.cmd_verify(doc, None, 0)
+        _, rows, code = cli.cmd_verify(loaded(doc), None, 0)
         assert code == 0
         by_name = {row[0]: row for row in rows}
         assert by_name["closed-vs-dual"][1] == pytest.approx(1.5 + 0.4 * np.sqrt(1.25), abs=1e-9)
@@ -702,7 +712,7 @@ class TestVerify:
 
     def test_divergence_walk_against_the_scalar_dual(self):
         doc = dict(BASE_DOC, gauge="(kl 0.1)", epsilon=1.0)
-        _, rows, code = cli.cmd_verify(doc, None, 0)
+        _, rows, code = cli.cmd_verify(loaded(doc), None, 0)
         assert code == 0
         assert rows[0][0] == "walk-vs-scalar"
         assert rows[0][1] == pytest.approx(1.994274121793934, abs=2e-3)
@@ -712,16 +722,29 @@ class TestVerify:
     def test_routes_look_through_scale_into_the_radius(self, gauge):
         routed = False
         for factor, eps in ((0.5, 0.8), (2.0, 0.5), (0.25, 2.0)):
-            _, scaled, _ = cli.cmd_verify(
-                dict(BASE_DOC, gauge=f"(scale {factor} {gauge})", epsilon=eps), None, 0)
-            _, plain, _ = cli.cmd_verify(
-                dict(BASE_DOC, gauge=gauge, epsilon=factor * eps), None, 0)
+            _, scaled, _ = cli.cmd_verify(loaded(
+                dict(BASE_DOC, gauge=f"(scale {factor} {gauge})", epsilon=eps)), None, 0)
+            _, plain, _ = cli.cmd_verify(loaded(
+                dict(BASE_DOC, gauge=gauge, epsilon=factor * eps)), None, 0)
             assert [(r[0], r[5]) for r in scaled] == [(r[0], r[5]) for r in plain]
             for got, want in zip(scaled, plain):
                 for at in (1, 2):
                     assert abs(got[at] - want[at]) <= 1e-8 * (1.0 + abs(want[at])), got
             routed = routed or len(scaled) > 1
         assert routed
+
+    # 49 * 0.02040816326530612 is 0.9999999999999999, a unit radius to the
+    # scalar dual's rule
+    @pytest.mark.parametrize("kind, checks", [
+        ("kl", ["walk-vs-scalar"]),
+        ("chi2", ["primal-vs-dual", "walk-vs-dual", "scalar-vs-dual"]),
+    ])
+    def test_radius_within_rounding_of_one_takes_the_scalar_dual(self, kind, checks):
+        doc = dict(BASE_DOC, gauge=f"(scale 0.02040816326530612 ({kind} 4))", epsilon=49)
+        _, rows, code = cli.cmd_verify(loaded(doc), None, 0)
+        assert code == 0
+        assert [row[0] for row in rows] == checks
+        assert all(row[5] == "ok" for row in rows)
 
     def test_divergence_budget_needs_unit_epsilon(self, tmp_path, capsys):
         doc = dict(BASE_DOC, gauge="(kl 0.1)", epsilon=0.5)
@@ -730,7 +753,7 @@ class TestVerify:
 
     def test_threshold_sensitivity_rows(self):
         doc = dict(BASE_DOC, tau=1.5)
-        _, rows, code = cli.cmd_verify(doc, None, 0)
+        _, rows, code = cli.cmd_verify(loaded(doc), None, 0)
         assert code == 0
         sens = [row for row in rows if row[0] == "threshold-sensitivity"]
         assert len(sens) == 2
@@ -754,21 +777,21 @@ class TestVerify:
 
     def test_unreachable_threshold(self):
         doc = dict(BASE_DOC, tau=1.0)
-        _, rows, code = cli.cmd_verify(doc, None, 0)
+        _, rows, code = cli.cmd_verify(loaded(doc), None, 0)
         assert code == 0
         assert any(row[0] == "threshold-unreachable" for row in rows)
 
     def test_restricted_basis_dominates(self):
         doc = dict(BASE_DOC, gauge="(polar (lipschitz abs))",
                    basis={"kind": "piecewise-affine", "boxes": [[0, 2], [2, 3.5]]})
-        _, rows, code = cli.cmd_verify(doc, None, 0)
+        _, rows, code = cli.cmd_verify(loaded(doc), None, 0)
         assert code == 0
         assert any(row[0] == "restricted-dominates" for row in rows)
 
     def test_single_stage_composition_matches_the_dual(self):
         doc = dict(BASE_DOC, gauge="(polar (lipschitz abs))",
                    stages=[{"gauge": "(polar (lipschitz abs))", "epsilon": 0.5}])
-        _, rows, code = cli.cmd_verify(doc, None, 0)
+        _, rows, code = cli.cmd_verify(loaded(doc), None, 0)
         assert code == 0
         byname = {row[0]: row for row in rows}
         assert byname["composed-vs-primal"][5] == "ok"

@@ -112,6 +112,47 @@ class TestMoments:
             Basis.singletons([[0.0, 1.0]]).evaluate(BASE.points)
 
 
+class TestEveryKind:
+    """Shapes, layout and cones pinned for each kind on 2-D points."""
+
+    POINTS = np.array([[0.0, 1.0], [2.0, 3.0], [5.0, 5.0]])
+    REGIONS = [lambda x: x[0] < 1.0, lambda x: x[0] >= 1.0]
+    # basis, evaluator width in two dimensions, cone_blocks(2)
+    KINDS = {
+        "indicator-regions": (Basis.indicator_regions(REGIONS), 2, (("free", 2),)),
+        "piecewise-affine": (Basis.piecewise_affine(REGIONS), 6, (("free", 6),)),
+        "moment-1": (Basis.moment(1), 2, (("free", 2),)),
+        "moment-2": (Basis.moment(2), 6, (("free", 1), ("free", 2), ("psd", 2))),
+        "singletons": (Basis.singletons(POINTS, nonneg=True), 3, (("nonneg", 3),)),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_points_give_an_empty_matrix(self, kind):
+        basis, width, _ = self.KINDS[kind]
+        assert basis.evaluate(np.zeros((0, 2))).shape == (0, width)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_result_never_shares_the_input(self, kind):
+        basis, width, _ = self.KINDS[kind]
+        points = self.POINTS.copy()
+        phi = basis.evaluate(points)
+        assert phi.shape == (3, width)
+        assert not np.shares_memory(phi, points)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cone_blocks_in_two_dimensions(self, kind):
+        basis, _, blocks = self.KINDS[kind]
+        assert basis.cone_blocks(2) == blocks
+
+    def test_piecewise_affine_columns_follow_the_regions(self):
+        phi = self.KINDS["piecewise-affine"][0].evaluate(self.POINTS)
+        want = []
+        for x in self.POINTS:
+            ind = [float(pred(x)) for pred in self.REGIONS]
+            want.append([v for r in ind for v in (r, r * x[0], r * x[1])])
+        np.testing.assert_array_equal(phi, want)
+
+
 class TestRestrictedDual:
     def test_constants_pay_no_transport_penalty(self):
         # a constant majorant has zero slope, so the radius term vanishes
