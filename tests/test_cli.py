@@ -340,7 +340,6 @@ class TestConfigLoading:
         ("verify", dict(BASE_DOC, stages=[{"gauge": "(cvar 1.5)", "epsilon": 0.5}]),
          "stages[0].gauge"),
         ("verify", dict(BASE_DOC, basis={"kind": "moment", "order": 3}), "basis"),
-        ("verify", dict(BASE_DOC, basis={"kind": ["moment"]}), "basis.kind"),
         ("envelope-sweep", dict(SWEEP_DOC, epsilon=-0.5), "epsilon"),
         ("envelope-sweep", dict(SWEEP_DOC, space={"sampler": {
             "lower": 0.0, "upper": 3.0, "count": "many"}}), "space.sampler.count"),
@@ -368,6 +367,7 @@ class TestConfigLoading:
         ("verify", dict(BASE_DOC, basis={"kind": "singletons", "points": [[0], [3]],
                                          "nonneg": "false"}), "basis.nonneg"),
         ("case-study", dict(CASE_DOC, gauge="(cvar 1.5)"), "gauge"),
+        ("verify", dict(BASE_DOC, basis={"kind": ["moment"]}), "basis.kind"),
     ])
     def test_non_numeric_value_names_its_key(self, tmp_path, capsys, command, doc, key):
         code = main([command, "--config", write_config(tmp_path, doc)])
