@@ -72,7 +72,8 @@ case-instance key. verify adds rows for basis, stages and tau when given.
                                 kinds need boxes
     basis.order                 integer, 1 or 2; the moment kind needs it
     basis.points                list of points; the singletons kind needs it
-    basis.nonneg                true or false
+    basis.nonneg                true or false; true only for the
+                                indicator-regions and singletons kinds
     stages[].gauge              gauge expression string; outermost first
     stages[].epsilon            finite and nonnegative
     tau                         finite satisficing threshold
@@ -467,12 +468,12 @@ def _as_box(value, field):
     return inside
 
 
-# basis.kind -> (its factory, the key it needs), called as factory(value, nonneg)
+# basis.kind -> (its factory, the key it needs, whether it takes nonneg)
 _BASES = {
-    "indicator-regions": (Basis.indicator_regions, "boxes"),
-    "piecewise-affine": (lambda boxes, nonneg: Basis.piecewise_affine(boxes), "boxes"),
-    "moment": (lambda order, nonneg: Basis.moment(order), "order"),
-    "singletons": (Basis.singletons, "points"),
+    "indicator-regions": (Basis.indicator_regions, "boxes", True),
+    "piecewise-affine": (Basis.piecewise_affine, "boxes", False),
+    "moment": (Basis.moment, "order", False),
+    "singletons": (Basis.singletons, "points", True),
 }
 
 
@@ -601,9 +602,16 @@ def _solver_settings(config, tol_flag):
 
 
 def _build_basis(basis):
-    """What the basis kind needs, then the basis."""
-    make, key = _BASES[_need(basis, "kind", "basis.")[0]]
-    return make(*_need(basis, key, "basis."), basis.get("nonneg", False))
+    """What the basis kind needs, then the basis; nonneg only where the kind
+    has a cone to tighten."""
+    (kind,) = _need(basis, "kind", "basis.")
+    make, key, takes_nonneg = _BASES[kind]
+    (value,) = _need(basis, key, "basis.")
+    if not basis.get("nonneg", False):
+        return make(value)
+    if not takes_nonneg:
+        raise ConfigError(f"basis.nonneg: the {kind} kind takes no nonneg")
+    return make(value, nonneg=True)
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +782,8 @@ def cmd_case_study(config, settings, seed):
 def cmd_verify(config, settings, seed):
     problem = _build_problem(config, seed)
     space, cost, expr = problem.space, problem.cost, problem.gauge
+    with _reported_as("basis"):
+        basis = _build_basis(config["basis"]) if "basis" in config else None
     rows = []
 
     def row(check, reference, candidate, diff, tol, good):
@@ -799,10 +809,11 @@ def cmd_verify(config, settings, seed):
     for pair in _route_pairs(problem, dual_value):
         add(*pair)
 
-    if "basis" in config:
-        with _reported_as("basis"):
-            basis = _build_basis(config["basis"])
-        restricted = param_dual_value(problem, basis, solver=settings)
+    if basis is not None:
+        try:
+            restricted = param_dual_value(problem, basis, solver=settings)
+        except EncodingError as exc:
+            raise ConfigError(f"basis: {exc}")
         if dual_value is not None:
             row("restricted-dominates", dual_value, restricted,
                 restricted - dual_value, 1e-7, restricted >= dual_value - 1e-7)

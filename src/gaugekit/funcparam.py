@@ -16,9 +16,10 @@ function on the support (one indicator per atom).
 Four basis kinds are provided: indicators of regions, piecewise affine
 functions over regions, raw coordinate moments up to order two (the
 quadratic coefficient block is constrained positive semidefinite), and
-one indicator per listed point.  The polar penalty is computed by
-materializing the combination on the support points and reusing the
-shared cone encoders, so any conic-encodable polar works unchanged.
+one indicator per listed point.  The program is written by the one
+majorant builder every dual shares, `reformulate.majorant_rows`, with the
+combination materialized on the support points as each atom's majorant,
+so any conic-encodable polar works unchanged.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from typing import Callable
 import numpy as np
 
 from . import conic
-from . import gauge as gauges
 from .conic import LinExpr, ProgramBuilder, SolveSettings
 from .errors import BasisError, DimensionError, ParameterError
-from .reformulate import ReweightingProblem
+from .reformulate import ReweightingProblem, majorant_rows
 from .space import DiscreteSpace, _as_points, _coincident_pairs
 
 
@@ -163,21 +163,16 @@ def build_param_dual(problem: ReweightingProblem, basis: Basis) -> conic.ConicPr
     then encoder auxiliaries.  Raises the shared unsupported-encoding
     error when the polar of the problem gauge has no cone encoder.
     """
-    sp, f = problem.space, problem.cost
-    n, dim = sp.points.shape
+    sp = problem.space
     phi = basis.evaluate(sp.points)
-    width = phi.shape[1]
     b = ProgramBuilder()
     alpha = b.add_vars(1, obj=1.0)[0]
-    lam = b.add_vars(width, obj=sp.weights @ phi)
+    lam = b.add_vars(phi.shape[1], obj=sp.weights @ phi)
     level = b.add_vars(1, obj=problem.epsilon)[0]
-    combos = [LinExpr.dot(lam, phi[j]) for j in range(n)]
-    for j in range(n):
-        b.le(LinExpr.of(f[j]) - LinExpr.var(alpha) - combos[j])
-    gauges.encode_epigraph(b, gauges.polar(problem.gauge), sp,
-                           combos, LinExpr.var(level))
+    majorant_rows(b, sp, problem.gauge, problem.cost, alpha,
+                  [LinExpr.dot(lam, row) for row in phi], level)
     offset = 0
-    for block, size in basis.cone_blocks(dim):
+    for block, size in basis.cone_blocks(sp.points.shape[1]):
         if block == "psd":
             count = size * (size + 1) // 2
             b.psd(size, [LinExpr.var(int(lam[offset + i])) for i in range(count)])

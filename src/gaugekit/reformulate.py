@@ -75,17 +75,24 @@ def build_dual(problem: ReweightingProblem) -> conic.ConicProgram:
 
     Variables: alpha, w (one per point), level, then encoder auxiliaries.
     """
-    sp, f = problem.space, problem.cost
-    n = sp.size
+    sp = problem.space
     b = ProgramBuilder()
     alpha = b.add_vars(1, obj=1.0)[0]
-    w = b.add_vars(n, obj=sp.weights)
+    w = b.add_vars(sp.size, obj=sp.weights)
     t = b.add_vars(1, obj=problem.epsilon)[0]
-    for i in range(n):
-        b.le(LinExpr.of(f[i]) - LinExpr.var(alpha) - LinExpr.var(w[i]))
-    gauges.encode_epigraph(b, gauges.polar(problem.gauge), sp,
-                           [LinExpr.var(c) for c in w], LinExpr.var(t))
+    majorant_rows(b, sp, problem.gauge, problem.cost, alpha, [LinExpr.var(c) for c in w], t)
     return b.build()
+
+
+def majorant_rows(b: ProgramBuilder, space: DiscreteSpace, gauge: GaugeExpr,
+                  costs, alpha, combos, level):
+    """The rows every majorant dual shares: cost_i - alpha - combo_i <= 0 at
+    each atom, then the epigraph of the polar of gauge on the combos against
+    level. costs are numbers or expressions, one per atom; combos are the
+    majorant's expressions at the atoms; alpha and level are columns."""
+    for cost, combo in zip(costs, combos):
+        b.le(LinExpr.of(cost) - LinExpr.var(alpha) - combo)
+    gauges.encode_epigraph(b, gauges.polar(gauge), space, combos, LinExpr.var(level))
 
 
 def primal_solution(problem: ReweightingProblem, settings: SolveSettings | None = None):
@@ -271,10 +278,7 @@ def composed_dual(space: DiscreteSpace, cost, stages, settings: SolveSettings | 
     alpha0 = b.add_vars(1, obj=1.0)[0]
     w0 = b.add_vars(n, obj=space.weights)
     level = b.add_vars(1, obj=eps0)[0]
-    for i in range(n):
-        b.le(exprs[i] - LinExpr.var(alpha0) - LinExpr.var(w0[i]))
-    gauges.encode_epigraph(b, gauges.polar(gauge0), space,
-                           [LinExpr.var(c) for c in w0], LinExpr.var(level))
+    majorant_rows(b, space, gauge0, exprs, alpha0, [LinExpr.var(c) for c in w0], level)
     sol = conic.accepted(conic.solve(b.build(), settings), "composed dual")
 
     def at(expr):
@@ -290,17 +294,13 @@ def satisficing_dual(problem: ReweightingProblem, tau: float,
                      settings: SolveSettings | None = None):
     """Smallest polar-gauge level whose certificate keeps the guaranteed value
     at or below tau; None when tau is unreachable (below the base mean)."""
-    sp, f = problem.space, problem.cost
-    n = sp.size
+    sp = problem.space
     b = ProgramBuilder()
     alpha = b.add_vars(1)[0]
-    w = b.add_vars(n)
+    w = b.add_vars(sp.size)
     t = b.add_vars(1, obj=1.0)[0]
-    for i in range(n):
-        b.le(LinExpr.of(f[i]) - LinExpr.var(alpha) - LinExpr.var(w[i]))
     b.le(LinExpr.var(alpha) + LinExpr.dot(w, sp.weights) - tau)
-    gauges.encode_epigraph(b, gauges.polar(problem.gauge), sp,
-                           [LinExpr.var(c) for c in w], LinExpr.var(t))
+    majorant_rows(b, sp, problem.gauge, problem.cost, alpha, [LinExpr.var(c) for c in w], t)
     sol = conic.solve(b.build(), settings)
     if sol.status == "infeasible":
         return None

@@ -300,20 +300,20 @@ def test_restricted_dual_dominance():
         space = uniform_space(pts)
         f = rng.normal(size=n) * 2.0
         eps = float(rng.uniform(0.05, 1.0))
-        bases = [
-            Basis.indicator_regions([lambda x: True]),
-            Basis.indicator_regions(two_boxes(pts)),
-            Basis.piecewise_affine(two_boxes(pts)),
-            Basis.moment(1),
-            Basis.singletons(pts),
-        ]
+        bases = {
+            "constants": Basis.indicator_regions([lambda x: True]),
+            "two indicators": Basis.indicator_regions(two_boxes(pts)),
+            "piecewise-affine": Basis.piecewise_affine(two_boxes(pts)),
+            "moment 1": Basis.moment(1),
+            "singletons": Basis.singletons(pts),
+        }
         for gauge in gauges_pool:
             prob = ReweightingProblem(space, f, gauge, eps)
             floor = dual_solution(prob).value
-            for basis in bases:
+            for name, basis in bases.items():
                 value = param_dual_value(prob, basis)
                 assert value >= floor - 1e-7, (
-                    f"{type(gauge).__name__} {basis.kind}: {value} < {floor}")
+                    f"{type(gauge).__name__} {name}: {value} < {floor}")
                 pairs += 1
     assert pairs == 100
 

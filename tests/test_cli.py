@@ -368,6 +368,11 @@ class TestConfigLoading:
                                          "nonneg": "false"}), "basis.nonneg"),
         ("case-study", dict(CASE_DOC, gauge="(cvar 1.5)"), "gauge"),
         ("verify", dict(BASE_DOC, basis={"kind": ["moment"]}), "basis.kind"),
+        ("verify", dict(BASE_DOC, gauge="(polar (lipschitz abs))", basis={
+            "kind": "moment", "order": 2, "nonneg": True}), "basis.nonneg"),
+        ("verify", dict(BASE_DOC, gauge="(polar (lipschitz abs))", basis={
+            "kind": "piecewise-affine", "boxes": [[0, 2], [2, 3.5]], "nonneg": True}),
+         "basis.nonneg"),
     ])
     def test_non_numeric_value_names_its_key(self, tmp_path, capsys, command, doc, key):
         code = main([command, "--config", write_config(tmp_path, doc)])
@@ -787,6 +792,26 @@ class TestVerify:
         _, rows, code = cli.cmd_verify(loaded(doc), None, 0)
         assert code == 0
         assert any(row[0] == "restricted-dominates" for row in rows)
+
+    @pytest.mark.parametrize("basis", [
+        {"kind": "indicator-regions", "boxes": [[0, 2], [2, 3.5]]},
+        {"kind": "piecewise-affine", "boxes": [[0, 2], [2, 3.5]]},
+        {"kind": "moment", "order": 2},
+        {"kind": "singletons", "points": [[0], [1], [2], [3]]},
+    ], ids=lambda basis: basis["kind"])
+    def test_nonneg_false_is_the_default(self, basis):
+        doc = dict(BASE_DOC, gauge="(polar (lipschitz abs))", basis=basis)
+        plain = cli.cmd_verify(loaded(doc), None, 0)
+        assert plain[2] == 0
+        assert cli.cmd_verify(loaded(dict(doc, basis=dict(basis, nonneg=False))), None, 0) == plain
+
+    def test_basis_on_a_polar_without_encoder_is_a_config_error(self, tmp_path, capsys):
+        # the kl ball's polar has no cone encoder, so no restricted dual exists
+        doc = dict(BASE_DOC, gauge="(kl 0.1)", epsilon=1,
+                   basis={"kind": "moment", "order": 1})
+        code = main(["verify", "--config", write_config(tmp_path, doc)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("gaugekit: basis: no conic epigraph")
 
     def test_single_stage_composition_matches_the_dual(self):
         doc = dict(BASE_DOC, gauge="(polar (lipschitz abs))",

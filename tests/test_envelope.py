@@ -36,6 +36,8 @@ from gaugekit.gauge import (
 from gaugekit.reformulate import ReweightingProblem, dual_solution
 from gaugekit.space import sample_uniform_box, uniform_space
 
+from program_checks import assert_same_program
+
 BASE = uniform_space([0.0, 1.0, 2.0, 3.0])
 F = np.array([0.0, 1.0, 2.0, 3.0])
 ABS1 = Hemimetric.pnorm(1.0)
@@ -198,12 +200,7 @@ class TestProgramPin:
         samples = np.asarray(samples).reshape(-1, 1)
         got = build_envelope_program(problem(gauge, 0.5, cost=self.COST), samples).program
         want = linexpr_envelope(BASE, self.COST, samples, metric, price)
-        assert got.cones == want.cones
-        for g, w in zip((got.c, got.a_rows, got.a_cols, got.a_vals, got.b),
-                        (want.c, want.a_rows, want.a_cols, want.a_vals, want.b)):
-            assert g.dtype == w.dtype
-            np.testing.assert_array_equal(g, w)
-        assert np.signbit(got.b).tolist() == np.signbit(want.b).tolist()
+        assert_same_program(got, want)
         assert np.count_nonzero(got.a_vals == 0.0) == 0
 
 

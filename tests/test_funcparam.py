@@ -16,16 +16,20 @@ from gaugekit.funcparam import Basis, basis_moments, build_param_dual, param_dua
 from gaugekit.gauge import (
     CvarGauge,
     Hemimetric,
+    Intersect,
     L2Ball,
     Lipschitz,
+    MinkowskiSum,
     PhiDivergence,
     Polar,
     Scale,
     TotalVariation,
 )
 from gaugekit.oracle import reference_lp
-from gaugekit.reformulate import ReweightingProblem, dual_solution
+from gaugekit.reformulate import ReweightingProblem, build_dual, dual_solution
 from gaugekit.space import POINT_MERGE_TOL, uniform_space
+
+from program_checks import assert_same_program
 
 TOL = 1e-6
 
@@ -166,6 +170,29 @@ class TestRestrictedDual:
         value = param_dual_value(problem, Basis.singletons(BASE.points))
         assert value == pytest.approx(2.0, abs=TOL)
         assert value == pytest.approx(dual_solution(problem).value, abs=TOL)
+
+    # the duality suite's gauges (tests/test_acceptance.py)
+    @pytest.mark.parametrize("gauge", [
+        L2Ball(),
+        CvarGauge(0.5),
+        CvarGauge(0.8),
+        TotalVariation(),
+        Polar(Lipschitz(ABS1)),
+        Scale(0.7, L2Ball()),
+        Intersect((L2Ball(), Scale(0.5, TotalVariation()))),
+        MinkowskiSum([(0.5, L2Ball()), (0.5, TotalVariation())]),
+    ], ids=repr)
+    def test_full_span_program_is_the_plain_dual(self, gauge):
+        # both write their rows through the one majorant builder, and a
+        # singleton row of phi is one unit term, so the programs coincide
+        rng = np.random.default_rng(1001)
+        for _ in range(3):
+            n = int(rng.integers(4, 9))
+            space = uniform_space(np.sort(rng.uniform(0.0, 3.0, n)))
+            problem = ReweightingProblem(space, rng.normal(size=n) * 2.0, gauge,
+                                         float(rng.uniform(0.0, 2.0)))
+            assert_same_program(build_param_dual(problem, Basis.singletons(space.points)),
+                                build_dual(problem))
 
     def test_zero_radius_constants_give_the_max(self):
         value = param_dual_value(base_problem(0.0),
