@@ -11,8 +11,8 @@ duality-check
     program and majorant certificate), print both values and the gap,
     which must be at most 1e-6 * (1 + |value|).
 envelope-sweep
-    Draw growing i.i.d. samples from the configured box, solve the
-    sample envelope program at each size, and report the value, the
+    Draw growing i.i.d. samples from the configured box, price the
+    sample envelope program exactly at each size, and report the value, the
     transport deviation bound, and the gap to the analytic target when
     one is given, which must lie within the bound.
 case-study
@@ -46,6 +46,8 @@ verify need space (points or a sampler), cost (values or an expression),
 gauge and epsilon; envelope-sweep needs space.sampler, cost.expression, a
 transport gauge, epsilon and samples.sizes; case-study needs every
 case-instance key. verify adds rows for basis, stages and tau when given.
+solver.* and --tol reach only the conic solves, those of duality-check,
+case-study and verify; envelope-sweep needs no solver.
 
     seed                        integer; the seed in use must lie in
                                 [0, 2**64); GAUGEKIT_SEED overrides this
@@ -753,7 +755,7 @@ def cmd_envelope_sweep(config, settings, seed):
         return sample_uniform_box(lower, upper, count, sample_seed)
 
     rows = convergence_sweep(sampler, cost_fn, metric, epsilon, sizes, seed,
-                             samples.get("target"), settings)
+                             samples.get("target"))
     table = [(r.m, r.seed, r.z_m, r.w1_bound, r.gap, r.status) for r in rows]
     return _verdict(("m", "seed", "z_m", "w1_bound", "gap", "status"), table)
 

@@ -33,9 +33,10 @@ unregularised bordered matrix, one small dense product a pass, and each
 solve of K against K, two sparse products a pass. The cut exists because a
 sparse product pays some microseconds of dispatch whatever its size: on the
 small programs of a duality check or a walk that costs more than the dense
-product, while a large envelope LP, with three nonzeros a row, is mostly
-zeros, and an LU of its K would cost far more than that of the reduced
-matrix.
+product. Above the cut run the case study's LPs and SDPs, some 22 solves
+in the test suite, and the flow LPs of transport gauges on larger supports
+(gauge._solve_value), some 33; their A is mostly zeros, and an LU of
+their K would cost far more than that of the reduced matrix.
 """
 
 from __future__ import annotations
@@ -722,9 +723,8 @@ class ProgramBuilder:
     of them append their rows in cone-block order through _append, which
     writes  expr + s = 0  with the slack s in the cone. So le(expr) means
     expr <= 0, while soc and psd negate their expressions to put the
-    expressions themselves in the cone. le_rows appends a block of le rows
-    given as arrays, for programs with many rows of a few terms. Consecutive
-    zero rows, and consecutive nonnegative rows, share one cone block.
+    expressions themselves in the cone. Consecutive zero rows, and
+    consecutive nonnegative rows, share one cone block.
     """
 
     def __init__(self):
@@ -775,26 +775,6 @@ class ProgramBuilder:
     def le(self, expr):
         """expr <= 0"""
         self._append(NONNEG, [LinExpr.of(expr)], 1)
-
-    def le_rows(self, cols, coefs, consts):
-        """sum_k coefs[r, k] x_{cols[r, k]} + consts[r] <= 0 for each row r,
-        from (rows x k) arrays of columns and coefficients and the constants:
-        the rows that le would append one at a time, with their terms in k
-        order. Zero coefficients add no term, as in LinExpr.var; a column
-        repeated in a row gives repeated triplets, which the program sums."""
-        consts = np.asarray(consts, dtype=float).ravel()
-        cols, coefs = np.broadcast_arrays(np.asarray(cols, dtype=int), np.asarray(coefs, dtype=float))
-        if cols.ndim != 2 or len(cols) != len(consts):
-            raise DimensionError(f"terms of shape {cols.shape} for {len(consts)} constants")
-        if not len(consts):
-            return
-        keep = coefs != 0.0
-        rows = np.arange(len(self._rhs), len(self._rhs) + len(consts))
-        self._a_rows.extend(np.broadcast_to(rows[:, None], keep.shape)[keep].tolist())
-        self._a_cols.extend(cols[keep].tolist())
-        self._a_vals.extend(coefs[keep].tolist())
-        self._rhs.extend((-consts).tolist())
-        self._close(NONNEG, len(consts))
 
     def eq(self, expr):
         """expr = 0"""

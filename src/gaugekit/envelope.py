@@ -4,9 +4,21 @@ When the polar of the deviation set is a Lipschitz ball for some hemimetric
 c, every admissible majorant can be replaced by a minimum of atomic
 envelopes s_i + gamma * c(., xi_i) anchored at sample points. Minimizing
 over (gamma, alpha, s) with the domination rows imposed at the nominal
-support points gives an ordinary conic program whose value equals the dual
-value whenever the samples coincide with the support, and converges to it
-as the samples fill out the nominal distribution.
+support points gives a program whose value equals the dual value whenever
+the samples coincide with the support, and converges to it as the samples
+fill out the nominal distribution.
+
+Its levels are free and alpha drops out, so s_i = max_j (f_j - gamma
+c(j, i)) and the value is the minimum over gamma >= 0 of the convex
+piecewise-linear h(gamma) = price gamma + mean_i s_i. solve_envelope
+minimizes h exactly, with no solver: it walks each sample's upper hull of
+the lines f_j - gamma c(j, i) and merges the slope jumps of all hulls from
+gamma = 0 until h's slope is nonnegative, which gives the least minimizer
+and so the tightest transport bound gamma W1. h's slope tends to price -
+mean_i min_j c(j, i), so the program is unbounded, and solve_envelope
+raises ParameterError, exactly when the price is below the mean cost from
+the samples to the support: the design-support condition (the support
+covers the samples) in numeric form.
 
 Two polar shapes are recognized: a Lipschitz ball keeps its hemimetric and
 pays epsilon per unit of the shared slope, and the centered-range ball is
@@ -20,8 +32,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import conic
-from .conic import ConicProgram, ProgramBuilder, SolveSettings
 from .errors import ContractError, DimensionError, EncodingError, ParameterError
 from .gauge import Hemimetric, Oscillation, W1Ball, hemimetric_check, polar, transport_metric
 from .oracle import w1_distance
@@ -44,21 +54,13 @@ _REFERENCE_SIZE = 2048
 
 @dataclass(frozen=True)
 class EnvelopeProgram:
-    """A built envelope program plus the bookkeeping to read it back.
-
-    gamma / alpha / s are column indices into the conic program; price is
-    the objective weight on gamma (the radius, already converted to the
-    hemimetric's slope scale).
-    """
+    """A checked envelope program; price is the objective weight on gamma
+    (the radius, already converted to the hemimetric's slope scale)."""
 
     problem: ReweightingProblem
     samples: np.ndarray
     metric: Hemimetric
     price: float
-    program: ConicProgram
-    gamma: int
-    alpha: int
-    s: tuple
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def _polar_hemimetric(problem: ReweightingProblem):
 
 
 def build_envelope_program(problem: ReweightingProblem, samples) -> EnvelopeProgram:
-    """Assemble the finite envelope program for the problem's dual.
+    """Check and hold the finite envelope program for the problem's dual.
 
     Domination rows are imposed at the problem's support points; the
     objective averages the levels over the samples with equal weight. With
@@ -128,44 +130,53 @@ def build_envelope_program(problem: ReweightingProblem, samples) -> EnvelopeProg
     findings = hemimetric_check(metric, pts)
     if findings:
         raise ParameterError(f"hemimetric fails on the samples: {findings[0]}")
-    m = len(pts)
-    f = problem.cost
-    cost_mat = metric.matrix(problem.space.points, pts)
-
-    b = ProgramBuilder()
-    alpha = int(b.add_vars(1, obj=1.0)[0])
-    gamma = int(b.add_vars(1, obj=price)[0])
-    b.nonneg_var(gamma)
-    s = b.add_vars(m, obj=1.0 / m)
-    # f_j - alpha - s_i - gamma c(j, i) <= 0, row j * m + i
-    nj = problem.space.size
-    b.le_rows(
-        np.stack(np.broadcast_arrays(alpha, np.tile(s, nj), gamma), axis=1),
-        np.stack(np.broadcast_arrays(-1.0, -1.0, -cost_mat.ravel()), axis=1),
-        np.repeat(f, m),
-    )
-    return EnvelopeProgram(
-        problem=problem,
-        samples=pts,
-        metric=metric,
-        price=price,
-        program=b.build(),
-        gamma=gamma,
-        alpha=alpha,
-        s=tuple(int(col) for col in s),
-    )
+    return EnvelopeProgram(problem=problem, samples=pts, metric=metric, price=price)
 
 
-def solve_envelope(ep: EnvelopeProgram, settings: SolveSettings | None = None) -> EnvelopeSolution:
-    """Solve the built program and unpack (gamma, alpha, s)."""
-    sol = conic.accepted(conic.solve(ep.program, settings), "envelope solve")
-    s = sol.x[list(ep.s)]
-    return EnvelopeSolution(
-        value=float(sol.value),
-        gamma=float(sol.x[ep.gamma]),
-        alpha=float(sol.x[ep.alpha]),
-        s=s,
-    )
+def _hull_breaks(f, cost):
+    """Breakpoints of max_j (f_j - gamma cost[j, i]) over gamma >= 0 for
+    every sample i, with the drop in the active cost at each: gift wrapping
+    along all upper hulls at once, the next line being the first to
+    overtake the active one, the least cost among ties."""
+    top = np.flatnonzero(f == f.max())
+    line = top[np.argmin(cost[top], axis=0)]  # active just right of gamma = 0
+    floor = cost.min(axis=0)
+    live = np.arange(cost.shape[1])
+    breaks, drops = [np.zeros(0)], [np.zeros(0)]
+    while True:
+        live = live[cost[line[live], live] > floor[live]]
+        if not live.size:
+            return np.concatenate(breaks), np.concatenate(drops)
+        sub = cost[:, live]
+        held = cost[line[live], live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = np.where(sub < held, (f[line[live]] - f[:, None]) / (held - sub), np.inf)
+        first = cross.min(axis=0)
+        nxt = np.argmin(np.where(cross == first, sub, np.inf), axis=0)
+        breaks.append(first)
+        drops.append(held - sub[nxt, np.arange(live.size)])
+        line[live] = nxt
+
+
+def solve_envelope(ep: EnvelopeProgram) -> EnvelopeSolution:
+    """The least minimizer gamma of h, with alpha = 0 and the levels
+    s_i = max_j (f_j - gamma c(j, i)); raises ParameterError when the
+    program is unbounded."""
+    f = ep.problem.cost
+    cost = ep.metric.matrix(ep.problem.space.points, ep.samples)
+    m = cost.shape[1]
+    base = float(cost.min(axis=0).sum())
+    if ep.price < base / m:
+        raise ParameterError(f"envelope program is unbounded: price {ep.price} is below "
+                             f"the mean cost {base / m} from the samples to the support")
+    breaks, drops = _hull_breaks(f, cost)
+    order = np.argsort(breaks, kind="stable")
+    # mean active cost right of 0 and of each breakpoint; h's slope is the
+    # price minus it, and the last entry is base / m, at most the price
+    active = (base + np.r_[np.cumsum(drops[order][::-1])[::-1], 0.0]) / m
+    gamma = float(np.r_[0.0, breaks[order]][np.argmax(active <= ep.price)])
+    s = np.max(f[:, None] - gamma * cost, axis=0)
+    return EnvelopeSolution(value=ep.price * gamma + float(np.mean(s)), gamma=gamma, alpha=0.0, s=s)
 
 
 def make_nonredundant(ep: EnvelopeProgram, sol: EnvelopeSolution) -> EnvelopeSolution:
@@ -203,7 +214,6 @@ def convergence_sweep(
     sizes,
     seed: int,
     z_star: float | None = None,
-    settings: SolveSettings | None = None,
 ) -> list:
     """Envelope values on growing i.i.d. samples, with transport bounds.
 
@@ -213,8 +223,7 @@ def convergence_sweep(
     size). Each row records the envelope value z_m, the transport bound
     gamma_m * W1(empirical, reference), and the gap to z_star.
     Without an analytic z_star the gap is taken against the largest size's
-    value and the row is labeled "surrogate". settings go to each envelope
-    solve.
+    value and the row is labeled "surrogate".
     """
     sizes = [int(m) for m in sizes]
     if not sizes:
@@ -228,7 +237,7 @@ def convergence_sweep(
         f = np.array([float(cost_fn(pt)) for pt in space.points])
         problem = ReweightingProblem(space, f, W1Ball(metric), epsilon)
         ep = build_envelope_program(problem, space.points)
-        sol = solve_envelope(ep, settings)
+        sol = solve_envelope(ep)
         w1 = w1_distance(
             space.points, space.weights, reference.points, reference.weights, metric
         )

@@ -578,11 +578,26 @@ class TestEnvelopeSweep:
         rows = out.read_text().splitlines()[2:]
         assert [row.split(",")[5] for row in rows] == ["surrogate", "surrogate"]
 
-    def test_solver_block_reaches_the_envelope_solves(self, tmp_path, capsys):
-        doc = dict(SWEEP_DOC, solver={"max-iter": 1})
-        code = main(["envelope-sweep", "--config", write_config(tmp_path, doc)])
-        assert code == 2
-        assert "max_iter" in capsys.readouterr().err
+    def test_solver_settings_do_not_reach_the_exact_rule(self, tmp_path, capsys):
+        outs = []
+        for doc, flags in ((SWEEP_DOC, []), (dict(SWEEP_DOC, solver={"max-iter": 1}), []),
+                           (SWEEP_DOC, ["--tol", "1e-3"])):
+            code = main(["envelope-sweep", "--config", write_config(tmp_path, doc)] + flags)
+            assert code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    def test_runs_with_the_conic_solver_refused(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, SWEEP_DOC)
+        assert main(["envelope-sweep", "--config", cfg]) == 0
+        plain = capsys.readouterr().out
+
+        def refused(*args, **kwargs):
+            raise AssertionError("envelope-sweep must not call the conic solver")
+
+        monkeypatch.setattr(cli.conic, "solve", refused)
+        assert main(["envelope-sweep", "--config", cfg]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_needs_a_transport_gauge(self, tmp_path, capsys):
         doc = dict(SWEEP_DOC, gauge="tv")

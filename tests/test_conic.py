@@ -18,7 +18,6 @@ from gaugekit.conic import (
     svec,
     unsvec,
 )
-from gaugekit.envelope import build_envelope_program
 from gaugekit.errors import DimensionError, ParameterError
 from gaugekit.gauge import (
     CvarGauge,
@@ -30,11 +29,12 @@ from gaugekit.gauge import (
     Polar,
     Scale,
     TotalVariation,
-    W1Ball,
 )
 from gaugekit.oracle import reference_lp
 from gaugekit.reformulate import ReweightingProblem, build_dual, build_primal
 from gaugekit.space import sample_uniform_box, uniform_space
+
+from program_checks import linexpr_envelope
 
 
 def lp_min_x_geq_1():
@@ -268,33 +268,6 @@ class TestBuilderRowPath:
         # the le row and the nonnegative rows around it share one block
         assert array.cones == single.cones == (Cone("zero", 1), Cone("nonneg", 5))
 
-    def test_le_rows_match_le_row_by_row(self):
-        cols = np.array([[0, 2, 1], [1, 2, 3], [3, 0, 2]])
-        coefs = np.array([[-1.0, 0.0, 2.5], [1.0, -0.5, 0.0], [0.25, -1.0, 4.0]])
-        consts = np.array([0.0, -2.0, 1.5])
-
-        def build(array_form):
-            b = ProgramBuilder()
-            x = b.add_vars(4, obj=1.0)
-            b.nonneg_var(x[0])
-            if array_form:
-                b.le_rows(cols, coefs, consts)
-                b.le_rows(np.zeros((0, 3), dtype=int), np.zeros((0, 3)), [])
-            else:
-                for col, coef, const in zip(cols, coefs, consts):
-                    b.le(LinExpr.sum(LinExpr.var(k, v) for k, v in zip(col, coef)) + const)
-            b.eq(LinExpr.var(x[2]) - 1.0)
-            return b.build()
-
-        rows, array = build(False), build(True)
-        for want, got in zip(_program_arrays(rows), _program_arrays(array)):
-            assert want.dtype == got.dtype
-            np.testing.assert_array_equal(want, got)
-        assert np.signbit(array.b).tolist() == np.signbit(rows.b).tolist()
-        assert array.cones == (Cone("nonneg", 4), Cone("zero", 1))
-        with pytest.raises(DimensionError):
-            ProgramBuilder().le_rows(cols, coefs, consts[:2])
-
     def test_empty_array_adds_no_rows(self):
         b = ProgramBuilder()
         b.add_vars(2)
@@ -494,8 +467,7 @@ class TestSizeCut:
         """A 257 x 18 program has m n = 4626 <= 2^15 entries in A but
         (m + n)^2 = 75625 > 2^15 in K, so A is stored sparse."""
         space = sample_uniform_box(0.0, 3.0, 16, 11)
-        problem = ReweightingProblem(space, space.points[:, 0], W1Ball(Hemimetric.pnorm(1.0)), 0.5)
-        prog = build_envelope_program(problem, space.points).program
+        prog = linexpr_envelope(space, space.points[:, 0], space.points, Hemimetric.pnorm(1.0), 0.5)
         m, n = prog.num_rows, prog.num_vars
         assert (m, n) == (257, 18)
         assert m * n <= conic._SPARSE_CUT < (m + n) ** 2
@@ -509,8 +481,7 @@ class TestAboveTheCut:
         transport ball; its solve peaks below one dense copy of A."""
         space = sample_uniform_box(0.0, 3.0, 64, 11)
         x = space.points[:, 0]
-        problem = ReweightingProblem(space, x, W1Ball(Hemimetric.pnorm(1.0)), 0.5)
-        prog = build_envelope_program(problem, space.points).program
+        prog = linexpr_envelope(space, x, space.points, Hemimetric.pnorm(1.0), 0.5)
         assert (prog.num_rows, prog.num_vars) == (4097, 66)
         tracemalloc.start()
         try:

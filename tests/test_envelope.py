@@ -1,11 +1,14 @@
 """Finite envelope programs: atomic-envelope arithmetic, exactness against
-the plain dual when samples equal the support, the non-redundancy repair,
-and the sampled convergence sweep with its transport bound.
+the plain dual when samples equal the support, the exact rule against the
+envelope LP, the non-redundancy repair, and the sampled convergence sweep
+with its transport bound.
 
 Frozen values on the four-point line instance (uniform on {0,1,2,3}, cost
 equal to the coordinate): transport ball radius 0.5 gives 2.0, the mass
 budget 0.5 gives 2.25, radius zero gives the mean 1.5.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from gaugekit.envelope import (
     make_nonredundant,
     solve_envelope,
 )
-from gaugekit.conic import LinExpr, ProgramBuilder
+from gaugekit import conic
 from gaugekit.errors import (
     ContractError,
     DimensionError,
@@ -36,7 +39,7 @@ from gaugekit.gauge import (
 from gaugekit.reformulate import ReweightingProblem, dual_solution
 from gaugekit.space import sample_uniform_box, uniform_space
 
-from program_checks import assert_same_program
+from program_checks import linexpr_envelope
 
 BASE = uniform_space([0.0, 1.0, 2.0, 3.0])
 F = np.array([0.0, 1.0, 2.0, 3.0])
@@ -170,38 +173,79 @@ class TestBuildProgram:
         assert sol.value == pytest.approx(want, abs=1e-6 * (1.0 + abs(want)))
 
 
-def linexpr_envelope(space, f, samples, metric, price):
-    """The envelope program written one LinExpr row at a time: alpha, gamma
-    >= 0, the levels s, then f_j - alpha - s_i - gamma c(j, i) <= 0 in row
-    j * m + i."""
-    b = ProgramBuilder()
-    alpha = int(b.add_vars(1, obj=1.0)[0])
-    gamma = int(b.add_vars(1, obj=price)[0])
-    b.nonneg_var(gamma)
-    m = len(samples)
-    s = b.add_vars(m, obj=1.0 / m)
-    cost = metric.matrix(space.points, samples)
-    for j in range(space.size):
-        for i in range(m):
-            b.le(f[j] - LinExpr.var(alpha) - LinExpr.var(int(s[i])) - LinExpr.var(gamma, cost[j, i]))
-    return b.build()
+class TestExactRule:
+    def draws(self):
+        """test_envelope_exactness's generator, each draw also with samples
+        off the support, and an L1 problem on a 2-D support with samples on
+        and off it; extras come from a second generator, so the first
+        yields the same draws as that test."""
+        rng, extra = np.random.default_rng(4004), np.random.default_rng(4005)
+        for trial in range(25):
+            n = int(rng.integers(3, 8))
+            space = uniform_space(np.sort(rng.uniform(-2.0, 2.0, n)))
+            f = rng.normal(size=n)
+            eps = float(rng.uniform(0.0, 1.5))
+            off = extra.uniform(-2.5, 2.5, (int(extra.integers(1, 8)), 1))
+            for gauge in (W1Ball(ABS1), TotalVariation()):
+                prob = problem(gauge, eps, cost=f, space=space)
+                yield f"trial {trial} {type(gauge).__name__}", prob, space.points
+                yield f"trial {trial} {type(gauge).__name__} off", prob, off
+            plane = uniform_space(extra.uniform(-2.0, 2.0, (n, 2)))
+            prob = problem(W1Ball(Hemimetric.pnorm(1.0)), eps, cost=f, space=plane)
+            yield f"trial {trial} plane", prob, plane.points
+            yield f"trial {trial} plane off", prob, extra.uniform(-2.5, 2.5, (n, 2))
 
+    def test_matches_the_lp_and_its_unbounded_calls(self):
+        counts = {"optimal": 0, "unbounded": 0}
+        for label, prob, samples in self.draws():
+            ep = build_envelope_program(prob, samples)
+            lp = conic.solve(linexpr_envelope(prob.space, prob.cost, ep.samples,
+                                              ep.metric, ep.price))
+            assert lp.status in counts, label
+            counts[lp.status] += 1
+            if lp.status == "unbounded":
+                with pytest.raises(ParameterError, match="unbounded"):
+                    solve_envelope(ep)
+                continue
+            sol = solve_envelope(ep)
+            assert abs(sol.value - lp.value) <= 1e-7 * (1.0 + abs(lp.value)), label
+            cost = ep.metric.matrix(prob.space.points, ep.samples)
+            np.testing.assert_array_equal(sol.s, np.max(prob.cost[:, None] - sol.gamma * cost, axis=0))
+            assert sol.alpha == 0.0 and sol.gamma >= 0.0
+        assert counts == {"optimal": 94, "unbounded": 56}
 
-class TestProgramPin:
-    # the costs have a zero and both signs; the samples meet the support,
-    # so some pairs have zero cost and their rows no gamma term
-    COST = np.array([0.0, -1.25, 2.0, 3.5])
+    def test_least_minimizer_on_a_flat_stretch(self):
+        # at radius 1.5, h is flat at 3 on [0, 1]; the least slope is 0
+        sol = solve_envelope(build_envelope_program(problem(W1Ball(ABS1), 1.5), BASE.points))
+        assert sol.gamma == 0.0
+        assert sol.value == pytest.approx(3.0, abs=1e-12)
 
-    @pytest.mark.parametrize("gauge, metric, price, samples", [
-        (W1Ball(ABS1), ABS1, 0.5, [0.0, 1.5, 3.0]),
-        (TotalVariation(), IND, 0.25, [3.0, 1.0, 2.0, 0.0, 0.5]),
-    ])
-    def test_program_matches_the_linexpr_rows(self, gauge, metric, price, samples):
-        samples = np.asarray(samples).reshape(-1, 1)
-        got = build_envelope_program(problem(gauge, 0.5, cost=self.COST), samples).program
-        want = linexpr_envelope(BASE, self.COST, samples, metric, price)
-        assert_same_program(got, want)
-        assert np.count_nonzero(got.a_vals == 0.0) == 0
+    def test_price_at_the_sample_reach_is_bounded(self):
+        # one sample at distance 1 from {0, 3}: h = max(0, 3 - gamma) at price 1
+        space = uniform_space([0.0, 3.0])
+        ep = build_envelope_program(problem(W1Ball(ABS1), 1.0, cost=[0.0, 3.0], space=space), [1.0])
+        sol = solve_envelope(ep)
+        assert (sol.gamma, sol.value) == (3.0, 0.0)
+        below = build_envelope_program(problem(W1Ball(ABS1), 0.999, cost=[0.0, 3.0], space=space), [1.0])
+        with pytest.raises(ParameterError, match="unbounded"):
+            solve_envelope(below)
+
+    def test_256_samples_in_memory_linear_in_the_program(self):
+        space = sample_uniform_box(0.0, 3.0, 256, 11)
+        x = space.points[:, 0]
+        ep = build_envelope_program(problem(W1Ball(ABS1), 0.5, cost=-(x - 1.5) ** 2, space=space),
+                                    space.points)
+        tracemalloc.start()
+        try:
+            sol = solve_envelope(ep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * space.size * len(ep.samples)  # 4.2 MB
+        cost = ep.metric.matrix(space.points, ep.samples)
+        h = lambda g: ep.price * g + float(np.mean(np.max(ep.problem.cost[:, None] - g * cost, axis=0)))
+        for g in (0.0, 0.5 * sol.gamma, sol.gamma * (1 - 1e-6), sol.gamma * (1 + 1e-6), 2.0):
+            assert h(g) >= sol.value - 1e-12
 
 
 class TestMakeNonredundant:
@@ -287,6 +331,16 @@ class TestConvergenceSweep:
     def test_deterministic_under_a_fixed_seed(self):
         args = (box_sampler, lambda pt: pt[0], ABS1, 0.5, [4, 8], 5)
         assert convergence_sweep(*args) == convergence_sweep(*args)
+
+    def test_runs_with_the_conic_solver_refused(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the envelope rule must not call the conic solver")
+
+        monkeypatch.setattr(conic, "solve", refused)
+        rows = convergence_sweep(
+            box_sampler, lambda pt: pt[0], ABS1, 0.5, [4, 16], seed=1, z_star=2.0
+        )
+        assert [r.status for r in rows] == ["ok", "ok"]
 
     def test_empty_sizes_rejected(self):
         with pytest.raises(ParameterError):
