@@ -32,6 +32,7 @@ import numpy as np
 from . import conic
 from .conic import LinExpr, ProgramBuilder, SolveSettings
 from .errors import DimensionError, InstanceError, ParameterError
+from .funcparam import Basis
 from .oracle import cvar_sorted
 from .space import sample_uniform_box, uniform_space
 
@@ -44,6 +45,7 @@ _DIRECTIONS = (
 )
 
 _RIDGE = 1e-9
+_MOMENTS = Basis.moment(2)  # rows (1, z, svec(z z')) per point z
 
 
 def _as_bound(value, label: str) -> np.ndarray:
@@ -229,19 +231,13 @@ def build_case_envelope_lp(instance: CaseInstance) -> conic.ConicProgram:
     return b.build()
 
 
-def _feature_rows(points: np.ndarray) -> np.ndarray:
-    """Rows (1, z, svec(z z')) for a stack of points z."""
-    quad = conic.svec(points[:, :, None] * points[:, None, :])
-    return np.column_stack([np.ones(len(points)), points, quad])
-
-
 def _region_second_moments(instance: CaseInstance) -> list:
     """Sample average of (1, z, svec(z z')) (1, z, svec(z z'))' per district;
     a district without samples gets the zero matrix."""
     out = []
     for idx in instance.members():
         if len(idx):
-            rows = _feature_rows(instance.samples[idx])
+            rows = _MOMENTS.matrix(instance.samples[idx])
             out.append(rows.T @ rows / len(idx))
         else:
             out.append(np.zeros((6, 6)))
@@ -286,7 +282,7 @@ def build_case_funcparam_sdp(instance: CaseInstance) -> conic.ConicProgram:
     x = b.add_vars(2)
     a1 = b.add_vars(1, obj=1.0)[0]
     a2 = b.add_vars(1, obj=1.0)[0]
-    means = [_feature_rows(instance.samples[idx]).sum(axis=0) / m for idx in members]
+    means = [_MOMENTS.matrix(instance.samples[idx]).sum(axis=0) / m for idx in members]
     quads = b.add_vars(6 * nregions, obj=np.concatenate(means)).reshape(nregions, 6)
     gamma = _slopes(b, instance)
     eta = b.add_vars(m, obj=ratio / m)

@@ -10,15 +10,14 @@ fill out the nominal distribution.
 
 Its levels are free and alpha drops out, so s_i = max_j (f_j - gamma
 c(j, i)) and the value is the minimum over gamma >= 0 of the convex
-piecewise-linear h(gamma) = price gamma + mean_i s_i. solve_envelope
-minimizes h exactly, with no solver: it walks each sample's upper hull of
-the lines f_j - gamma c(j, i) and merges the slope jumps of all hulls from
-gamma = 0 until h's slope is nonnegative, which gives the least minimizer
-and so the tightest transport bound gamma W1. h's slope tends to price -
-mean_i min_j c(j, i), so the program is unbounded, and solve_envelope
-raises ParameterError, exactly when the price is below the mean cost from
-the samples to the support: the design-support condition (the support
-covers the samples) in numeric form.
+piecewise-linear h(gamma) = price gamma + mean_i s_i. That is the transport
+dual that gauge.transport_dual minimizes exactly, with no solver, for every
+transport neighborhood in the package; solve_envelope calls it with equal
+sample weights and gets the least minimizer, and so the tightest transport
+bound gamma W1. h is unbounded, and solve_envelope raises ParameterError,
+exactly when the price is below the mean cost from the samples to the
+support: the design-support condition (the support covers the samples) in
+numeric form.
 
 Two polar shapes are recognized: a Lipschitz ball keeps its hemimetric and
 pays epsilon per unit of the shared slope, and the centered-range ball is
@@ -33,7 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError, DimensionError, EncodingError, ParameterError
-from .gauge import Hemimetric, Oscillation, W1Ball, hemimetric_check, polar, transport_metric
+from .gauge import (Hemimetric, Oscillation, W1Ball, hemimetric_check, polar, transport_dual,
+                    transport_metric)
 from .oracle import w1_distance
 from .reformulate import ReweightingProblem
 from .space import _as_points
@@ -133,50 +133,18 @@ def build_envelope_program(problem: ReweightingProblem, samples) -> EnvelopeProg
     return EnvelopeProgram(problem=problem, samples=pts, metric=metric, price=price)
 
 
-def _hull_breaks(f, cost):
-    """Breakpoints of max_j (f_j - gamma cost[j, i]) over gamma >= 0 for
-    every sample i, with the drop in the active cost at each: gift wrapping
-    along all upper hulls at once, the next line being the first to
-    overtake the active one, the least cost among ties."""
-    top = np.flatnonzero(f == f.max())
-    line = top[np.argmin(cost[top], axis=0)]  # active just right of gamma = 0
-    floor = cost.min(axis=0)
-    live = np.arange(cost.shape[1])
-    breaks, drops = [np.zeros(0)], [np.zeros(0)]
-    while True:
-        live = live[cost[line[live], live] > floor[live]]
-        if not live.size:
-            return np.concatenate(breaks), np.concatenate(drops)
-        sub = cost[:, live]
-        held = cost[line[live], live]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cross = np.where(sub < held, (f[line[live]] - f[:, None]) / (held - sub), np.inf)
-        first = cross.min(axis=0)
-        nxt = np.argmin(np.where(cross == first, sub, np.inf), axis=0)
-        breaks.append(first)
-        drops.append(held - sub[nxt, np.arange(live.size)])
-        line[live] = nxt
-
-
 def solve_envelope(ep: EnvelopeProgram) -> EnvelopeSolution:
     """The least minimizer gamma of h, with alpha = 0 and the levels
-    s_i = max_j (f_j - gamma c(j, i)); raises ParameterError when the
-    program is unbounded."""
-    f = ep.problem.cost
+    s_i = max_j (f_j - gamma c(j, i)), by gauge.transport_dual over equally
+    weighted samples; raises ParameterError when the program is unbounded."""
     cost = ep.metric.matrix(ep.problem.space.points, ep.samples)
-    m = cost.shape[1]
-    base = float(cost.min(axis=0).sum())
-    if ep.price < base / m:
+    try:
+        gamma, value, s = transport_dual(ep.problem.cost, cost, np.ones(cost.shape[1]), ep.price)
+    except ParameterError:
         raise ParameterError(f"envelope program is unbounded: price {ep.price} is below "
-                             f"the mean cost {base / m} from the samples to the support")
-    breaks, drops = _hull_breaks(f, cost)
-    order = np.argsort(breaks, kind="stable")
-    # mean active cost right of 0 and of each breakpoint; h's slope is the
-    # price minus it, and the last entry is base / m, at most the price
-    active = (base + np.r_[np.cumsum(drops[order][::-1])[::-1], 0.0]) / m
-    gamma = float(np.r_[0.0, breaks[order]][np.argmax(active <= ep.price)])
-    s = np.max(f[:, None] - gamma * cost, axis=0)
-    return EnvelopeSolution(value=ep.price * gamma + float(np.mean(s)), gamma=gamma, alpha=0.0, s=s)
+                             f"the mean cost {cost.min(axis=0).mean()} from the samples "
+                             "to the support") from None
+    return EnvelopeSolution(value=value, gamma=gamma, alpha=0.0, s=s)
 
 
 def make_nonredundant(ep: EnvelopeProgram, sol: EnvelopeSolution) -> EnvelopeSolution:

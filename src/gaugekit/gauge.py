@@ -220,6 +220,54 @@ def _flow_arcs(b: ProgramBuilder, space: DiscreteSpace, metric: Hemimetric, u, p
     return arcs, cost
 
 
+def transport_dual(f, cost, weights, price):
+    """The least minimizer gamma >= 0 of the transport dual
+    h(gamma) = price gamma + sum_i w_i max_j (f_j - gamma cost[j, i]) / sum_i w_i,
+    the worst case of f when the weighted columns move onto the rows at mean
+    cost at most price. Returns (gamma, h(gamma), s), s_i = max_j (f_j - gamma
+    cost[j, i]).
+
+    h is convex and piecewise linear. Gift wrapping walks every column's upper
+    hull of its lines at once, the next line being the first to overtake the
+    active one, the least cost among ties; the weighted drops in active cost,
+    merged, give h's slope, which turns nonnegative at the least minimizer.
+    The slope tends to the price minus the weighted mean of min_j cost[j, i],
+    so h is unbounded, and this raises ParameterError, exactly when the price
+    is below that mean least cost. Time O(n m H) and memory O(n m) for n rows,
+    m columns and hulls of at most H lines; a concave cost puts about n/2
+    lines on every hull.
+    """
+    total = weights.sum()
+    least = cost.min(axis=0)
+    base = float(np.sum(weights * least))
+    if price < base / total:
+        raise ParameterError(f"transport dual is unbounded: price {price} is below "
+                             f"the mean least cost {base / total}")
+    top = np.flatnonzero(f == f.max())
+    line = top[np.argmin(cost[top], axis=0)]  # active just right of gamma = 0
+    live = np.flatnonzero(cost[line, np.arange(cost.shape[1])] > least)
+    breaks, drops = [np.zeros(0)], [np.zeros(0)]
+    while live.size:
+        sub = cost[:, live]
+        held = cost[line[live], live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = np.where(sub < held, (f[line[live]] - f[:, None]) / (held - sub), np.inf)
+        first = cross.min(axis=0)
+        nxt = np.argmin(np.where(cross == first, sub, np.inf), axis=0)
+        breaks.append(first)
+        drops.append(weights[live] * (held - sub[nxt, np.arange(live.size)]))
+        line[live] = nxt
+        live = live[cost[line[live], live] > least[live]]
+    breaks, drops = np.concatenate(breaks), np.concatenate(drops)
+    order = np.argsort(breaks, kind="stable")
+    # mean active cost right of 0 and of each breakpoint; h's slope is the
+    # price minus it, and the last entry is the mean least cost
+    active = (base + np.r_[np.cumsum(drops[order][::-1])[::-1], 0.0]) / total
+    gamma = float(np.r_[0.0, breaks[order]][np.argmax(active <= price)])
+    s = np.max(f[:, None] - gamma * cost, axis=0)
+    return gamma, price * gamma + float(np.sum(weights * s) / total), s
+
+
 def _min_over_epigraph(expr: "GaugeExpr", space: DiscreteSpace, w: np.ndarray, level: float) -> float:
     """min -<w, u>_P over u with gauge(u) <= level, through the set's epigraph."""
     b = ProgramBuilder()
@@ -563,11 +611,11 @@ class WassersteinP(GaugeExpr):
     The gauge is one LP. With s = 1/t, "u/t lies in the ball" is linear in a
     plan and s: a nonnegative plan whose column sums are the weights p, whose
     row i sums to p_i (1 + s u_i), and whose cost sum c^power * plan is at
-    most radius^power. The gauge is 1/s_max, inf when s_max = 0 and 0 when
-    the LP is unbounded. _ball writes the rows that the support shares: the
-    plan off its diagonal as the arcs of _flow_arcs, the budget row scaled to
-    one, and each old point's outflow capped by its weight (the diagonal is
-    what stays).
+    most radius^power; off its diagonal the plan is the arcs of _flow_arcs,
+    and each old point's outflow is capped by its weight. The gauge is
+    1/s_max, inf when s_max = 0 and 0 when the LP is unbounded. The support
+    needs no program: sup E_Q[w] over the ball is transport_dual of w under
+    cost c^power at price radius^power, less E_P[w].
     """
 
     power: float
@@ -580,15 +628,6 @@ class WassersteinP(GaugeExpr):
         if not (self.radius > 0.0):
             raise ParameterError("transport radius must be positive")
 
-    def _ball(self, b: ProgramBuilder, space: DiscreteSpace, u: list):
-        """Rows for "u lies in the ball", u a list of affine expressions."""
-        # arc (i, j) moves mass from old point j to new point i
-        arcs, cost = _flow_arcs(b, space, self.metric, u, priced=False)
-        b.le(LinExpr.dot(arcs, cost ** self.power / self.radius ** self.power) - 1.0)
-        _, old = np.nonzero(~np.eye(space.size, dtype=bool))
-        for j in range(space.size):
-            b.le(LinExpr.sum(map(LinExpr.var, arcs[old == j])) - space.weights[j])
-
     def _gauge(self, space, u):
         shortcut = _balance_shortcut(space, u)
         if shortcut is not None:
@@ -596,7 +635,13 @@ class WassersteinP(GaugeExpr):
         b = ProgramBuilder()
         s = int(b.add_vars(1, obj=-1.0)[0])
         b.nonneg_var(s)
-        self._ball(b, space, [LinExpr.var(s, x) for x in u])
+        # arc (i, j) moves mass from old point j to new point i
+        arcs, cost = _flow_arcs(b, space, self.metric, [LinExpr.var(s, x) for x in u],
+                                priced=False)
+        b.le(LinExpr.dot(arcs, cost ** self.power / self.radius ** self.power) - 1.0)
+        _, old = np.nonzero(~np.eye(space.size, dtype=bool))
+        for j in range(space.size):
+            b.le(LinExpr.sum(map(LinExpr.var, arcs[old == j])) - space.weights[j])
         # the density floor 1 + s u >= 0; the rows above imply it, but as its
         # own row it lets the solver settle a floor-bound gauge quickly
         b.le(LinExpr.var(s, float(np.max(-u))) - 1.0)
@@ -604,11 +649,9 @@ class WassersteinP(GaugeExpr):
         return 1.0 / s_max if s_max > 0.0 else _INF
 
     def _support(self, space, w):
-        # max <w, u>_P over the ball, with u free
-        b = ProgramBuilder()
-        u = b.add_vars(space.size, obj=-space.weights * w)
-        self._ball(b, space, [LinExpr.var(col) for col in u])
-        return -_solve_value(b)
+        cost = self.metric.matrix(space.points, space.points) ** self.power
+        worst = transport_dual(w, cost, space.weights, self.radius ** self.power)[1]
+        return worst - float(space.weights @ w)
 
     def _encode(self, b, space, u, t):
         raise EncodingError("transport balls have no conic epigraph; use wasserstein_p_dual_value")
@@ -784,6 +827,11 @@ class Scale(GaugeExpr):
             return self.factor * self.child._support(space, w)
         # the recession cone's support: zero on its polar cone, inf off it
         return _INF if _min_over_epigraph(self.child, space, w, 0.0) == -_INF else 0.0
+
+    def _slack(self, space, u, t):
+        if self.factor > 0.0:
+            return self.child._slack(space, u, t * self.factor)
+        return super()._slack(space, u, t)
 
     def _encode(self, b, space, u, t):
         if self.factor > 0.0:

@@ -5,7 +5,8 @@ measure whose deviation from uniform weights stays inside a scaled gauge set.
 The dual trades a uniform shift, a pointwise majorant, and a polar-gauge
 penalty. Both directions compile to conic programs through the gauge
 encoders; divergence and transport neighborhoods get dedicated scalar duals
-since their sets have no conic epigraph here.
+since their sets have no conic epigraph here. The transport duals, tv among
+them, have one free slope and take it exactly from gauge.transport_dual.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from scipy.optimize import minimize_scalar
 from . import conic, gauge as gauges
 from .conic import LinExpr, ProgramBuilder, SolveSettings
 from .errors import ParameterError
-from .gauge import GaugeExpr, PhiDivergence, WassersteinP
+from .gauge import GaugeExpr, Hemimetric, PhiDivergence, WassersteinP, transport_dual
 from .space import DiscreteSpace, Reweighting, per_atom
 
 
@@ -125,14 +126,10 @@ def dual_solution(problem: ReweightingProblem, settings: SolveSettings | None = 
 
 
 def _conjugate(kind: str):
-    """phi* over the nonnegative half-line, elementwise on arrays."""
+    """phi* over the nonnegative half-line for chi2 and kl, elementwise on arrays."""
     if kind == "chi2":
         return lambda s: np.where(s >= -2.0, s + 0.25 * s * s, -1.0)
-    if kind == "kl":
-        return lambda s: np.expm1(np.minimum(s, 690.0))
-    if kind == "tv":
-        return lambda s: np.where(s > 1.0, np.inf, np.maximum(s, -1.0))
-    raise ParameterError(f"unknown divergence kind {kind!r}")
+    return lambda s: np.expm1(np.minimum(s, 690.0))
 
 
 def _unit_radius(epsilon: float) -> bool:
@@ -145,8 +142,9 @@ def divergence_dual_value(problem: ReweightingProblem) -> float:
     """Scalar dual for a divergence neighborhood: minimize over a shift and a
     nonnegative multiplier of  alpha + gamma * budget + E[gamma phi*((f - alpha)/gamma)].
 
-    Requires gauge = PhiDivergence(kind, budget) and epsilon = 1 (the budget
-    carries the radius).
+    The tv kind is a transport neighborhood instead and is priced exactly by
+    gauge.transport_dual. Requires gauge = PhiDivergence(kind, budget) and
+    epsilon = 1 (the budget carries the radius).
     """
     if not isinstance(problem.gauge, PhiDivergence):
         raise ParameterError("divergence_dual_value needs a PhiDivergence gauge")
@@ -156,13 +154,10 @@ def divergence_dual_value(problem: ReweightingProblem) -> float:
     p = problem.space.weights
     budget = problem.gauge.budget
     if problem.gauge.kind == "tv":
-        # for each gamma the least feasible alpha, max f - gamma, is optimal,
-        # and what is left is convex and piecewise linear in gamma with its
-        # kinks at (max f - f_i) / 2, so its least value is at a kink or at 0
-        top = float(np.max(f))
-        gammas = np.concatenate(([0.0], (top - f) / 2.0))
-        tails = p @ np.maximum(f[:, None] - top + gammas, -gammas)
-        return float(np.min(top + gammas * (budget - 1.0) + tails))
+        # the tv ball moves at most budget / 2 of the mass: the transport
+        # dual under the 0/1 cost at that price
+        cost = Hemimetric.indicator().matrix(problem.space.points, problem.space.points)
+        return transport_dual(f, cost, p, 0.5 * budget)[1]
     conj = _conjugate(problem.gauge.kind)
     lo_a = float(np.min(f)) - (float(np.ptp(f)) + 1.0)
     hi_a = float(np.max(f)) + 1.0
@@ -188,7 +183,8 @@ def divergence_dual_value(problem: ReweightingProblem) -> float:
 
 def wasserstein_p_dual_value(problem: ReweightingProblem) -> float:
     """Scalar dual for a transport neighborhood: minimize over beta >= 0 of
-    beta * radius^p + E_j[max_i (f_i - beta c(i,j)^p)].
+    beta * radius^p + E_j[max_i (f_i - beta c(i,j)^p)], exactly, by
+    gauge.transport_dual.
 
     Requires gauge = WassersteinP(power, metric, radius) and epsilon = 1.
     """
@@ -197,19 +193,9 @@ def wasserstein_p_dual_value(problem: ReweightingProblem) -> float:
     if not _unit_radius(problem.epsilon):
         raise ParameterError("fold the radius into the gauge (epsilon must be 1)")
     atom = problem.gauge
-    sp, f = problem.space, problem.cost
-    cpow = atom.metric.matrix(sp.points, sp.points) ** atom.power
-    radp = atom.radius ** atom.power
-
-    def at(beta: float) -> float:
-        inner = np.max(f[:, None] - beta * cpow, axis=0)
-        return beta * radp + float(sp.weights @ inner)
-
-    positive = cpow[cpow > 1e-12]
-    b_hi = float(np.ptp(f)) / float(np.min(positive)) + 1.0 if len(positive) else 1.0
-    res = minimize_scalar(at, bounds=(0.0, b_hi), method="bounded",
-                          options={"xatol": 1e-13, "maxiter": 400})
-    return min(float(res.fun), at(0.0))
+    sp = problem.space
+    cost = atom.metric.matrix(sp.points, sp.points) ** atom.power
+    return transport_dual(problem.cost, cost, sp.weights, atom.radius ** atom.power)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from gaugekit.gauge import (
     slack,
     support_value,
     support_value_by_program,
+    transport_dual,
     transport_metric,
 )
 from gaugekit.space import DiscreteSpace, uniform_space
@@ -405,9 +406,51 @@ def transport_support_by_highs(expr, space, w):
     return -res.fun - p @ w
 
 
+class TestTransportDual:
+    """transport_dual minimizes h(gamma) = price gamma + weighted mean over
+    columns i of max_j (f_j - gamma cost[j, i]) exactly."""
+
+    def h(self, f, cost, weights, price, gamma):
+        return price * gamma + weights @ np.max(f[:, None] - gamma * cost, axis=0) / weights.sum()
+
+    def test_matches_an_all_breakpoint_search(self):
+        # h is piecewise linear, so its least value sits at 0 or at a point
+        # where two lines of one column cross
+        rng = np.random.default_rng(77)
+        for k in range(60):
+            n, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            cost = rng.uniform(0.0, 2.0, (n, m)) * (rng.uniform(size=(n, m)) < 0.8)
+            f = rng.integers(-3, 4, n).astype(float) if k % 3 == 0 else rng.normal(size=n)
+            weights = rng.dirichlet(np.ones(m)) if k % 2 else np.ones(m)
+            price = weights @ cost.min(axis=0) / weights.sum() + float(rng.uniform(0.0, 1.5))
+            gamma, value, s = transport_dual(f, cost, weights, price)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cross = (f[:, None, None] - f[None, :, None]) / (cost[:, None, :] - cost[None, :, :])
+            candidates = np.r_[0.0, cross[np.isfinite(cross) & (cross > 0.0)]]
+            best = min(self.h(f, cost, weights, price, g) for g in candidates)
+            assert abs(value - best) <= 1e-12 * (1.0 + abs(best)), k
+            assert gamma >= 0.0
+            assert value == pytest.approx(self.h(f, cost, weights, price, gamma), abs=1e-12)
+            np.testing.assert_array_equal(s, np.max(f[:, None] - gamma * cost, axis=0))
+            # the least minimizer: h is higher just left of it
+            if gamma > 0.0:
+                assert self.h(f, cost, weights, price, gamma * (1.0 - 1e-9)) > value
+
+    def test_unbounded_exactly_below_the_mean_least_cost(self):
+        f = np.array([0.0, 3.0])
+        cost = np.array([[1.0, 0.0], [2.0, 1.0]])  # least costs 1 and 0
+        weights = np.array([0.25, 0.75])
+        # at price 0.25, h falls to 0 at gamma = 3 and is flat beyond
+        gamma, value, s = transport_dual(f, cost, weights, 0.25)
+        assert (gamma, value) == (3.0, 0.0)
+        np.testing.assert_array_equal(s, [-3.0, 0.0])
+        with pytest.raises(ParameterError, match="unbounded"):
+            transport_dual(f, cost, weights, 0.2499)
+
+
 class TestTransportGaugeLp:
     """WassersteinP's gauge is one conic LP over (plan, s = 1/t), and its
-    support one LP over the same arcs; HiGHS plan LPs are the references."""
+    support is the transport dual; HiGHS plan LPs are the references."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -448,16 +491,21 @@ class TestTransportGaugeLp:
             want = transport_gauge_by_highs(expr, space, u)
             assert gauge_value(expr, space, u) == pytest.approx(want, abs=1e-6 * (1.0 + want))
 
-    def test_support_matches_the_plan_lp(self):
+    def test_support_matches_the_plan_lp(self, monkeypatch):
+        # exact to rounding, through the transport dual with no solve
+        def refuse(*args, **kwargs):
+            raise AssertionError("the transport support called the conic solver")
+
+        monkeypatch.setattr(conic, "solve", refuse)
         rng = np.random.default_rng(43)
-        for k in range(48):
+        for k in range(100):
             n = int(rng.integers(2, 9))
             space = DiscreteSpace(rng.uniform(0.0, 3.0, (n, 1 + k % 2)), rng.dirichlet(np.ones(n)))
             power = float(1 + (k // 2) % 2)
             expr = WassersteinP(power, Hemimetric.pnorm(power), radius=float(rng.uniform(0.05, 2.0)))
             w = rng.normal(size=n)
             want = transport_support_by_highs(expr, space, w)
-            assert support_value(expr, space, w) == pytest.approx(want, abs=1e-6 * (1.0 + abs(want)))
+            assert abs(support_value(expr, space, w) - want) <= 1e-10 * (1.0 + abs(want)), k
 
     def test_shortcuts_make_no_solve(self, solves):
         expr = WassersteinP(1.0, ABS1, radius=0.5)

@@ -344,6 +344,24 @@ def capped_tail(nu):
     return alpha + float(m @ grad), grad
 
 
+class TestOraclesStandAlone:
+    def test_no_oracle_reaches_the_solver_or_the_transport_rule(self, monkeypatch):
+        # the oracles are the references the conic routes and the exact
+        # transport rule are tested against, so neither may feed them
+        monkeypatch.setattr(conic, "solve", refuse)
+        monkeypatch.setattr(gauge_module, "transport_dual", refuse)
+        plane = DiscreteSpace([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], [0.5, 0.25, 0.25])
+        assert w1_transport(BASE, F, 0.5, ABS) == pytest.approx(2.0, abs=1e-7)
+        assert w1_flow_gauge(BASE, [-1.0, 0.0, 0.0, 1.0], ABS1) == pytest.approx(0.75)
+        assert w1_flow_gauge(plane, [-1.0, 2.0, 0.0], ABS1) == pytest.approx(0.5)
+        assert w1_distance([0.0], [1.0], [1.0, 3.0], [0.5, 0.5], ABS1) == pytest.approx(2.0)
+        assert w1_distance(plane.points, plane.weights, [[0.0, 0.0]], [1.0], ABS1) \
+            == pytest.approx(0.75)
+        assert tv_greedy(BASE, F, 0.5) == pytest.approx(2.25, abs=1e-12)
+        assert cvar_sorted(BASE, F, 0.5) == pytest.approx(2.5, abs=1e-12)
+        assert chi2_closed_form(BASE, F, 0.4) == pytest.approx(CHI2_04, abs=1e-12)
+
+
 class TestTransportWalk:
     @pytest.mark.parametrize("expr", [
         W1Ball(ABS1), Polar(Lipschitz(ABS1)),
@@ -425,6 +443,26 @@ class TestWalkRoutes:
         # bisecting on membership, the same four walks made 7872 tests
         assert "slack" in calls and "flow" in calls
         assert len(calls) < 1000
+
+    def test_scaled_kl_walk_is_the_unscaled_walk(self, monkeypatch):
+        # a scaled set's slack is its child's at the scaled level, one
+        # divergence evaluation, not the gauge's bisection
+        space = uniform_space([0.327, 0.331, 1.55, 1.713, 2.108, 2.937])
+        f = np.array([0.894, 1.341, 1.614, -0.349, -1.096, 0.171])
+        calls = [0]
+        inner = PhiDivergence._kl
+
+        def counted(*args):
+            calls[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(PhiDivergence, "_kl", staticmethod(counted))
+        plain = frank_wolfe_primal(ReweightingProblem(space, f, PhiDivergence("kl", 1.0), 1.0))
+        plain_calls, calls[0] = calls[0], 0
+        scaled = frank_wolfe_primal(
+            ReweightingProblem(space, f, Scale(0.5, PhiDivergence("kl", 1.0)), 2.0))
+        assert abs(scaled.value - plain.value) <= 1e-12 * (1.0 + abs(plain.value))
+        assert calls[0] <= 2 * plain_calls
 
     def test_root_finder_returns_the_feasible_end(self):
         lam_hi = 3.0

@@ -179,6 +179,18 @@ class TestDivergenceDuals:
         want = tv_greedy(space, cost, budget)
         assert abs(div - want) <= 1e-9 * (1.0 + abs(want))
 
+    def test_absolute_divergence_is_the_indicator_transport(self):
+        # moving at most budget / 2 of the mass, at unit cost per moved unit
+        rng = np.random.default_rng(2029)
+        for k in range(40):
+            n = int(rng.integers(2, 10))
+            space = DiscreteSpace(rng.uniform(0.0, 3.0, (n, 1 + k % 2)), rng.dirichlet(np.ones(n)))
+            f = rng.normal(size=n)
+            budget = float(rng.uniform(0.05, 2.5))
+            got = divergence_dual_value(ReweightingProblem(space, f, PhiDivergence("tv", budget), 1.0))
+            want = w1_transport(space, f, 0.5 * budget, Hemimetric.indicator())
+            assert abs(got - want) <= 1e-12, k
+
     def test_entropy_divergence_pinned_and_certified(self):
         prob = problem(PhiDivergence("kl", 0.1), 1.0)
         div = divergence_dual_value(prob)
@@ -214,6 +226,21 @@ class TestTransportDuals:
     def test_small_radius_approaches_the_mean(self):
         atom = WassersteinP(1.0, ABS1, 1e-9)
         assert wasserstein_p_dual_value(problem(atom, 1.0)) == pytest.approx(1.5, abs=1e-6)
+
+    def test_exact_against_the_plan_lp(self):
+        # HiGHS plan LP of w1_transport over the table of c^p at budget r^p
+        rng = np.random.default_rng(2028)
+        for k in range(100):
+            n = int(rng.integers(2, 10))
+            space = DiscreteSpace(rng.uniform(0.0, 3.0, (n, 1 + k % 2)), rng.dirichlet(np.ones(n)))
+            power = float(1 + (k // 2) % 2)
+            atom = WassersteinP(power, Hemimetric.pnorm(power), float(rng.uniform(0.05, 2.0)))
+            f = rng.normal(size=n)
+            table = Hemimetric.from_table(space.points,
+                                          atom.metric.matrix(space.points, space.points) ** power)
+            want = w1_transport(space, f, atom.radius ** power, table)
+            got = wasserstein_p_dual_value(ReweightingProblem(space, f, atom, 1.0))
+            assert abs(got - want) <= 1e-10 * (1.0 + abs(want)), k
 
     def test_guards(self):
         with pytest.raises(ParameterError):
