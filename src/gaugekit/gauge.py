@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import conic
 from .conic import LinExpr, ProgramBuilder
@@ -583,6 +582,8 @@ class PhiDivergence(GaugeExpr):
 
         lo = np.log(max(1e-9 * (1.0 + spread), 1e-12))
         hi = np.log((10.0 + 10.0 * spread) * (1.0 + 1.0 / self.budget))
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-12, "maxiter": 500})
         return float(min(objective(lo), objective(hi), float(res.fun)))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 from . import gauge as gauges
 from .errors import DimensionError, ParameterError
@@ -25,6 +24,8 @@ _INF = float("inf")
 
 def reference_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(0, None)):
     """Thin linprog wrapper returning (status, value, x)."""
+    from scipy.optimize import linprog
+
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "failed")
     value = float(res.fun) if res.status == 0 else float("nan")

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import conic, gauge as gauges
 from .conic import LinExpr, ProgramBuilder, SolveSettings
@@ -158,6 +157,8 @@ def divergence_dual_value(problem: ReweightingProblem) -> float:
         # dual under the 0/1 cost at that price
         cost = Hemimetric.indicator().matrix(problem.space.points, problem.space.points)
         return transport_dual(f, cost, p, 0.5 * budget)[1]
+    from scipy.optimize import minimize_scalar
+
     conj = _conjugate(problem.gauge.kind)
     lo_a = float(np.min(f)) - (float(np.ptp(f)) + 1.0)
     hi_a = float(np.max(f)) + 1.0

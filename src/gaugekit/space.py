@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DimensionError, ParameterError
 
@@ -46,32 +45,62 @@ def _as_points(points) -> np.ndarray:
 def _coincident_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j), row-major, with norm(a[i] - b[j]) <= POINT_MERGE_TOL.
 
-    A KD-tree over the finite points proposes the pairs within twice the
-    tolerance, exact duplicates included, and that norm decides.
+    The finite points are projected on one fixed generic unit direction,
+    v ∝ (√2, √3, ...), and the projections are sorted. Each a[i] proposes
+    the b[j] whose projections lie within twice the tolerance of its own,
+    widened by the projections' rounding, and that norm decides. For n
+    points in all and k proposed pairs this costs O((n + k) log n). The
+    worst case is many points within 2·tol of one another along v, where k
+    grows to n².
     """
     tol = POINT_MERGE_TOL
     ra, rb = (np.flatnonzero(np.isfinite(x).all(axis=1)) for x in (a, b))
-    near = cKDTree(a[ra]).sparse_distance_matrix(cKDTree(b[rb]), 2.0 * tol, output_type="ndarray")
-    near.sort(order=("i", "j"))
-    ii, jj = ra[near["i"]], rb[near["j"]]
+    dim = a.shape[1]
+    v = np.sqrt(np.arange(2.0, dim + 2.0))
+    v /= np.linalg.norm(v)
+    pa, pb = (a @ v)[ra], (b @ v)[rb]
+    # |v·(a[i] - b[j])| <= norm(a[i] - b[j]), and each computed projection
+    # is off by at most about dim·eps·Σ|v_k x_k|
+    reach = 2.0 * tol + 4.0 * (dim + 1) * np.finfo(float).eps * ((np.abs(a) @ v)[ra] + tol)
+    cols = np.argsort(pb)
+    sorted_pb = pb[cols]
+    # sorted keys let each binary search start where the last one ended
+    rows = np.argsort(pa)
+    lo, hi = np.empty_like(rows), np.empty_like(rows)
+    lo[rows] = np.searchsorted(sorted_pb, (pa - reach)[rows], side="left")
+    hi[rows] = np.searchsorted(sorted_pb, (pa + reach)[rows], side="right")
+    count = hi - lo
+    # candidate t of row i sits at lo[i] + (t - first candidate of row i)
+    at = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)
+    ii, jj = ra[np.repeat(np.arange(len(ra)), count)], rb[cols[at]]
     keep = np.linalg.norm(a[ii] - b[jj], axis=1) <= tol
-    return ii[keep], jj[keep]
+    ii, jj = ii[keep], jj[keep]
+    row_major = np.lexsort((jj, ii))
+    return ii[row_major], jj[row_major]
 
 
 def _merge_duplicates(points: np.ndarray, weights: np.ndarray):
     """Each point joins the first kept atom it coincides with, or is kept;
     weights are summed in input order. Only first exact copies go through the
     pair search, as a point repeated m times would add m² pairs; each other
-    copy has its first copy's distances, so it takes that copy's atom."""
-    _, first, copy = np.unique(points, axis=0, return_index=True, return_inverse=True)
-    firsts = np.sort(first)
-    owner = np.arange(len(points))
+    copy has its first copy's distances, so it takes that copy's atom. One
+    stable lexsort groups the exact copies."""
+    n = len(points)
+    order = np.lexsort(points.T)
+    sorted_pts = points[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (sorted_pts[1:] != sorted_pts[:-1]).any(axis=1)
+    first_copy = np.empty(n, dtype=int)
+    first_copy[order] = order[starts][np.cumsum(starts) - 1]
+    firsts = np.flatnonzero(first_copy == np.arange(n))
     ii, jj = _coincident_pairs(points[firsts], points[firsts])
-    for i, j in zip(firsts[ii], firsts[jj]):
+    apart = ii != jj
+    owner = np.arange(n)
+    for i, j in zip(firsts[ii[apart]].tolist(), firsts[jj[apart]].tolist()):
         if j < owner[i] and owner[j] == j:
             owner[i] = j
-    owner = owner[first[copy.ravel()]]
-    kept = owner == np.arange(len(points))
+    owner = owner[first_copy]
+    kept = owner == np.arange(n)
     merged_w = np.zeros(int(kept.sum()))
     np.add.at(merged_w, (np.cumsum(kept) - 1)[owner], weights)
     return points[kept], merged_w

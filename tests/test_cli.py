@@ -886,15 +886,37 @@ def test_readme_shows_every_command():
     assert sorted(run[1] for run in README_RUNS) == sorted(cli.COMMANDS)
 
 
+# the child finds the package where this process imported it from
+SRC = Path(cli.__file__).resolve().parents[1]
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
 class TestScript:
     def test_module_entry_point(self, tmp_path):
         cfg = write_config(tmp_path, BASE_DOC)
-        # the child finds the package where this process imported it from
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "gaugekit.cli", "duality-check",
              "--config", cfg],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+            capture_output=True, text=True, env=CHILD_ENV)
         assert result.returncode == 0
         assert "dual" in result.stdout
+
+
+class TestStartUp:
+    """A command loads scipy.optimize only when it prices an LP or a scalar
+    dual, and nothing loads scipy.spatial."""
+
+    def test_importing_the_cli_loads_neither_module(self):
+        probe = ("import sys, gaugekit.cli; "
+                 "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') "
+                 "if m in sys.modules))")
+        result = subprocess.run([sys.executable, "-c", probe],
+                                capture_output=True, text=True, env=CHILD_ENV)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_no_source_file_names_scipy_spatial(self):
+        sources = sorted((SRC / "gaugekit").glob("*.py"))
+        assert sources
+        assert [p.name for p in sources if "scipy.spatial" in p.read_text(encoding="utf-8")] == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaugekit.errors import DimensionError, ParameterError
+from gaugekit.funcparam import Basis
 from gaugekit.gauge import Hemimetric, L2Ball, TotalVariation, gauge_value, slack, support_value
 from gaugekit.oracle import chi2_closed_form, cvar_sorted, tv_greedy, w1_flow_gauge, w1_transport
 from gaugekit.reformulate import ReweightingProblem, composed_dual
@@ -205,6 +206,102 @@ def test_a_chain_keeps_its_far_end():
     np.testing.assert_array_equal(sp.weights, [0.2 + 0.3, 0.5])
     late = DiscreteSpace(np.array([0.0, 1.2e-12, 0.6e-12]), np.array([0.2, 0.5, 0.3]))
     np.testing.assert_array_equal(late.weights, [0.2 + 0.3, 0.5])
+
+
+def _merge_by_table(points, weights):
+    """The merge against a broadcast table of every pairwise norm: each point
+    joins the first kept atom it coincides with, as in _merge_by_loop."""
+    near = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2) <= POINT_MERGE_TOL
+    kept = np.zeros(len(points), dtype=bool)
+    target = np.empty(len(points), dtype=int)
+    for i in range(len(points)):
+        hits = np.flatnonzero(near[i, :i] & kept[:i])
+        kept[i] = len(hits) == 0
+        target[i] = i if kept[i] else hits[0]
+    merged_w = np.zeros(int(kept.sum()))
+    np.add.at(merged_w, (np.cumsum(kept) - 1)[target], weights)
+    return points[kept], merged_w
+
+
+def _nudged(rng, pts, copies, low, high):
+    """pts with `copies` extra rows, each a random row moved by a random
+    direction times a length in [low, high], shuffled."""
+    step = rng.normal(size=(copies, pts.shape[1]))
+    step *= rng.uniform(low, high, size=(copies, 1)) / np.linalg.norm(step, axis=1, keepdims=True)
+    both = np.vstack([pts, pts[rng.integers(0, len(pts), size=copies)] + step])
+    return both[rng.permutation(len(both))]
+
+
+def _one_ulp_apart(rng, dim, count):
+    """count points with coordinates of one sign and magnitude 2^12 to 2^13,
+    where one ulp is 0.91e-12, and three copies of each with one coordinate
+    moved by one ulp. In four or more dimensions the rounding of a projection
+    on a fixed direction then often exceeds twice POINT_MERGE_TOL."""
+    sign = rng.choice([-1.0, 1.0], size=(count, 1))
+    centres = sign * rng.uniform(2.0 ** 12, 2.0 ** 13, size=(count, dim))
+    nudged = np.repeat(centres, 3, axis=0)
+    rows = np.arange(len(nudged))
+    cols = rng.integers(0, dim, size=len(nudged))
+    nudged[rows, cols] = np.nextafter(nudged[rows, cols], rng.choice([-np.inf, np.inf], size=len(nudged)))
+    return centres, nudged
+
+
+def _assert_merges_like_the_table(pts, rng):
+    w = rng.uniform(0.1, 1.0, size=len(pts))
+    want_pts, want_w = _merge_by_table(pts, w)
+    sp = DiscreteSpace(pts, w)
+    assert np.array_equal(sp.points, want_pts)
+    assert np.array_equal(sp.weights, want_w)
+    return len(pts) - sp.size
+
+
+class TestLayoutsAgainstTheTable:
+    """Layouts that defeat a search along one coordinate: ties in that
+    coordinate, axis-aligned grids, and magnitudes where one ulp is near or
+    above POINT_MERGE_TOL."""
+
+    def test_points_sharing_their_first_coordinate(self):
+        rng = np.random.default_rng(31)
+        for dim in (2, 3):
+            rest = rng.uniform(-1.0, 1.0, size=(768, dim - 1))
+            pts = np.column_stack([np.full(768, 0.7), rest])
+            pts = _nudged(rng, pts, 256, 0.0, 1.5e-12)
+            pts[:, 0] = 0.7
+            assert _assert_merges_like_the_table(pts, rng) > 50
+
+    def test_a_grid_with_nudged_copies(self):
+        rng = np.random.default_rng(32)
+        axis = np.arange(32.0) / 7.0
+        grid = np.array([(x, y) for x in axis for y in axis])
+        pts = _nudged(rng, grid, 300, 0.3e-12, 1.5e-12)
+        assert 50 < _assert_merges_like_the_table(pts, rng) < 300
+
+    def test_clustered_points_at_large_magnitudes(self):
+        rng = np.random.default_rng(33)
+        merged = 0
+        for trial in range(120):
+            dim = 1 + trial % 3
+            shift = 10.0 ** rng.uniform(3.0, 8.0) * rng.choice([-1.0, 1.0], size=dim)
+            merged += _assert_merges_like_the_table(clustered_points(rng, dim) + shift, rng)
+        assert merged > 500
+        for trial in range(16):
+            centres, nudged = _one_ulp_apart(rng, 4 + trial % 5, 150)
+            pts = np.vstack([centres, nudged])
+            merged += _assert_merges_like_the_table(pts[rng.permutation(len(pts))], rng)
+        assert merged > 5000
+
+    def test_singleton_indicators_on_clustered_points(self):
+        rng = np.random.default_rng(34)
+        for trial in range(136):
+            dim = 1 + trial % 3
+            shift = (10.0 ** rng.uniform(0.0, 8.0) if trial % 2 else 0.0) * np.ones(dim)
+            listed = clustered_points(rng, dim) + shift
+            query = np.vstack([clustered_points(rng, dim) + shift, listed])
+            if trial >= 120:
+                listed, query = _one_ulp_apart(rng, 4 + trial % 5, 150)
+            gaps = np.linalg.norm(query[:, None, :] - listed[None, :, :], axis=2)
+            want = (gaps <= POINT_MERGE_TOL).astype(float)
+            np.testing.assert_array_equal(Basis.singletons(listed).matrix(query), want)
 
 
 def test_validate_reports_coincidences_like_the_plain_loop():
